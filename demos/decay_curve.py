@@ -35,8 +35,7 @@ print(f"variational ball rate: {ball_rate:.6f}")
 # one set of 20000 paths, read at several times (common random numbers,
 # so the curve is monotone-consistent by construction)
 times = [10.0, 20.0, 40.0, 60.0]
-points = mc.decay_curve(field, 1, target, times, n_paths=20_000, seed=0,
-                        threads=4)
+points = mc.decay_curve(field, 1, target, times, n_paths=20_000, seed=0)
 
 print(f"\n{'t':>6} {'p_hat':>12} {'95% interval':>24} {'-log(p)/t':>12} "
       f"{'gap':>9}")

@@ -48,16 +48,20 @@ def _atomic_write(path, text):
 
 
 class _Outputs:
-    """Collects artifacts for one run directory and writes the manifest last."""
+    """Collects artifacts for one run directory and writes the manifest last.
 
-    def __init__(self, run_dir, effective):
-        self.run_dir = run_dir
-        self.effective = effective
+    Commands create it on entry, so the manifest's wall time covers the
+    computation; the directory itself appears with the first artifact.
+    """
+
+    def __init__(self, args, command, cfg, seed):
+        self.effective = _effective(cfg, command, seed)
+        self.run_dir = _run_dir(args.out, command, self.effective)
         self.names = []
         self.t0 = time.monotonic()
-        run_dir.mkdir(parents=True, exist_ok=True)
 
     def write_text(self, name, text):
+        self.run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(self.run_dir / name, text)
         self.names.append(name)
 
@@ -129,13 +133,12 @@ def _cmd_validate(args, cfg, seed):
 
 
 def _cmd_simulate(args, cfg, seed):
+    out = _Outputs(args, "simulate", cfg, seed)
     field = build_field(cfg.field)
     sc = _need(cfg.simulate, "simulate")
     batch = sim.batch_simulate(field, sc.x0, sc.horizon, sc.n_paths, seed,
-                               sampler=sc.sampler, threads=args.threads)
-    first = sim._SAMPLERS[sc.sampler](field, sc.x0, sc.horizon, seed, path_index=0)
-    out = _Outputs(_run_dir(args.out, "simulate", _effective(cfg, "simulate", seed)),
-                   _effective(cfg, "simulate", seed))
+                               sampler=sc.sampler)
+    first = batch.first_trajectory
     out.write_csv("batch.csv", sim.write_batch_csv, batch)
     out.write_csv("trajectory.csv", sim.write_trajectory_csv, first)
     out.write_json("results.json", {
@@ -167,6 +170,7 @@ def _infeasibility_reason(field, flux):
 
 
 def _cmd_dv_rate(args, cfg, seed):
+    out = _Outputs(args, "dv-rate", cfg, seed)
     field = build_field(cfg.field)
     if field.family != "constant":
         raise errors.ConfigError(
@@ -180,8 +184,6 @@ def _cmd_dv_rate(args, cfg, seed):
         reason = _infeasibility_reason(field, flux) or "no finite cost"
         print(f"infeasible: {reason}", file=sys.stderr)
         return 1
-    out = _Outputs(_run_dir(args.out, "dv-rate", _effective(cfg, "dv-rate", seed)),
-                   _effective(cfg, "dv-rate", seed))
     out.write_json("results.json", {"value": value, "gamma": gamma.tolist(),
                                     "flux": flux.tolist()})
     out.write_text("value.csv", "value\n" + _fmt(value) + "\n")
@@ -191,12 +193,11 @@ def _cmd_dv_rate(args, cfg, seed):
 
 
 def _solve_command(name, solve, args, cfg, seed):
+    out = _Outputs(args, name, cfg, seed)
     result = solve()
     if result.status == "infeasible":
         print(f"infeasible: {result.detail}", file=sys.stderr)
         return 1
-    out = _Outputs(_run_dir(args.out, name, _effective(cfg, name, seed)),
-                   _effective(cfg, name, seed))
     out.write_json("results.json", varsolve.rate_result_to_dict(result))
     out.write_csv("path.csv", varsolve.write_control_path_csv, result.path)
     out.write_text("value.csv", "value,status\n"
@@ -243,11 +244,9 @@ def _cmd_current_rate(args, cfg, seed):
 
 
 def _cmd_fixed_point(args, cfg, seed):
+    out = _Outputs(args, "fixed-point", cfg, seed)
     field = build_field(cfg.field)
     fpc = cfg.fixed_point or FixedPointConfig()
-    out = _Outputs(_run_dir(args.out, "fixed-point",
-                            _effective(cfg, "fixed-point", seed)),
-                   _effective(cfg, "fixed-point", seed))
     if fpc.n_starts > 1:
         results = ldp.fixed_point_multistart(field, n_starts=fpc.n_starts, seed=seed,
                                              tol=fpc.tol, max_iter=fpc.max_iter)
@@ -283,11 +282,12 @@ def _cmd_fixed_point(args, cfg, seed):
 
 
 def _cmd_mc_ldp(args, cfg, seed):
+    out = _Outputs(args, "mc-ldp", cfg, seed)
     field = build_field(cfg.field)
     mcc = _need(cfg.mc, "mc")
     target = BallTarget(np.array(mcc.center), mcc.radius)
     points = mc.decay_curve(field, mcc.x0, target, mcc.times, mcc.n_paths,
-                            seed=seed, sampler=mcc.sampler, threads=args.threads)
+                            seed=seed, sampler=mcc.sampler)
     if mcc.rate is not None:
         rate, rate_source = mcc.rate, "config"
     else:
@@ -295,8 +295,6 @@ def _cmd_mc_ldp(args, cfg, seed):
                                        cfg.solve_options(seed))
         rate, rate_source = res.value, "solved at ball center"
     comparison = mc.compare_to_rate(points, rate)
-    out = _Outputs(_run_dir(args.out, "mc-ldp", _effective(cfg, "mc-ldp", seed)),
-                   _effective(cfg, "mc-ldp", seed))
     out.write_csv("decay.csv", mc.write_decay_csv, points)
     out.write_json("results.json", {
         "points": [{"t": p.t, "p_hat": p.p_hat, "ci_low": p.ci_low,
@@ -357,8 +355,8 @@ def build_parser():
         p.add_argument("--out", default="out", help="output root (default: out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sampling")
+        p.add_argument("--threads", type=int, default=None,
+                       help="deprecated and ignored; sampling runs in one thread")
         p.add_argument("--format", choices=("csv", "pretty"), default="pretty",
                        help="stdout rendering")
     return parser
@@ -366,6 +364,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.threads is not None:
+        print("warning: --threads is deprecated and ignored; sampling runs in one thread",
+              file=sys.stderr)
     try:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed

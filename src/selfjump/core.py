@@ -5,8 +5,8 @@ vectors and rate matrices are plain numpy arrays whose index i corresponds
 to the label i+1; that boundary is the only place the two conventions meet.
 
 A rate field maps an occupation measure gamma (a point in the probability
-simplex) to a d x d rate matrix Q(gamma).  Every built-in family is affine
-in gamma and is stored through its vertex matrices Q(delta_x), so affine
+simplex) to a d x d rate matrix Q(gamma).  Every family is affine in gamma
+and is stored through its vertex matrices Q(delta_x), so affine
 structure (exact rate bounds, exact interpolation between anchors) is
 available to the simulator and the variational solver.
 """
@@ -22,7 +22,7 @@ from . import errors
 SIMPLEX_TOL = 1e-12
 GENERATOR_TOL = 1e-12
 
-FAMILIES = ("constant", "affine", "autochemotaxis", "congestion", "catalytic", "custom")
+FAMILIES = ("constant", "affine", "autochemotaxis", "congestion", "catalytic")
 
 
 def edge_pairs(d):
@@ -157,20 +157,18 @@ class RateField:
     Built through the family classmethods below.  ``support`` is the set of
     edges on which rates may be positive; rates vanish identically off it.
     ``rate_upper`` bounds every rate over the whole simplex and ``rate_lower_coeff``
-    k satisfies Q_xy(gamma) >= k * min_z gamma(z) on the support (affine
-    families only).
+    k satisfies Q_xy(gamma) >= k * min_z gamma(z) on the support.
     """
 
     def __init__(self, family, d, vertices, support, rate_upper, rate_lower_coeff,
-                 params, eval_fn=None):
+                 params):
         self.family = family
         self.d = int(d)
-        self.vertices = vertices  # (d, d, d) array, vertices[z] = Q(delta_{z+1}); None for custom
+        self.vertices = vertices  # (d, d, d) array, vertices[z] = Q(delta_{z+1})
         self.support = support  # boolean (d, d) mask, False on the diagonal
         self.rate_upper = float(rate_upper)
         self.rate_lower_coeff = rate_lower_coeff
         self.params = params
-        self._eval_fn = eval_fn
 
     # -- construction -----------------------------------------------------
 
@@ -302,22 +300,7 @@ class RateField:
         return cls._finish_affine("catalytic", vertices, support,
                                   {"channels": channels.tolist()})
 
-    @classmethod
-    def custom(cls, fn, d, rate_upper, support):
-        """Arbitrary evaluator, for tests; not representable in configuration.
-
-        ``fn`` maps a probability vector to a (d, d) rate matrix; ``rate_upper``
-        must majorize every rate it can produce and ``support`` lists the 1-based
-        edges that may carry rate.
-        """
-        mask = support if isinstance(support, np.ndarray) else _mask_from_edges(d, support)
-        return cls("custom", d, None, mask, rate_upper, None, {}, eval_fn=fn)
-
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def is_affine(self):
-        return self.vertices is not None
 
     def support_edges(self):
         """Support as 0-based (i, j) pairs in canonical edge order."""
@@ -332,12 +315,7 @@ class RateField:
         gamma = as_simplex(gamma)
         if gamma.size != self.d:
             raise ValueError(f"gamma has dimension {gamma.size}, field has d={self.d}")
-        if self.is_affine:
-            q = np.einsum("z,zij->ij", gamma, self.vertices)
-        else:
-            q = np.asarray(self._eval_fn(gamma), dtype=float)
-            if q.shape != (self.d, self.d):
-                raise ValueError(f"custom evaluator returned shape {q.shape}")
+        q = np.einsum("z,zij->ij", gamma, self.vertices)
         off = q.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off < -GENERATOR_TOL):

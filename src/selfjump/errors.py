@@ -29,10 +29,6 @@ class InvalidState(SelfJumpError):
     """State label outside 1..d."""
 
 
-class NotAffine(SelfJumpError):
-    """Operation requires a field that is affine in the occupation measure."""
-
-
 class OutOfRange(SelfJumpError):
     """Query time outside the trajectory's (0, horizon] window."""
 

@@ -15,15 +15,14 @@ noise.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import math
 import numpy as np
 
 from . import errors
-from .core import as_simplex, l1_distance
-from .sim import _SAMPLERS
+from .core import SIMPLEX_TOL, as_simplex, l1_distance
+from .sim import _SAMPLERS, lockstep_thinning
 
 Z_95 = 1.959963984540054
 
@@ -73,6 +72,32 @@ class BallTarget:
         off = ~np.eye(self.center.size, dtype=bool)
         return bool(np.all((flux[off] >= lo[off]) & (flux[off] <= hi[off])))
 
+    def hits(self, occupations, fluxes=None):
+        """``hit`` for each row of occupations (n, d) and fluxes (n, d, d).
+
+        Rows are checked as ``as_simplex`` checks a vector: a negative entry
+        or a sum more than SIMPLEX_TOL from 1 raises ValueError.
+        """
+        occ = np.asarray(occupations, dtype=float)
+        d = self.center.size
+        if occ.ndim != 2 or occ.shape[1] != d:
+            raise ValueError(f"expected occupation rows of length {d}, got shape {occ.shape}")
+        if np.any(occ < 0):
+            raise ValueError("negative component in an occupation row")
+        sums = occ.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+            bad = sums[np.argmax(np.abs(sums - 1.0))]
+            raise ValueError(f"occupation row sums to {bad!r}, not 1 within {SIMPLEX_TOL:g}")
+        inside = np.abs(occ - self.center).sum(axis=1) <= self.radius
+        if self.flux_window is None:
+            return inside
+        if fluxes is None:
+            raise ValueError("target has a flux window but no flux was given")
+        lo, hi = self.flux_window
+        off = ~np.eye(d, dtype=bool)
+        fl = np.asarray(fluxes, dtype=float)[:, off]
+        return inside & np.all((fl >= lo[off]) & (fl <= hi[off]), axis=1)
+
 
 @dataclass(frozen=True)
 class DecayPoint:
@@ -114,13 +139,19 @@ def _decay_point(t, hits, n, z):
     return DecayPoint(t, hits / n, lo, hi, n, False, -math.log(hits / n) / t)
 
 
-def _count_hits(field, x0, times, target, seed, sampler, lo, hi):
-    simulate = _SAMPLERS[sampler]
-    horizon = times[-1]
+def _count_hits(field, x0, times, target, seed, sampler, n_paths):
     windowed = target.flux_window is not None
     hits = np.zeros(len(times), dtype=np.int64)
-    for i in range(lo, hi):
-        traj = simulate(field, x0, horizon, seed, path_index=i)
+    if sampler == "thinning":
+        for occ, flux in lockstep_thinning(field, x0, times, n_paths, seed,
+                                           with_flux=windowed):
+            for k in range(len(times)):
+                hits[k] += np.count_nonzero(
+                    target.hits(occ[k], flux[k] if windowed else None))
+        return hits
+    simulate = _SAMPLERS[sampler]
+    for i in range(n_paths):
+        traj = simulate(field, x0, times[-1], seed, path_index=i)
         for k, t in enumerate(times):
             flux = traj.flux_at(t) if windowed else None
             if target.hit(traj.occupation_at(t), flux):
@@ -129,12 +160,13 @@ def _count_hits(field, x0, times, target, seed, sampler, lo, hi):
 
 
 def decay_curve(field, x0, target, times, n_paths, seed=0, sampler="thinning",
-                z=Z_95, threads=1):
+                z=Z_95):
     """Estimate P((L_t, R_t) hits target) for each time, one simulated path set.
 
     Returns a list of DecayPoint sorted by time.  Paths are independent
-    streams keyed by (seed, path index), so results do not depend on thread
-    scheduling and grow consistently with n_paths.
+    streams keyed by (seed, path index), so results grow consistently with
+    n_paths.  The thinning sampler advances blocks of paths in lockstep
+    (``sim.lockstep_thinning``) with the same values as path-by-path runs.
     """
     if sampler not in _SAMPLERS:
         raise errors.ConfigError(f"unknown sampler {sampler!r}", location="sampler")
@@ -144,25 +176,17 @@ def decay_curve(field, x0, target, times, n_paths, seed=0, sampler="thinning",
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise errors.OutOfRange("times must be positive")
-    if threads <= 1 or n_paths < 2 * threads:
-        hits = _count_hits(field, x0, times, target, seed, sampler, 0, n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda se: _count_hits(field, x0, times, target, seed, sampler, *se),
-                zip(bounds[:-1], bounds[1:]))
-            hits = sum(parts)
+    hits = _count_hits(field, x0, times, target, seed, sampler, n_paths)
     return [_decay_point(t, int(h), n_paths, z) for t, h in zip(times, hits)]
 
 
 def estimate_ball_probability(field, x0, target, t, n_paths, seed=0,
-                              sampler="thinning", z=Z_95, threads=1):
+                              sampler="thinning", z=Z_95):
     """Single-time estimate; see decay_curve."""
     if n_paths == 0:
         raise errors.ZeroSamples("need at least one path")
     return decay_curve(field, x0, target, [t], n_paths, seed=seed,
-                       sampler=sampler, z=z, threads=threads)[0]
+                       sampler=sampler, z=z)[0]
 
 
 @dataclass(frozen=True)

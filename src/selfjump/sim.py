@@ -11,10 +11,18 @@ state) is a sufficient anchor:
 Two exact samplers are provided.  ``simulate_thinning`` superposes all d-1
 candidate channels out of the current state into one Poisson stream of rate
 (d - 1) * rate_upper and accepts a candidate x -> j at time t with
-probability Q_xj(L_t-) / rate_upper; it works for any field.
-``simulate_exact_affine`` exploits affine fields, for which the exit hazard
-between jumps is rate_at_dirac + (s / t) * (rate_at_anchor - rate_at_dirac),
-whose integral has a closed form that is inverted to machine precision.
+probability Q_xj(L_t-) / rate_upper.  ``simulate_exact_affine`` uses the
+closed form of the exit hazard between jumps,
+rate_at_dirac + (s / t) * (rate_at_anchor - rate_at_dirac), whose integral is
+inverted to machine precision; it is the independent oracle for thinning.
+Every field is affine in the occupation measure, so both work for any field.
+
+``lockstep_thinning`` runs the thinning sampler on many paths at once, one
+candidate step per numpy operation over a block of paths, and reads their
+occupations (and fluxes) off at a list of times.  It repeats the scalar
+sampler's float operations in the same order, so its values are
+bit-identical to ``simulate_thinning`` followed by ``occupation_at`` /
+``flux_at``.
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
@@ -24,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -153,19 +160,42 @@ def _rate_rows(field, measure, x_idx):
     return row_anchor, row_dirac
 
 
+def _chunk_sizes(lam, horizon):
+    """Sizes of a thinning path's first and later draw chunks.
+
+    The first chunk covers the mean candidate count lam * horizon plus six
+    standard deviations, so a path almost never needs a second one.
+    """
+    mean_n = lam * horizon
+    return (max(64, int(mean_n + 6.0 * math.sqrt(mean_n) + 16.0)),
+            max(256, int(0.125 * mean_n)))
+
+
+def _draw_chunk(rng, n, n_dest):
+    """Yield n exponential clocks, then n acceptance uniforms, then n picks.
+
+    One array at a time, so a caller can convert and drop each before the
+    next is drawn.
+    """
+    yield rng.standard_exponential(n)
+    yield rng.random(n)
+    yield rng.integers(0, n_dest, size=n)
+
+
 class _Draws:
     """Chunked per-path draws; the consumption order is deterministic."""
 
-    def __init__(self, rng, n_dest, first, refill):
+    def __init__(self, rng, n_dest, lam, horizon):
         self.rng = rng
         self.n_dest = n_dest
-        self.refill = max(64, int(refill))
-        self._load(max(64, int(first)))
+        first, self.refill = _chunk_sizes(lam, horizon)
+        self._load(first)
 
     def _load(self, n):
-        self.exp = self.rng.standard_exponential(n).tolist()
-        self.uni = self.rng.random(n).tolist()
-        self.pick = self.rng.integers(0, self.n_dest, size=n).tolist()
+        draws = _draw_chunk(self.rng, n, self.n_dest)
+        self.exp = next(draws).tolist()
+        self.uni = next(draws).tolist()
+        self.pick = next(draws).tolist()
         self.i = 0
         self.n = n
 
@@ -194,21 +224,15 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     lam = (d - 1) * c
     times, srcs, dsts = [], [], []
     if lam > 0.0:
-        rng = path_stream(seed, path_index)
-        mean_n = lam * horizon
-        draws = _Draws(rng, d - 1, mean_n + 6.0 * math.sqrt(mean_n) + 16.0,
-                       max(256.0, 0.125 * mean_n))
-        affine = field.is_affine
+        draws = _Draws(path_stream(seed, path_index), d - 1, lam, horizon)
         x = x0 - 1
         s_anchor = 0.0
         anchor = [0.0] * d
         anchor[x] = 1.0
-        if affine:
-            vlist = field.vertices.tolist()
-            row_anchor = vlist[x][x][:]  # at time 0 the occupation is delta_x0
-            row_dirac = vlist[x][x]
+        vlist = field.vertices.tolist()
+        row_anchor = vlist[x][x][:]  # at time 0 the occupation is delta_x0
+        row_dirac = vlist[x][x]
         t = 0.0
-        dm1 = d - 1
         while True:
             e, k, u = draws.next()
             t += e / lam
@@ -216,12 +240,7 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
                 break
             j = k if k < x else k + 1
             a = s_anchor / t
-            if affine:
-                q = a * row_anchor[j] + (1.0 - a) * row_dirac[j]
-            else:
-                occ = np.array(anchor) * a
-                occ[x] += 1.0 - a
-                q = float(field.evaluate(occ)[x, j])
+            q = a * row_anchor[j] + (1.0 - a) * row_dirac[j]
             if u * c <= q:
                 b = 1.0 - a
                 for z in range(d):
@@ -232,16 +251,15 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
                 srcs.append(x + 1)
                 dsts.append(j + 1)
                 x = j
-                if affine:
-                    arow = [0.0] * d
-                    for z in range(d):
-                        az = anchor[z]
-                        if az != 0.0:
-                            vz = vlist[z][x]
-                            for jj in range(d):
-                                arow[jj] += az * vz[jj]
-                    row_anchor = arow
-                    row_dirac = vlist[x][x]
+                arow = [0.0] * d
+                for z in range(d):
+                    az = anchor[z]
+                    if az != 0.0:
+                        vz = vlist[z][x]
+                        for jj in range(d):
+                            arow[jj] += az * vz[jj]
+                row_anchor = arow
+                row_dirac = vlist[x][x]
     return Trajectory(x0, horizon, np.asarray(times, dtype=float),
                       np.asarray(srcs, dtype=np.int64),
                       np.asarray(dsts, dtype=np.int64), d)
@@ -297,12 +315,7 @@ def _invert_hazard(a, b, s, target, horizon):
 
 
 def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
-    """Exact trajectory for affine fields by closed-form hazard inversion.
-
-    Raises NotAffine for fields without a vertex representation.
-    """
-    if not field.is_affine:
-        raise errors.NotAffine(f"{field.family} field has no vertex representation")
+    """Exact trajectory by closed-form inversion of the affine exit hazard."""
     x0 = _check_x0(field, x0)
     horizon = float(horizon)
     if not horizon > 0.0:
@@ -355,12 +368,155 @@ def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
 _SAMPLERS = {"thinning": simulate_thinning, "exact-affine": simulate_exact_affine}
 
 
+# Candidate draws one lockstep block holds: about 1.6 MB of draw arrays,
+# or 261 paths of the 251 draws each that t = 40 at rate 4 needs.
+_BLOCK_DRAWS = 1 << 16
+# A lockstep step costs some 40 us of numpy calls whatever the block size,
+# so below about 64 paths per block the scalar loop is faster.
+_MIN_BLOCK_PATHS = 64
+
+
+def lockstep_thinning(field, x0, times, n_paths, seed, with_flux=False):
+    """Occupations (and fluxes) of thinning paths 0..n_paths-1 at each time.
+
+    Paths run to times[-1] in consecutive blocks; one (occupations, fluxes)
+    pair is yielded per block, occupations of shape (len(times), block, d)
+    and fluxes of shape (len(times), block, d, d), or None unless
+    ``with_flux``.  Entry [k, b] is bit-identical to
+    ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
+    (and ``flux_at``) for the block's b-th path i.  Paths too long for
+    _MIN_BLOCK_PATHS of them to fit in one block run one at a time.
+    """
+    x0 = _check_x0(field, x0)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not times[0] > 0.0 \
+            or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be a nonempty nondecreasing list of positive values")
+    n_paths = int(n_paths)
+    lam = (field.d - 1) * field.rate_upper
+    n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
+    block = _BLOCK_DRAWS // max(1, n_draws)
+    lockstep = block >= _MIN_BLOCK_PATHS
+    block = max(block, _MIN_BLOCK_PATHS)
+    for lo in range(0, n_paths, block):
+        paths = range(lo, min(n_paths, lo + block))
+        if lockstep:
+            yield _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux)
+        else:
+            yield _scalar_block(field, x0, times, seed, paths, with_flux)
+
+
+def _scalar_block(field, x0, times, seed, paths, with_flux):
+    """lockstep_thinning's output for ``paths``, run one at a time."""
+    occ = np.empty((len(times), len(paths), field.d))
+    flux = np.empty((len(times), len(paths), field.d, field.d)) if with_flux else None
+    for b, i in enumerate(paths):
+        traj = simulate_thinning(field, x0, times[-1], seed, path_index=i)
+        for k, t in enumerate(times):
+            occ[k, b] = traj.occupation_at(t)
+            if with_flux:
+                flux[k, b] = traj.flux_at(t)
+    return occ, flux
+
+
+def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
+    """Run ``paths`` in lockstep through their first draw chunks.
+
+    Step k handles every path's k-th candidate with the scalar loop's float
+    operations, so values match it bitwise.  A path whose first chunk ends
+    before the horizon is re-run whole by ``simulate_thinning``.
+    """
+    d = field.d
+    c = field.rate_upper
+    lam = (d - 1) * c
+    horizon = float(times[-1])
+    n = len(paths)
+    rows = np.arange(n)
+    # draws are stored step-major, so each step reads contiguous rows
+    cand = np.empty((n_draws, n))  # candidate times
+    uc = np.empty((n_draws, n))  # acceptance thresholds u * c
+    pick = np.empty((n_draws, n), dtype=np.int64)
+    for b, i in enumerate(paths):
+        cand[:, b], uc[:, b], pick[:, b] = _draw_chunk(path_stream(seed, i), n_draws, d - 1)
+    np.divide(cand, lam, out=cand)
+    np.cumsum(cand, axis=0, out=cand)  # the scalar loop's t += e / lam
+    uc *= c
+    exhausted = cand[-1] <= horizon if n_draws else np.zeros(n, dtype=bool)
+    cand[:, exhausted] = np.inf
+    uc[cand > horizon] = np.inf  # candidates past the horizon are never accepted
+    n_steps = int((cand <= horizon).sum(axis=0).max(initial=0))
+
+    # read-out k of path b is taken before step n_before[k, b]: after every
+    # candidate at or before times[k], as Trajectory.occupation_at counts them
+    n_before = np.array([(cand <= t).sum(axis=0) for t in times])
+    order = np.argsort(n_before, axis=1, kind="stable")
+    edges = [np.searchsorted(n_before[k, order[k]], np.arange(n_steps + 2))
+             for k in range(len(times))]
+
+    vertices = field.vertices
+    dirac_rows = vertices[np.arange(d), np.arange(d)]  # Q(delta_x)[x, :]
+    x = np.full(n, x0 - 1)
+    s = np.zeros(n)  # last jump time
+    anchor = np.zeros((n, d))
+    anchor[:, x0 - 1] = 1.0
+    row_anchor = np.tile(dirac_rows[x0 - 1], (n, 1))  # Q(anchor)[x, :]
+    held = np.zeros((n, d))  # completed holding time per state, in jump order
+    counts = np.zeros((n, d, d)) if with_flux else None
+    occ_out = np.empty((len(times), n, d))
+    flux_out = np.empty((len(times), n, d, d)) if with_flux else None
+
+    def read_out(k, sel):
+        occ = held[sel]
+        occ[np.arange(sel.size), x[sel]] += times[k] - s[sel]
+        occ_out[k, sel] = occ / times[k]
+        if with_flux:
+            flux_out[k, sel] = counts[sel] / times[k]
+
+    for step in range(n_steps + 1):
+        for k in range(len(times)):
+            sel = order[k, edges[k][step]:edges[k][step + 1]]
+            if sel.size:
+                read_out(k, sel)
+        if step == n_steps:
+            break
+        t = cand[step]
+        pk = pick[step]
+        j = pk + (pk >= x)
+        a = s / t
+        q = a * row_anchor[rows, j] + (1.0 - a) * dirac_rows[x, j]
+        acc = np.flatnonzero(uc[step] <= q)
+        if not acc.size:
+            continue
+        xa, ja, ta, aa = x[acc], j[acc], t[acc], a[acc]
+        held[acc, xa] += ta - s[acc]
+        if with_flux:
+            counts[acc, xa, ja] += 1.0
+        new_anchor = anchor[acc] * aa[:, None]
+        new_anchor[np.arange(acc.size), xa] += 1.0 - aa
+        anchor[acc] = new_anchor
+        row = np.zeros((acc.size, d))
+        for z in range(d):
+            row += new_anchor[:, z, None] * vertices[z, ja]
+        row_anchor[acc] = row
+        s[acc] = ta
+        x[acc] = ja
+
+    rerun = np.flatnonzero(exhausted)
+    if rerun.size:
+        occ, flux = _scalar_block(field, x0, times, seed, [paths[b] for b in rerun],
+                                  with_flux)
+        occ_out[:, rerun] = occ
+        if with_flux:
+            flux_out[:, rerun] = flux
+    return occ_out, flux_out
+
+
 @dataclass
 class BatchResult:
     """Terminal occupation/flux records for a batch plus order-free summaries.
 
     Summary moments use ddof=0, so a single path reports its own values with
-    zero variance.
+    zero variance.  ``first_trajectory`` is the batch's first path in full.
     """
 
     x0: int
@@ -369,6 +525,7 @@ class BatchResult:
     path_indices: np.ndarray
     occupations: np.ndarray  # (n, d)
     fluxes: np.ndarray  # (n, d, d)
+    first_trajectory: Trajectory
     mean_occupation: np.ndarray = dataclass_field(init=False)
     var_occupation: np.ndarray = dataclass_field(init=False)
     mean_flux: np.ndarray = dataclass_field(init=False)
@@ -382,11 +539,13 @@ class BatchResult:
 
 
 def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
-                   path_offset=0, threads=1):
+                   path_offset=0):
     """Simulate n_paths independent paths and collect terminal (L, R).
 
     Path i uses the stream keyed by (seed, path_offset + i), so splitting a
-    batch across calls or threads cannot change any path's outcome.
+    batch across calls cannot change any path's outcome.  Paths run one at
+    a time: the samplers are Python loops, so threads only contend for the
+    interpreter lock.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -395,19 +554,12 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
     indices = np.arange(path_offset, path_offset + n_paths, dtype=np.int64)
-
-    def one(i):
+    # the first path runs last, so no trajectory is held while the others run
+    for i in reversed(range(n_paths)):
         traj = run(field, x0, horizon, seed, path_index=int(indices[i]))
         occ[i] = traj.occupation_at(horizon)
         flux[i] = traj.flux_at(horizon)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(one, range(n_paths)))
-    else:
-        for i in range(n_paths):
-            one(i)
-    return BatchResult(int(x0), float(horizon), int(seed), indices, occ, flux)
+    return BatchResult(int(x0), float(horizon), int(seed), indices, occ, flux, traj)
 
 
 def write_trajectory_csv(traj, fh):

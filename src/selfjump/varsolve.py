@@ -189,17 +189,10 @@ def _block_m(path, m_eval):
 
 def _block_rates(field, m_blocks):
     """Rate matrices Q(M) for each block, zero off the field's support."""
-    if field.is_affine:
-        q = np.einsum("cz,zij->cij", m_blocks, field.vertices)
-        q = np.clip(q, 0.0, None)
-        q[:, ~field.support] = 0.0
-        return q
-    out = np.empty((m_blocks.shape[0], field.d, field.d))
-    for c, row in enumerate(m_blocks):
-        q = field.evaluate(renormalize_simplex(row))
-        np.fill_diagonal(q, 0.0)
-        out[c] = q
-    return out
+    q = np.einsum("cz,zij->cij", m_blocks, field.vertices)
+    q = np.clip(q, 0.0, None)
+    q[:, ~field.support] = 0.0
+    return q
 
 
 def jtilde(path, field, m_eval="left"):
@@ -388,13 +381,11 @@ class _Objective:
 
     rho rows are floored softmaxes, H entries floored exponentials, so the
     cost is finite and differentiable everywhere; the floors also keep every
-    supported rate Q(M) strictly positive for affine fields.
+    supported rate Q(M) strictly positive.
     """
 
     def __init__(self, field, grid, mode, gamma=None, flux=None, current=None,
                  rho_floor=1e-6, h_floor=1e-8):
-        if not field.is_affine:
-            raise errors.NotAffine("the variational solver needs a vertex representation")
         self.field = field
         self.grid = grid
         self.mode = mode

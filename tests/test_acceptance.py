@@ -243,7 +243,7 @@ def test_monte_carlo_decay_tracks_variational_rate():
     field = core.RateField.constant(np.array([[-1.0, 1.0], [1.0, -1.0]]))
     target = mc.BallTarget(np.array([0.75, 0.25]), 0.1)
     points = mc.decay_curve(field, 1, target, [25.0, 50.0, 100.0], 100_000,
-                            seed=0, threads=4)
+                            seed=0)
     q0 = np.array([[-1.0, 1.0], [1.0, -1.0]])
     grid = np.linspace(0.70, 0.80, 1000)
     ball_rate = min(ldp.dv_occupation_rate_2state(q0, np.array([g, 1.0 - g]))

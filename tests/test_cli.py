@@ -1,11 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 import yaml
 
-from selfjump import cli, config, varsolve
+from selfjump import cli, config, sim, varsolve
 
 UNIT_FIELD = {"family": "constant", "q0": [[-1.0, 1.0], [1.0, -1.0]]}
 FAST_SOLVER = {"n_starts": 2, "grid_cells": 16, "penalty_rounds": 4}
@@ -113,6 +114,55 @@ def test_simulate_artifacts_and_determinism(tmp_path, capsys):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
     assert "batch.csv" in manifest["outputs"]
+
+
+def test_simulate_threads_flag_is_deprecated_no_op(tmp_path, capsys):
+    doc = {"field": UNIT_FIELD, "seed": 5,
+           "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert "deprecated" not in capsys.readouterr().err
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "b"),
+                "--threads", "4"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if "--threads is deprecated" in line]) == 1
+    for name in ("batch.csv", "trajectory.csv"):
+        assert ((only_run_dir(tmp_path / "a", "simulate") / name).read_bytes()
+                == (only_run_dir(tmp_path / "b", "simulate") / name).read_bytes())
+
+
+def test_manifest_wall_time_covers_computation(tmp_path, capsys, monkeypatch):
+    spans = []
+    batch_simulate = sim.batch_simulate
+
+    def timed(*args, **kwargs):
+        t0 = time.monotonic()
+        try:
+            return batch_simulate(*args, **kwargs)
+        finally:
+            spans.append(time.monotonic() - t0)
+
+    monkeypatch.setattr(sim, "batch_simulate", timed)
+    doc = {"field": UNIT_FIELD, "seed": 5,
+           "simulate": {"x0": 1, "horizon": 200.0, "n_paths": 200}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads(
+        (only_run_dir(tmp_path / "out", "simulate") / "manifest.json").read_text())
+    assert len(spans) == 1
+    assert manifest["wall_time_s"] >= spans[0] > 0.0
+
+
+def test_unknown_family_is_config_error(tmp_path, capsys):
+    doc = {"field": {"family": "custom", "q0": [[-1.0, 1.0], [1.0, -1.0]]},
+           "seed": 1, "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}
+    cfg = write_cfg(tmp_path, doc)
+    out_root = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out_root)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field.family:" in err
+    assert "Traceback" not in err
+    assert not out_root.exists()
 
 
 def test_simulate_seed_override_changes_run_dir(tmp_path, capsys):

@@ -106,31 +106,6 @@ def test_support_declared_vs_derived_mismatch():
         core.RateField.constant(q0, support=[(1, 2), (2, 1), (3, 1), (3, 2), (1, 3)])
 
 
-def test_custom_field_respects_bounds_and_support():
-    def fn(gamma):
-        q = np.array([[-1.0, 1.0], [1.0, -1.0]]) * (1.0 + gamma[0])
-        return q
-
-    f = core.RateField.custom(fn, d=2, rate_upper=2.0, support=[(1, 2), (2, 1)])
-    assert not f.is_affine
-    q = f.evaluate([0.5, 0.5])
-    assert q[0, 1] == pytest.approx(1.5)
-
-    def too_big(gamma):
-        return np.array([[-5.0, 5.0], [5.0, -5.0]])
-
-    g = core.RateField.custom(too_big, d=2, rate_upper=2.0, support=[(1, 2), (2, 1)])
-    with pytest.raises(errors.RateBoundExceeded):
-        g.evaluate([0.5, 0.5])
-
-    def off_support(gamma):
-        return np.array([[-1.0, 1.0], [0.0, 0.0]])
-
-    h = core.RateField.custom(off_support, d=2, rate_upper=2.0, support=[(2, 1)])
-    with pytest.raises(errors.SupportMismatch):
-        h.evaluate([0.5, 0.5])
-
-
 def test_rate_upper_is_sharp_for_affine():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from selfjump import core, errors, mc
+from selfjump import core, errors, mc, sim
 
 
 def unit_field():
@@ -130,13 +130,83 @@ def test_decay_curve_shared_paths_and_sorting():
     assert single == pts[-1]
 
 
-def test_decay_curve_determinism_and_threads():
+def test_decay_curve_determinism():
     field = unit_field()
     target = mc.BallTarget(np.array([0.6, 0.4]), 0.15)
     a = mc.decay_curve(field, 1, target, [5.0, 15.0], 120, seed=9)
     b = mc.decay_curve(field, 1, target, [5.0, 15.0], 120, seed=9)
-    c = mc.decay_curve(field, 1, target, [5.0, 15.0], 120, seed=9, threads=4)
-    assert a == b == c
+    assert a == b
+
+
+def scalar_hits(field, x0, target, times, n_paths, seed):
+    """Hit counts from path-by-path thinning and the scalar BallTarget.hit."""
+    hits = [0] * len(times)
+    for i in range(n_paths):
+        traj = sim.simulate_thinning(field, x0, times[-1], seed, path_index=i)
+        for k, t in enumerate(times):
+            flux = traj.flux_at(t) if target.flux_window is not None else None
+            hits[k] += target.hit(traj.occupation_at(t), flux)
+    return hits
+
+
+def lockstep_hits(field, x0, target, times, n_paths, seed):
+    return [round(p.p_hat * p.n) for p in
+            mc.decay_curve(field, x0, target, times, n_paths, seed=seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_decay_curve_hits_match_scalar_every_family(family_field, seed):
+    center = np.full(family_field.d, 1.0 / family_field.d)
+    center[0] += 0.1
+    center[1:] -= 0.1 / (family_field.d - 1)
+    target = mc.BallTarget(center, 0.3)
+    times = [2.0, 5.0, 10.0]
+    expected = scalar_hits(family_field, 1, target, times, 150, seed)
+    assert 0 < sum(expected) < 3 * 150
+    assert lockstep_hits(family_field, 1, target, times, 150, seed) == expected
+
+
+def test_decay_curve_flux_window_matches_scalar():
+    lo = np.array([[0.0, 0.3], [0.3, 0.0]])
+    hi = np.array([[0.0, 0.7], [0.7, 0.0]])
+    target = mc.BallTarget(np.array([0.5, 0.5]), 0.4, flux_window=(lo, hi))
+    times = [4.0, 10.0]
+    expected = scalar_hits(unit_field(), 1, target, times, 200, seed=5)
+    assert 0 < sum(expected)
+    assert lockstep_hits(unit_field(), 1, target, times, 200, seed=5) == expected
+    unwindowed = mc.BallTarget(np.array([0.5, 0.5]), 0.4)
+    assert sum(expected) < sum(scalar_hits(unit_field(), 1, unwindowed, times, 200, 5))
+
+
+def test_ball_target_hits_agree_with_hit_row_by_row():
+    rng = np.random.default_rng(3)
+    for d in (2, 3, 9):
+        rows = rng.dirichlet(np.ones(d), size=300)
+        rows[:5] = np.eye(d)[rng.integers(0, d, 5)]
+        fluxes = rng.uniform(0.0, 1.0, (300, d, d))
+        window = (np.full((d, d), 0.01), np.ones((d, d)))
+        for fw in (None, window):
+            target = mc.BallTarget(np.full(d, 1.0 / d), 0.6, flux_window=fw)
+            got = target.hits(rows, fluxes if fw else None)
+            want = [target.hit(r, f) for r, f in zip(rows, fluxes)]
+            assert got.tolist() == want
+            assert 0 < got.sum() < len(rows)
+
+
+def test_ball_target_hits_rejects_off_simplex_rows():
+    target = mc.BallTarget(np.array([0.5, 0.5]), 0.3)
+    good = np.array([[0.5, 0.5], [0.9, 0.1]])
+    assert target.hits(good).tolist() == [True, False]
+    with pytest.raises(ValueError):
+        target.hits(np.vstack([good, [[1.2, -0.2]]]))
+    with pytest.raises(ValueError):
+        target.hits(np.vstack([good, [[0.5, 0.5 + 1e-9]]]))
+    with pytest.raises(ValueError):
+        target.hits(np.array([[0.2, 0.3, 0.5]]))
+    windowed = mc.BallTarget(np.array([0.5, 0.5]), 0.3,
+                             flux_window=(np.zeros((2, 2)), np.ones((2, 2))))
+    with pytest.raises(ValueError):
+        windowed.hits(good)
 
 
 def test_decay_curve_input_gates():

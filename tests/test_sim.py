@@ -77,11 +77,16 @@ def test_invalid_x0():
         sim.simulate_exact_affine(unit_field(), 3, 1.0, seed=0)
 
 
-def test_exact_affine_requires_vertices():
-    f = core.RateField.custom(lambda g: np.array([[-1.0, 1.0], [1.0, -1.0]]),
-                              d=2, rate_upper=1.0, support=[(1, 2), (2, 1)])
-    with pytest.raises(errors.NotAffine):
-        sim.simulate_exact_affine(f, 1, 1.0, seed=0)
+def test_exact_affine_runs_on_every_family(family_fields):
+    # every field has vertices, so the oracle sampler accepts each family
+    for name, f in family_fields.items():
+        for i in range(5):
+            traj = sim.simulate_exact_affine(f, 1, 20.0, seed=4, path_index=i)
+            assert traj.n_jumps > 0, name
+            assert 0.0 < traj.times[0] and traj.times[-1] <= 20.0
+            assert np.all(np.diff(traj.times) > 0.0)
+            assert np.all(f.support[traj.sources - 1, traj.targets - 1])
+            assert np.all(traj.sources[1:] == traj.targets[:-1])
 
 
 def test_anchor_recursion_exact():
@@ -172,14 +177,17 @@ def test_batch_determinism_and_order_independence():
     b2 = sim.batch_simulate(f, 1, 20.0, 8, seed=13)
     assert np.array_equal(b1.occupations, b2.occupations)
     assert np.array_equal(b1.fluxes, b2.fluxes)
-    # threading cannot change per-path results
-    b3 = sim.batch_simulate(f, 1, 20.0, 8, seed=13, threads=4)
-    assert np.array_equal(b1.occupations, b3.occupations)
+    # the batch keeps its first path whole
+    first0 = sim.simulate_thinning(f, 1, 20.0, seed=13, path_index=0)
+    assert np.array_equal(b1.first_trajectory.times, first0.times)
+    assert np.array_equal(b1.first_trajectory.targets, first0.targets)
     # splitting the batch with path offsets agrees path-by-path
     first = sim.batch_simulate(f, 1, 20.0, 4, seed=13)
     rest = sim.batch_simulate(f, 1, 20.0, 4, seed=13, path_offset=4)
     assert np.array_equal(np.vstack([first.occupations, rest.occupations]),
                           b1.occupations)
+    assert np.array_equal(rest.first_trajectory.times,
+                          sim.simulate_thinning(f, 1, 20.0, seed=13, path_index=4).times)
 
 
 def test_batch_single_path_summary():
@@ -209,3 +217,68 @@ def test_batch_csv_schema():
     sim.write_batch_csv(b, buf)
     header = buf.getvalue().splitlines()[0]
     assert header == "path,seed_index,L_1,L_2,R_edge1,R_edge2"
+
+
+def lockstep_arrays(field, x0, times, n_paths, seed):
+    blocks = list(sim.lockstep_thinning(field, x0, times, n_paths, seed, with_flux=True))
+    return (np.concatenate([occ for occ, _ in blocks], axis=1),
+            np.concatenate([flux for _, flux in blocks], axis=1))
+
+
+def assert_lockstep_matches_scalar(field, x0, times, n_paths, seed):
+    occ, flux = lockstep_arrays(field, x0, times, n_paths, seed)
+    assert occ.shape == (len(times), n_paths, field.d)
+    for i in range(n_paths):
+        traj = sim.simulate_thinning(field, x0, times[-1], seed, path_index=i)
+        for k, t in enumerate(times):
+            assert np.array_equal(occ[k, i], traj.occupation_at(t)), (i, t)
+            assert np.array_equal(flux[k, i], traj.flux_at(t)), (i, t)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_lockstep_matches_scalar_every_family(family_field, seed):
+    assert_lockstep_matches_scalar(family_field, 1, [2.5, 6.0, 6.0, 15.0], 40, seed)
+
+
+def test_lockstep_blocks_and_x0(monkeypatch):
+    # several blocks, a ragged last one, and a start away from state 1
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    assert_lockstep_matches_scalar(chemo_field(), 2, [4.0, 30.0], 23, seed=3)
+
+
+def test_lockstep_long_paths_run_one_at_a_time(monkeypatch):
+    # 1,400 draws per path leave room for fewer than _MIN_BLOCK_PATHS per block
+    ran = []
+    simulate = sim.simulate_thinning
+    monkeypatch.setattr(sim, "simulate_thinning",
+                        lambda *a, **k: ran.append(k["path_index"]) or simulate(*a, **k))
+    assert_lockstep_matches_scalar(unit_field(), 1, [300.0, 1200.0], 3, seed=2)
+    assert ran[:3] == [0, 1, 2]
+
+
+def test_lockstep_chunk_exhaustion_falls_back(monkeypatch):
+    # a 64-draw first chunk runs out before t = 64 on about half the paths
+    monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: (64, 256))
+    horizon, n = 64.0, 30
+    used_up = [sim.path_stream(1, i).standard_exponential(64).sum() <= horizon
+               for i in range(n)]
+    assert 0 < sum(used_up) < n
+    assert_lockstep_matches_scalar(unit_field(), 1, [20.0, horizon], n, seed=1)
+
+
+def test_lockstep_zero_rate_field():
+    zero = core.RateField.constant(np.zeros((3, 3)))
+    assert zero.rate_upper == 0.0
+    assert_lockstep_matches_scalar(zero, 2, [1.0, 5.0], 4, seed=0)
+    occ, flux = lockstep_arrays(zero, 2, [1.0, 5.0], 4, seed=0)
+    assert np.all(occ == [0.0, 1.0, 0.0])
+    assert not flux.any()
+
+
+def test_lockstep_input_gates():
+    with pytest.raises(errors.InvalidState):
+        next(sim.lockstep_thinning(unit_field(), 3, [1.0], 2, seed=0))
+    for times in ([], [0.0, 1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError):
+            next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))

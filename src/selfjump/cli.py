@@ -160,15 +160,6 @@ def _cmd_simulate(args, cfg, seed):
     return 0
 
 
-def _infeasibility_reason(field, flux):
-    if not ldp.flux_balanced(flux, tol=1e-10):
-        return "flux balance violated"
-    off = ~field.support & ~np.eye(field.d, dtype=bool)
-    if np.any(np.asarray(flux)[off] > 1e-12):
-        return "flux charges edges off the support"
-    return None
-
-
 def _cmd_dv_rate(args, cfg, seed):
     out = _Outputs(args, "dv-rate", cfg, seed)
     field = build_field(cfg.field)
@@ -181,7 +172,7 @@ def _cmd_dv_rate(args, cfg, seed):
     flux = ldp.as_flux(np.array(_need(target.flux, "target.flux")))
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
     if not np.isfinite(value):
-        reason = _infeasibility_reason(field, flux) or "no finite cost"
+        reason = varsolve.flux_infeasibility(field, flux) or "no finite cost"
         print(f"infeasible: {reason}", file=sys.stderr)
         return 1
     out.write_json("results.json", {"value": value, "gamma": gamma.tolist(),
@@ -218,7 +209,7 @@ def _cmd_rate(args, cfg, seed):
     target = _need(cfg.target, "target")
     gamma = np.array(_need(target.gamma, "target.gamma"))
     flux = np.array(_need(target.flux, "target.flux"))
-    opts = cfg.solve_options(seed)
+    opts = cfg.solve_options()
     return _solve_command("rate", lambda: varsolve.solve_rate(gamma, flux, field, opts),
                           args, cfg, seed)
 
@@ -227,7 +218,7 @@ def _cmd_occupation_rate(args, cfg, seed):
     field = build_field(cfg.field)
     target = _need(cfg.target, "target")
     gamma = np.array(_need(target.gamma, "target.gamma"))
-    opts = cfg.solve_options(seed)
+    opts = cfg.solve_options()
     return _solve_command("occupation-rate",
                           lambda: varsolve.occupation_rate(gamma, field, opts),
                           args, cfg, seed)
@@ -237,7 +228,7 @@ def _cmd_current_rate(args, cfg, seed):
     field = build_field(cfg.field)
     target = _need(cfg.target, "target")
     current = np.array(_need(target.current, "target.current"))
-    opts = cfg.solve_options(seed)
+    opts = cfg.solve_options()
     return _solve_command("current-rate",
                           lambda: varsolve.current_rate(current, field, opts),
                           args, cfg, seed)
@@ -292,7 +283,7 @@ def _cmd_mc_ldp(args, cfg, seed):
         rate, rate_source = mcc.rate, "config"
     else:
         res = varsolve.occupation_rate(np.array(mcc.center), field,
-                                       cfg.solve_options(seed))
+                                       cfg.solve_options())
         rate, rate_source = res.value, "solved at ball center"
     comparison = mc.compare_to_rate(points, rate)
     out.write_csv("decay.csv", mc.write_decay_csv, points)

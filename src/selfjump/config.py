@@ -10,13 +10,14 @@ lists; arrays are built only when the field object is constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 import yaml
 
 from . import errors
-from .core import FAMILIES, RateField
+from .core import FAMILIES, RateField, as_simplex
 from .varsolve import SolveOptions
 
 SAMPLERS = ("thinning", "exact-affine")
@@ -37,7 +38,13 @@ def _no_extras(section, allowed, loc):
 def _number(value, loc):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise errors.ConfigError(f"expected a number, got {value!r}", loc)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise errors.ConfigError(f"expected a finite number, got {value!r}", loc)
+    return value
 
 
 def _integer(value, loc, minimum=None):
@@ -64,6 +71,18 @@ def _matrix(value, loc):
             raise errors.ConfigError(
                 f"row {i} has {len(row)} entries, expected {width}", loc)
     return rows
+
+
+def _simplex(value, loc, d):
+    """A probability vector with d entries (nonnegative, summing to 1)."""
+    w = _vector(value, loc)
+    if len(w) != d:
+        raise errors.ConfigError(f"has {len(w)} entries, field has {d}", loc)
+    try:
+        as_simplex(w)
+    except ValueError as exc:
+        raise errors.ConfigError(str(exc), loc) from exc
+    return w
 
 
 def _square(value, loc):
@@ -151,7 +170,7 @@ def build_field(fc):
         if fc.family == "catalytic":
             return RateField.catalytic(np.stack([np.array(g) for g in fc.generators]))
         return RateField.affine(np.stack([np.array(v) for v in fc.vertices]))
-    except errors.SelfJumpError as exc:
+    except (errors.SelfJumpError, ValueError) as exc:
         raise errors.ConfigError(str(exc), "field") from exc
 
 
@@ -197,11 +216,7 @@ def _parse_target(section, d, loc="target"):
     _no_extras(section, ("gamma", "flux", "current"), loc)
     kw = {}
     if "gamma" in section:
-        gamma = _vector(section["gamma"], f"{loc}.gamma")
-        if len(gamma) != d:
-            raise errors.ConfigError(f"gamma has {len(gamma)} entries, field has {d}",
-                                     f"{loc}.gamma")
-        kw["gamma"] = gamma
+        kw["gamma"] = _simplex(section["gamma"], f"{loc}.gamma", d)
     for key in ("flux", "current"):
         if key in section:
             m = _square(section[key], f"{loc}.{key}")
@@ -209,11 +224,22 @@ def _parse_target(section, d, loc="target"):
                 raise errors.ConfigError(f"{key} is {len(m)}x{len(m)}, field has {d}",
                                          f"{loc}.{key}")
             kw[key] = m
+    off = ~np.eye(d, dtype=bool)
+    if "flux" in kw and np.any(np.array(kw["flux"])[off] < 0):
+        raise errors.ConfigError("flux entries must be nonnegative", f"{loc}.flux")
+    if "current" in kw:
+        cur = np.array(kw["current"])
+        if np.max(np.abs(cur + cur.T)) > 1e-12:
+            raise errors.ConfigError("current must be antisymmetric", f"{loc}.current")
     return TargetConfig(**kw)
 
 
 _SOLVER_KEYS = tuple(f.name for f in dataclass_fields(SolveOptions))
-_SOLVER_INTS = ("grid_cells", "n_starts", "seed", "penalty_rounds", "inner_maxiter")
+# Smallest allowed value of each integer knob, and of the float knobs that
+# may reach a bound; every other float knob must be positive.
+_SOLVER_INTS = {"grid_cells": 2, "n_starts": 1, "penalty_rounds": 1, "inner_maxiter": 1}
+_SOLVER_FLOAT_MIN = {"grid_horizon": 1.0, "penalty_factor": 1.0, "balance_tol": 0.0,
+                     "rho_floor": 0.0, "early_stop_value": 0.0}
 
 
 def _parse_solver(section, loc="solver"):
@@ -221,10 +247,17 @@ def _parse_solver(section, loc="solver"):
     _no_extras(section, _SOLVER_KEYS, loc)
     kw = {}
     for key, value in section.items():
+        where = f"{loc}.{key}"
         if key in _SOLVER_INTS:
-            kw[key] = _integer(value, f"{loc}.{key}", minimum=1 if key != "seed" else 0)
-        else:
-            kw[key] = _number(value, f"{loc}.{key}")
+            kw[key] = _integer(value, where, minimum=_SOLVER_INTS[key])
+            continue
+        x = _number(value, where)
+        low = _SOLVER_FLOAT_MIN.get(key)
+        if low is None and x <= 0:
+            raise errors.ConfigError(f"must be positive, got {x}", where)
+        if low is not None and x < low:
+            raise errors.ConfigError(f"must be >= {low}, got {x}", where)
+        kw[key] = x
     return kw
 
 
@@ -253,10 +286,7 @@ def _parse_mc(section, d, loc="mc"):
     times = _vector(section["times"], f"{loc}.times")
     if min(times) <= 0:
         raise errors.ConfigError("times must be positive", f"{loc}.times")
-    center = _vector(section["center"], f"{loc}.center")
-    if len(center) != d:
-        raise errors.ConfigError(f"center has {len(center)} entries, field has {d}",
-                                 f"{loc}.center")
+    center = _simplex(section["center"], f"{loc}.center", d)
     radius = _number(section["radius"], f"{loc}.radius")
     if not 0.0 < radius <= 2.0:
         raise errors.ConfigError(f"radius must lie in (0, 2], got {radius}",
@@ -307,11 +337,8 @@ class RunConfig:
     mc: McConfig | None = None
     fixed_point: FixedPointConfig | None = None
 
-    def solve_options(self, seed=None):
-        kw = dict(self.solver or {})
-        if seed is not None:
-            kw.setdefault("seed", seed)
-        return SolveOptions(**kw)
+    def solve_options(self):
+        return SolveOptions(**(self.solver or {}))
 
 
 _SECTIONS = ("field", "seed", "simulate", "target", "solver", "mc", "fixed_point")

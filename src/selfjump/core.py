@@ -13,8 +13,6 @@ available to the simulator and the variational solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import errors
@@ -31,29 +29,6 @@ def edge_pairs(d):
     This ordering is the canonical one used by every per-edge file column.
     """
     return [(i, j) for i in range(d) for j in range(d) if i != j]
-
-
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite state space {1, .., d} with its full directed edge set."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"need at least two states, got d={self.d}")
-
-    @property
-    def n_edges(self):
-        return self.d * (self.d - 1)
-
-    @property
-    def edges(self):
-        return edge_pairs(self.d)
-
-    def edge_labels(self):
-        """Edges as 1-based (from, to) label pairs, canonical order."""
-        return [(i + 1, j + 1) for i, j in edge_pairs(self.d)]
 
 
 def as_simplex(w, tol=SIMPLEX_TOL):

@@ -50,27 +50,6 @@ def path_stream(seed, path_index):
 
 
 @dataclass(frozen=True)
-class OccupationAnchor:
-    """Sufficient state between jumps: occupation at the last jump time."""
-
-    time: float
-    measure: np.ndarray
-    state: int  # 1-based label of the currently occupied state
-
-    def occupation(self, t):
-        """Occupation measure at t >= time, exact between jumps."""
-        if t < self.time:
-            raise errors.OutOfRange(f"t={t} before anchor time {self.time}")
-        if t == 0.0:
-            out = np.zeros_like(self.measure)
-            out[self.state - 1] = 1.0
-            return out
-        out = (self.time / t) * self.measure
-        out[self.state - 1] += (t - self.time) / t
-        return out
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One simulated path: initial state, horizon, and the jump events.
 
@@ -129,19 +108,6 @@ class Trajectory:
     def holding_times(self):
         """Completed holding times (the censored final interval is dropped)."""
         return np.diff(np.concatenate(([0.0], self.times)))
-
-    def anchors(self):
-        """Occupation anchors after 0 and after each jump, in order."""
-        d = self.d
-        measure = np.zeros(d)
-        measure[self.x0 - 1] = 1.0
-        out = [OccupationAnchor(0.0, measure, self.x0)]
-        for k in range(self.n_jumps):
-            t = float(self.times[k])
-            prev = out[-1]
-            m = prev.occupation(t)
-            out.append(OccupationAnchor(t, m, int(self.targets[k])))
-        return out
 
 
 def _check_x0(field, x0):

@@ -21,21 +21,32 @@ minimized subject to
 Discretization: rho and H are piecewise constant on K cells covering
 [0, T_h] plus one constant tail pair on [T_h, infinity); the discount gives
 each cell the weight e^-s_k - e^-s_{k+1} and the tail e^-T_h, and M has a
-closed form.  Constraints are enforced by escalating quadratic penalties
-around a quasi-Newton inner minimizer, from several deterministic starts.
+closed form.
 
-For a constant field the minimizer is the constant path rho = gamma,
-H = varsigma / gamma, and the value collapses to the level-2.5 rate; that
-identity is the primary cross-check of the solver.
+The solver works in flux variables j = rho * H (per edge, j_xy =
+rho(x) H(x, y)).  There the block cost is the perspective form
+j log(j / p) - j + p with p = rho(x) Q_xy(M), the level-2.5 cost of
+Bertini, Faggionato and Gabrielli (AIHP 2015), and every constraint above
+is linear: (a) and (d) are weighted sums over blocks, (c) says each block's
+j is divergence-free, and the simplex rows of rho are sums.  With rho, j >= 0
+as L-BFGS-B bounds, one augmented Lagrangian enforces the linear system,
+from at most two deterministic starts.
+
+For a constant field the cost is jointly convex in (rho, j) and the
+minimizer is the constant path rho = gamma, j = varsigma, whose value is the
+level-2.5 rate; that identity is the primary cross-check of the solver.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize
+from scipy.sparse.linalg import lsqr
 
 from . import errors
 from .core import as_simplex, edge_pairs, renormalize_simplex, uniform_simplex
@@ -173,20 +184,6 @@ def m_evolution_defect(path):
     return float(np.max(np.abs(defect)))
 
 
-def _block_m(path, m_eval):
-    """M evaluated per block: left node (default) or cell midpoint; tail is exact."""
-    m = m_from_rho(path)
-    if m_eval == "left":
-        return m
-    if m_eval != "midpoint":
-        raise ValueError(f"m_eval must be 'left' or 'midpoint', got {m_eval!r}")
-    nodes = path.grid.nodes
-    alpha = np.exp(-0.5 * np.diff(nodes))[:, None]
-    out = m.copy()
-    out[:-1] = alpha * m[1:] + (1.0 - alpha) * path.rho[:-1]
-    return out
-
-
 def _block_rates(field, m_blocks):
     """Rate matrices Q(M) for each block, zero off the field's support."""
     q = np.einsum("cz,zij->cij", m_blocks, field.vertices)
@@ -195,18 +192,18 @@ def _block_rates(field, m_blocks):
     return q
 
 
-def jtilde(path, field, m_eval="left"):
+def jtilde(path, field):
     """Discretized control cost of a path under the field.
 
     Sum over blocks of weight * sum over supported edges of
-    rho(x) * scaled_ell(Q_xy(M), H(x, y)), with the block M from the chosen
-    evaluation rule.  Infinite when H charges an edge whose rate vanishes.
+    rho(x) * scaled_ell(Q_xy(M), H(x, y)), with M at each block's left node.
+    Infinite when H charges an edge whose rate vanishes.
     """
     mask = field.support
     off = ~mask & ~np.eye(field.d, dtype=bool)
     if np.any(path.H[:, off] > SUPPORT_TOL):
         return float("inf")
-    q = _block_rates(field, _block_m(path, m_eval))
+    q = _block_rates(field, m_from_rho(path))
     xs, ys = np.nonzero(mask)
     qe = q[:, xs, ys]
     he = path.H[:, xs, ys]
@@ -254,7 +251,7 @@ def residuals(path, field, gamma=None, flux=None, current=None):
         out["flux"] = float(gap.max())
     else:
         out["flux"] = 0.0
-    q = _block_rates(field, _block_m(path, "left"))
+    q = _block_rates(field, m_from_rho(path))
     h_off = path.H.copy()
     for c in range(h_off.shape[0]):
         np.fill_diagonal(h_off[c], 0.0)
@@ -277,9 +274,9 @@ class ThetaPath:
     v: np.ndarray
 
 
-def convert_to_theta(path, field, m_eval="left"):
+def convert_to_theta(path, field):
     """Dirac-form reweighting of a feasible path (H = 0 wherever Q(M) = 0)."""
-    q = _block_rates(field, _block_m(path, m_eval))
+    q = _block_rates(field, m_from_rho(path))
     h_off = path.H.copy()
     for c in range(h_off.shape[0]):
         np.fill_diagonal(h_off[c], 0.0)
@@ -292,14 +289,14 @@ def convert_to_theta(path, field, m_eval="left"):
     return ThetaPath(path.grid, path.rho.copy(), v)
 
 
-def jtheta(theta, field, m_eval="left"):
+def jtheta(theta, field):
     """Reweighting cost: sum of w * rho(x) * Q_xy(M) * ell(v_xy) over blocks.
 
-    Uses the same block M rule as jtilde, so for theta obtained from
+    Uses the same block M as jtilde, so for theta obtained from
     convert_to_theta the two values agree to float precision.
     """
     carrier = ControlPath(theta.grid, theta.rho, np.zeros_like(theta.v))
-    q = _block_rates(field, _block_m(carrier, m_eval))
+    q = _block_rates(field, m_from_rho(carrier))
     cost = q * ell(np.clip(theta.v, 0.0, None))
     for c in range(cost.shape[0]):
         np.fill_diagonal(cost[c], 0.0)
@@ -328,22 +325,24 @@ def random_feasible_path(field, grid, seed=0):
     return ControlPath(grid, rho, H)
 
 
-# -- penalized minimization ------------------------------------------------
+# -- flux-variable minimization ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the penalized multistart solver.
+    """Knobs for the flux-variable augmented-Lagrangian solver.
 
-    The solver always evaluates M at cell left nodes (the m_eval choice in
-    jtilde/jtheta is for reporting); tolerances govern the converged status.
+    penalty_init is the initial penalty weight mu, penalty_factor its growth
+    per round, penalty_rounds the maximum number of multiplier rounds per
+    start and inner_maxiter the L-BFGS-B iterations per round.  The
+    tolerances govern status=converged; targets with a component below
+    rho_floor are solved at the floored interior target (status=boundary).
     """
 
     grid_horizon: float = 8.0
     grid_cells: int = 64
-    n_starts: int = 8
-    seed: int = 0
-    penalty_init: float = 10.0
+    n_starts: int = 2
+    penalty_init: float = 100.0
     penalty_factor: float = 10.0
     penalty_rounds: int = 6
     inner_maxiter: int = 300
@@ -352,7 +351,6 @@ class SolveOptions:
     tol_flux: float = 1e-5
     balance_tol: float = 1e-10
     rho_floor: float = 1e-6
-    h_floor: float = 1e-8
     early_stop_value: float = 1e-8
 
     def grid(self):
@@ -376,172 +374,127 @@ class RateResult:
     best_start: int = -1
 
 
-class _Objective:
-    """Penalized smooth objective over logit parameters, with gradient.
+_LOG_GUARD = 1e-300
 
-    rho rows are floored softmaxes, H entries floored exponentials, so the
-    cost is finite and differentiable everywhere; the floors also keep every
-    supported rate Q(M) strictly positive.
+
+class _FluxProblem:
+    """The discretized rate problem in flux variables z = (rho, j).
+
+    Per block c the variables are rho_c (d entries) and the edge flux
+    j_c = rho_c * H_c on the field's support edges, all nonnegative.  The
+    cost sum_c w_c sum_e [j log(j / p) - j + p] with p = rho_c(x_e) Q_e(M_c)
+    equals jtilde at H = j / rho, and every constraint is linear.
+
+    The block cost scales with the weight w_c, so the solver works in
+    u_c = sqrt(w_c) z_c, which evens out the curvature across blocks.  In u
+    the per-block rows (simplex, divergence-free j_c) have unit coefficients
+    and the weighted sums over blocks (marginal, flux, current) have
+    sqrt(w_c); ``A`` and ``b`` hold them all: A u = b.
     """
 
-    def __init__(self, field, grid, mode, gamma=None, flux=None, current=None,
-                 rho_floor=1e-6, h_floor=1e-8):
-        self.field = field
-        self.grid = grid
-        self.mode = mode
-        self.d = field.d
-        self.k_cells = grid.n_cells
-        self.n_blocks = grid.n_cells + 1
+    def __init__(self, field, grid, mode, gamma=None, flux=None, current=None):
+        d = field.d
         xs, ys = np.nonzero(field.support)
-        self.xs, self.ys = xs, ys
-        self.n_e = xs.size
+        self.grid, self.d = grid, d
+        self.xs, self.ys, self.n_e = xs, ys, xs.size
+        self.nb = grid.n_cells + 1
         self.w = grid.block_weights
         self.es = np.exp(grid.nodes[:-1])
         self.vxy = field.vertices[:, xs, ys]  # (d, n_e)
-        self.ox = np.zeros((self.n_e, self.d))
+        self.ox = np.zeros((self.n_e, d))
         self.ox[np.arange(self.n_e), xs] = 1.0
-        self.oy = np.zeros((self.n_e, self.d))
-        self.oy[np.arange(self.n_e), ys] = 1.0
-        self.gamma = None if gamma is None else np.asarray(gamma, dtype=float)
-        self.flux_e = None if flux is None else np.asarray(flux, dtype=float)[xs, ys]
-        self.current = None if current is None else np.asarray(current, dtype=float)
-        if current is not None:
-            active = field.support | field.support.T
-            self.cur_mask = active
-        self.eps_r = rho_floor
-        self.eps_h = h_floor
-        self.beta = 1.0 - self.d * rho_floor
-        self.n_par = self.n_blocks * (self.d + self.n_e)
+        self.n_rho = self.nb * d
+        self.scale = np.concatenate([np.repeat(self.w ** -0.5, d),
+                                     np.repeat(self.w ** -0.5, self.n_e)])
 
-    # parameter layout: all rho logits, then all H logits
+        edges = np.arange(self.n_e)
+        div = np.zeros((d, self.n_e))  # inflow minus outflow per state
+        div[ys, edges] += 1.0
+        div[xs, edges] -= 1.0
+        root_w = np.sqrt(self.w)[None, :]
+        eye = sparse.identity(self.nb)
+        rows = [(sparse.kron(eye, np.ones((1, d))), None, root_w[0]),
+                (None, sparse.kron(eye, div), np.zeros(self.nb * d))]
+        if gamma is not None:
+            rows.append((sparse.kron(root_w, np.eye(d)), None, gamma))
+        if mode == "rate":
+            rows.append((None, sparse.kron(root_w, np.eye(self.n_e)), flux[xs, ys]))
+        elif mode == "current":
+            pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(xs, ys)})
+            net = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
+                            for x, y in pairs])
+            rows.append((None, sparse.kron(root_w, net),
+                         np.array([current[x, y] for x, y in pairs])))
+        self.A = sparse.bmat([[a, c] for a, c, _ in rows], format="csr")
+        self.b = np.concatenate([b for _, _, b in rows])
+
+    def pack(self, rho, j_full):
+        """u for a constant path: rho (d,) and full flux matrix j (d, d) per block."""
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), (self.nb, self.d))
+        je = np.broadcast_to(np.asarray(j_full, dtype=float)[self.xs, self.ys],
+                             (self.nb, self.n_e))
+        return np.concatenate([rho.ravel(), je.ravel()]) / self.scale
+
     def _unpack(self, z):
-        nb, d = self.n_blocks, self.d
-        zr = z[:nb * d].reshape(nb, d)
-        zh = z[nb * d:].reshape(nb, self.n_e)
-        return zr, zh
+        return (z[:self.n_rho].reshape(self.nb, self.d),
+                z[self.n_rho:].reshape(self.nb, self.n_e))
 
-    def _rho(self, zr):
-        m = zr - zr.max(axis=1, keepdims=True)
-        e = np.exp(m)
-        sm = e / e.sum(axis=1, keepdims=True)
-        return self.eps_r + self.beta * sm, sm
-
-    def pack(self, rho, h):
-        """Logits for block profiles rho (n_blocks, d) and full H (n_blocks, d, d)."""
-        rho = np.broadcast_to(rho, (self.n_blocks, self.d))
-        zr = np.log(np.clip(rho - self.eps_r, 1e-300, None))
-        hv = np.broadcast_to(h, (self.n_blocks, self.d, self.d))[:, self.xs, self.ys]
-        zh = np.log(np.clip(hv - self.eps_h, 1e-300, None))
-        return np.concatenate([zr.ravel(), zh.ravel()])
-
-    def path_from(self, z):
-        zr, zh = self._unpack(z)
-        rho, _ = self._rho(zr)
-        hv = self.eps_h + np.exp(zh)
-        H = np.zeros((self.n_blocks, self.d, self.d))
-        H[:, self.xs, self.ys] = hv
-        for c in range(self.n_blocks):
-            np.fill_diagonal(H[c], -H[c].sum(axis=1))
-        return ControlPath(self.grid, rho, H)
-
-    def value_and_grad(self, z, mu):
-        zr, zh = self._unpack(z)
-        rho, sm = self._rho(zr)
-        hv = self.eps_h + np.exp(zh)
-        w = self.w
-        k = self.k_cells
-
-        contrib = w[:, None] * rho
-        suffix = np.cumsum(contrib[::-1], axis=0)[::-1]
+    def cost(self, z):
+        """Cost and its gradient in z; the log guard only acts where j or p is 0."""
+        rho, j = self._unpack(z)
+        w, k = self.w, self.nb - 1
+        suffix = np.cumsum((w[:, None] * rho)[::-1], axis=0)[::-1]
         mh = np.empty_like(rho)
         mh[:k] = self.es[:, None] * suffix[:k]
         mh[k] = rho[k]
-
-        qe = mh @ self.vxy
+        q = mh @ self.vxy
         rx = rho[:, self.xs]
-        lg_h = np.log(hv)
-        lg_q = np.log(qe)
-        sle = hv * (lg_h - lg_q) + qe - hv
-        jt = float(w @ (rx * sle).sum(axis=1))
+        p = rx * q
+        p_safe = np.maximum(p, _LOG_GUARD)
+        log_ratio = np.log(np.maximum(j, _LOG_GUARD)) - np.log(p_safe)
+        value = float(w @ (j * log_ratio - j + p).sum(axis=1))
 
-        g_rho = w[:, None] * (sle @ self.ox)
-        g_hv = w[:, None] * rx * (lg_h - lg_q)
-        gq = w[:, None] * rx * (1.0 - hv / qe)
-        gm = gq @ self.vxy.T
+        g_j = w[:, None] * log_ratio
+        g_p = w[:, None] * (1.0 - j / p_safe)
+        g_rho = (g_p * q) @ self.ox
+        gm = (g_p * rx) @ self.vxy.T
         cums = np.cumsum(self.es[:, None] * gm[:k], axis=0)
         g_rho[:k] += w[:k, None] * cums
         g_rho[k] += w[k] * cums[k - 1] + gm[k]
+        return value, np.concatenate([g_rho.ravel(), g_j.ravel()])
 
-        pen = 0.0
-        p_rho = np.zeros_like(rho)
-        p_hv = np.zeros_like(hv)
+    def cost_u(self, u):
+        value, grad = self.cost(self.scale * u)
+        return value, self.scale * grad
 
-        if self.gamma is not None:
-            m0 = suffix[0]
-            dm = m0 - self.gamma
-            pen += float(dm @ dm)
-            p_rho += 2.0 * w[:, None] * dm[None, :]
+    def lagrangian(self, u, lam, mu):
+        """Augmented Lagrangian f + lam.r + mu/2 |r|^2 with r = A u - b."""
+        value, grad = self.cost_u(u)
+        r = self.A @ u - self.b
+        y = lam + mu * r
+        return value + float(lam @ r) + 0.5 * mu * float(r @ r), grad + self.A.T @ y
 
-        rxh = rx * hv
-        outflow = hv @ self.ox
-        stat = rxh @ self.oy - rho * outflow
-        pen += float((stat * stat).sum())
-        p_rho += 2.0 * ((stat[:, self.ys] * hv) @ self.ox - stat * outflow)
-        p_hv += 2.0 * rx * (stat[:, self.ys] - stat[:, self.xs])
-
-        if self.mode == "rate":
-            fe = w @ rxh
-            df = fe - self.flux_e
-            pen += float(df @ df)
-            gf = 2.0 * df
-            p_rho += w[:, None] * ((hv * gf[None, :]) @ self.ox)
-            p_hv += w[:, None] * rx * gf[None, :]
-        elif self.mode == "current":
-            fe = w @ rxh
-            f = np.zeros((self.d, self.d))
-            f[self.xs, self.ys] = fe
-            dmat = (f - f.T - self.current) * self.cur_mask
-            pen += 0.5 * float((dmat * dmat).sum())
-            gfe = 2.0 * dmat[self.xs, self.ys]
-            p_rho += w[:, None] * ((hv * gfe[None, :]) @ self.ox)
-            p_hv += w[:, None] * rx * gfe[None, :]
-
-        g_rho += mu * p_rho
-        g_hv += mu * p_hv
-
-        gz_h = g_hv * (hv - self.eps_h)
-        inner = (sm * g_rho).sum(axis=1, keepdims=True)
-        gz_r = self.beta * sm * (g_rho - inner)
-        grad = np.concatenate([gz_r.ravel(), gz_h.ravel()])
-        return jt + mu * pen, grad
+    def path_from(self, u):
+        rho, j = self._unpack(self.scale * u)
+        rx = rho[:, self.xs]
+        H = np.zeros((self.nb, self.d, self.d))
+        H[:, self.xs, self.ys] = np.where(rx > 0.0, j / np.where(rx > 0.0, rx, 1.0), 0.0)
+        for c in range(self.nb):
+            np.fill_diagonal(H[c], -H[c].sum(axis=1))
+        return ControlPath(self.grid, rho.copy(), H)
 
 
-def _start_logits(obj, field, mode, gamma, flux, opts):
-    """Deterministic multistart: equilibrium pair, informed pair, then random."""
-    starts = []
+def _starts(prob, field, mode, gamma, flux):
+    """Deterministic starts, built on demand: the informed constant path
+    (exactly feasible in rate mode), then the self-consistent equilibrium."""
+    if gamma is not None:
+        j = flux if mode == "rate" else gamma[:, None] * field.evaluate(gamma)
+        yield prob.pack(gamma, j)
     try:
-        fp = fixed_point_pi_star(field, tol=1e-11, max_iter=400)
-        pi = fp.pi
+        pi = fixed_point_pi_star(field, tol=1e-11, max_iter=400).pi
     except errors.Reducible:
         pi = uniform_simplex(field.d)
-    starts.append(obj.pack(pi, field.evaluate(pi)))
-    if gamma is not None:
-        interior = np.clip(gamma, 2.0 * opts.rho_floor, None)
-        interior = interior / interior.sum()
-        if mode == "rate":
-            h = np.zeros((field.d, field.d))
-            h[obj.xs, obj.ys] = np.asarray(flux)[obj.xs, obj.ys] / interior[obj.xs]
-            starts.append(obj.pack(interior, h))
-        else:
-            starts.append(obj.pack(interior, field.evaluate(interior)))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(opts.seed)))
-    live = field.vertices[:, field.support]
-    scale = max(float(live.mean()) if live.size else 1.0, 1e-3)
-    while len(starts) < opts.n_starts:
-        zr = 0.5 * rng.standard_normal(obj.n_blocks * field.d)
-        zh = np.log(scale) + 0.7 * rng.standard_normal(obj.n_blocks * obj.n_e)
-        starts.append(np.concatenate([zr, zh]))
-    return starts[: opts.n_starts]
+    yield prob.pack(pi, pi[:, None] * field.evaluate(pi))
 
 
 def _feasible(rd, opts):
@@ -559,50 +512,36 @@ def _violation(rd, opts):
 
 
 def _minimize(field, mode, gamma, flux, current, opts):
-    grid = opts.grid()
-    obj = _Objective(field, grid, mode, gamma=gamma, flux=flux, current=current,
-                     rho_floor=opts.rho_floor, h_floor=opts.h_floor)
+    prob = _FluxProblem(field, opts.grid(), mode, gamma=gamma, flux=flux,
+                        current=current)
+    bounds = [(0.0, None)] * prob.A.shape[1]
 
-    def fun(z, mu):
-        return obj.value_and_grad(z, mu)
-
-    # Penalty iterates drift off the constraint set before the escalating mu
-    # pulls them back, so the final iterate of the last round need not be the
-    # best point seen.  Every start and every round end is scored as a
-    # candidate: feasible ones by value, infeasible ones by scaled violation.
+    # Each start ends in one candidate: feasible ones are scored by value,
+    # infeasible ones by scaled violation.  Multiplier rounds only tighten
+    # feasibility, so a start's last round is its most accurate point.
     best = None
-
-    def consider(z, si):
-        nonlocal best
-        path = obj.path_from(z)
-        rd = residuals(path, field, gamma=gamma, flux=flux, current=current)
+    starts = islice(_starts(prob, field, mode, gamma, flux), opts.n_starts)
+    for si, u in enumerate(starts):
+        lam = lsqr(prob.A.T, -prob.cost_u(u)[1], atol=1e-14, btol=1e-14)[0]
+        mu = opts.penalty_init
+        for _ in range(opts.penalty_rounds):
+            res = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
+                           method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": opts.inner_maxiter, "maxcor": 25,
+                                    "ftol": 1e-14, "gtol": 1e-9})
+            u = res.x
+            path = prob.path_from(u)
+            rd = residuals(path, field, gamma=gamma, flux=flux, current=current)
+            if _violation(rd, opts) <= 0.01:
+                break
+            lam = lam + mu * (prob.A @ u - prob.b)
+            mu *= opts.penalty_factor
         value = jtilde(path, field)
         feas = _feasible(rd, opts)
         key = (not feas, value if feas else _violation(rd, opts), si)
         if best is None or key < best[0]:
             best = (key, si, value, path, rd)
-        return feas, value, rd
-
-    for si, z0 in enumerate(_start_logits(obj, field, mode, gamma, flux, opts)):
-        z = z0
-        feas, value, _ = consider(z, si)
         if feas and value <= opts.early_stop_value:
-            break
-        mu = opts.penalty_init
-        done = False
-        for rnd in range(opts.penalty_rounds):
-            res = minimize(fun, z, args=(mu,), jac=True, method="L-BFGS-B",
-                           options={"maxiter": opts.inner_maxiter, "maxcor": 25,
-                                    "ftol": 1e-14, "gtol": 1e-9})
-            z = res.x
-            mu *= opts.penalty_factor
-            feas, value, rd = consider(z, si)
-            if feas and value <= opts.early_stop_value:
-                done = True
-                break
-            if rnd >= 1 and feas and _violation(rd, opts) <= 0.1:
-                break
-        if done:
             break
     _, si, value, path, rd = best
     status = "converged" if _feasible(rd, opts) else "max_iter"
@@ -615,6 +554,20 @@ def _boundary_target(gamma, opts):
         return gamma, False
     floored = np.clip(gamma, opts.rho_floor, None)
     return floored / floored.sum(), True
+
+
+def flux_infeasibility(field, flux, balance_tol=1e-10):
+    """Why no path realises this edge flux, or None when the gates pass.
+
+    Every path flux is balanced and charges only edges in the field's
+    support; these two analytic gates are shared by solve_rate and dv-rate.
+    """
+    if not flux_balanced(flux, balance_tol):
+        return "flux balance violated"
+    off_support = ~field.support & ~np.eye(field.d, dtype=bool)
+    if np.any(flux[off_support] > SUPPORT_TOL):
+        return "flux charges edges off the support"
+    return None
 
 
 def solve_rate(gamma, flux, field, opts=None):
@@ -630,13 +583,9 @@ def solve_rate(gamma, flux, field, opts=None):
     flux = as_flux(flux)
     if gamma.size != field.d or flux.shape != (field.d, field.d):
         raise ValueError("dimension mismatch with the field")
-    if not flux_balanced(flux, opts.balance_tol):
-        return RateResult(float("inf"), None, {}, "infeasible",
-                          detail="flux balance violated")
-    off_support = ~field.support & ~np.eye(field.d, dtype=bool)
-    if np.any(flux[off_support] > SUPPORT_TOL):
-        return RateResult(float("inf"), None, {}, "infeasible",
-                          detail="flux charges edges off the support")
+    reason = flux_infeasibility(field, flux, opts.balance_tol)
+    if reason is not None:
+        return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
     target, boundary = _boundary_target(gamma, opts)
     result = _minimize(field, "rate", target, flux, None, opts)
     if boundary:

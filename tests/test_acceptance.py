@@ -29,6 +29,16 @@ def balanced_pair(d, rng):
     return gamma, flux
 
 
+def constant_field_instances():
+    """The 10 seeded (q0, gamma, flux) instances, d alternating 2 and 3."""
+    rng = np.random.default_rng(2024)
+    for k in range(10):
+        d = 2 + k % 2
+        q0 = random_generator(d, rng)
+        gamma, flux = balanced_pair(d, rng)
+        yield q0, gamma, flux
+
+
 def example_fields():
     auto = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
                                          strength=1.0)
@@ -45,12 +55,8 @@ def test_dynamic_rate_matches_static_rate_on_constant_fields():
     # 10 random balanced targets, d in {2, 3}: the minimized dynamic cost
     # must reproduce the closed-form level-2.5 rate within max(2%, 5e-3)
     t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
     worst = 0.0
-    for k in range(10):
-        d = 2 + k % 2
-        q0 = random_generator(d, rng)
-        gamma, flux = balanced_pair(d, rng)
+    for q0, gamma, flux in constant_field_instances():
         dv = ldp.dv_rate(q0, gamma, flux)
         res = varsolve.solve_rate(gamma, flux, core.RateField.constant(q0))
         assert res.status == "converged"
@@ -62,6 +68,20 @@ def test_dynamic_rate_matches_static_rate_on_constant_fields():
     print(f"dynamic vs static rate on 10 instances: worst scaled gap "
           f"{worst:.2e} (tol 2e-2), {elapsed:.0f}s (budget 300s)")
     assert elapsed <= 300.0
+
+
+def test_dynamic_rate_matches_static_rate_to_1e6():
+    # the same 10 instances: on constant fields the informed start is the
+    # exact minimizer, so the solver must land on the closed form
+    worst = 0.0
+    for q0, gamma, flux in constant_field_instances():
+        dv = ldp.dv_rate(q0, gamma, flux)
+        res = varsolve.solve_rate(gamma, flux, core.RateField.constant(q0))
+        assert res.status == "converged"
+        worst = max(worst, abs(res.value - dv))
+        assert abs(res.value - dv) <= 1e-6
+    print(f"dynamic vs static rate on 10 instances: worst absolute gap "
+          f"{worst:.2e} (tol 1e-6)")
 
 
 def test_rate_vanishes_at_self_consistent_equilibrium():

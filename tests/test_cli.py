@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from selfjump import cli, config, sim, varsolve
 
@@ -201,7 +207,7 @@ def test_rate_matches_library_exactly(tmp_path, capsys):
     parsed = config.parse_config(doc)
     ref = varsolve.solve_rate([0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0]]),
                               config.build_field(parsed.field),
-                              parsed.solve_options(0))
+                              parsed.solve_options())
     assert results["value"] == ref.value
     assert results["status"] == ref.status == "converged"
     assert (rd / "path.csv").read_text().startswith("s_left,")
@@ -294,3 +300,117 @@ def test_config_round_trip():
     assert cfg2.solver == cfg.solver
     assert cfg2.mc == cfg.mc
     assert cfg2.fixed_point == cfg.fixed_point
+
+
+def test_rate_rerun_is_byte_identical(tmp_path, capsys):
+    doc = {"field": UNIT_FIELD, "seed": 0,
+           "target": {"gamma": [0.6, 0.4]}, "solver": dict(FAST_SOLVER)}
+    cfg = write_cfg(tmp_path, doc)
+    out_root = tmp_path / "out"
+    assert run(["occupation-rate", "--config", cfg, "--out", str(out_root)]) == 0
+    rd = only_run_dir(out_root, "occupation-rate")
+    kept = {name: (rd / name).read_bytes()
+            for name in ("results.json", "path.csv", "value.csv")}
+    assert run(["occupation-rate", "--config", cfg, "--out", str(out_root)]) == 0
+    for name, blob in kept.items():
+        assert (rd / name).read_bytes() == blob
+
+
+CHEMO_FIELD = {"family": "autochemotaxis", "q0": [[-2.0, 2.0], [1.0, -1.0]],
+               "strength": 1.0}
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("doc, location", [
+    ({"simulate": {"x0": 1, "horizon": NAN}}, "simulate.horizon"),
+    ({"simulate": {"x0": 1, "horizon": float("inf")}}, "simulate.horizon"),
+    ({"target": {"gamma": [0.5, 0.6]}}, "target.gamma"),
+    ({"target": {"gamma": [1.2, -0.2]}}, "target.gamma"),
+    ({"mc": {"x0": 1, "times": [1.0], "n_paths": 2, "center": [0.7, 0.7],
+             "radius": 0.1}}, "mc.center"),
+    ({"mc": {"x0": 1, "times": [NAN], "n_paths": 2, "center": [0.5, 0.5],
+             "radius": 0.1}}, "mc.times[0]"),
+    ({"solver": {"grid_horizon": 0.5}}, "solver.grid_horizon"),
+    ({"solver": {"grid_cells": 1}}, "solver.grid_cells"),
+    ({"solver": {"tol_flux": -1}}, "solver.tol_flux"),
+    ({"solver": {"seed": 3}}, "solver: unknown key 'seed'"),
+    ({"solver": {"h_floor": 1e-8}}, "solver: unknown key 'h_floor'"),
+    ({"target": {"current": [[0.0, 1.0], [0.5, 0.0]]}}, "target.current"),
+    ({"target": {"flux": [[0.0, -1.0], [1.0, 0.0]]}}, "target.flux"),
+    ({"field": dict(CHEMO_FIELD, q0=[[-2.0, NAN], [1.0, -1.0]])}, "field.q0[0][1]"),
+    ({"field": dict(CHEMO_FIELD, strength=NAN)}, "field.strength"),
+    ({"field": dict(CHEMO_FIELD, strength=-1.0)}, "field"),
+])
+def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
+    full = {"field": CHEMO_FIELD, **doc}
+    cfg = write_cfg(tmp_path, full)
+    assert run(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {location}")
+    assert "Traceback" not in err
+
+
+VALID_RUN = {
+    "field": CHEMO_FIELD,
+    "seed": 3,
+    "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2, "sampler": "thinning"},
+    "target": {"gamma": [0.6, 0.4], "flux": [[0.0, 0.5], [0.5, 0.0]],
+               "current": [[0.0, 0.0], [0.0, 0.0]]},
+    "solver": {"grid_cells": 8, "n_starts": 1, "tol_flux": 1e-4},
+    "mc": {"x0": 1, "times": [1.0, 2.0], "n_paths": 5, "center": [0.5, 0.5],
+           "radius": 0.2, "rate": 0.1},
+    "fixed_point": {"tol": 1e-9, "max_iter": 20, "n_starts": 2},
+}
+
+_numbers = st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 1.5, -1.0, 1e300, 10 ** 400]))
+_scalars = st.one_of(_numbers, _numbers, st.none(), st.booleans(), st.text(max_size=4),
+                     st.sampled_from(["constant", "affine", "congestion", "thinning"]))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=2)),
+    max_leaves=6)
+
+
+def _leaves(doc, prefix=()):
+    """Every key path into a nested mapping/list document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, prefix + (key,))
+
+
+_PATHS = list(_leaves(VALID_RUN))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS), st.booleans(), _values),
+                      min_size=1, max_size=3))
+def test_validate_never_raises_on_mutated_run_files(edits):
+    doc = copy.deepcopy(VALID_RUN)
+    for path, delete, value in edits:
+        node = doc
+        for key in path[:-1]:
+            try:
+                node = node[key]
+            except (KeyError, IndexError, TypeError):
+                node = None
+                break
+        if not isinstance(node, (dict, list)):
+            continue
+        try:
+            if delete:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["validate", "--config", str(cfg)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

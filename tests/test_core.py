@@ -10,14 +10,6 @@ def test_edge_pairs_row_major():
     assert core.edge_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
-def test_state_space_labels():
-    sp = core.StateSpace(3)
-    assert sp.d == 3
-    assert sp.n_edges == 6
-    assert sp.edge_labels()[0] == (1, 2)
-    assert len(sp.edges) == 6
-
-
 def test_as_simplex_accepts_and_rejects():
     g = core.as_simplex([0.25, 0.75])
     assert g.dtype == float

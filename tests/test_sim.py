@@ -93,18 +93,22 @@ def test_anchor_recursion_exact():
     # L_t == (s L_s + (t - s) delta_x) / t at inter-jump times, to 1e-12
     traj = sim.simulate_thinning(chemo_field(), 1, 50.0, seed=9)
     assert traj.n_jumps > 10
-    anchors = traj.anchors()
     rng = np.random.default_rng(1)
-    bounds = np.concatenate([traj.times, [traj.horizon]])
-    for k, anchor in enumerate(anchors):
-        lo = anchor.time
-        hi = bounds[k]
-        if hi <= lo:
+    starts = np.concatenate([[0.0], traj.times])
+    ends = np.concatenate([traj.times, [traj.horizon]])
+    states = np.concatenate([[traj.x0], traj.targets])
+    for s, hi, x in zip(starts, ends, states):
+        if hi <= s:
             continue
-        t = rng.uniform(lo, hi)
+        t = rng.uniform(s, hi)
         if t <= 0:
             continue
-        gap = np.abs(traj.occupation_at(t) - anchor.occupation(t)).max()
+        # the occupation at the jump time s, carried to t by the recursion
+        expected = np.zeros(traj.d)
+        if s > 0:
+            expected += (s / t) * traj.occupation_at(s)
+        expected[x - 1] += (t - s) / t
+        gap = np.abs(traj.occupation_at(t) - expected).max()
         assert gap < 1e-12
 
 

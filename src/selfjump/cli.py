@@ -141,7 +141,7 @@ def _cmd_simulate(args, cfg, seed):
     first = batch.first_trajectory
     out.write_csv("batch.csv", sim.write_batch_csv, batch)
     out.write_csv("trajectory.csv", sim.write_trajectory_csv, first)
-    out.write_json("results.json", {
+    results = {
         "n_paths": sc.n_paths,
         "horizon": sc.horizon,
         "sampler": sc.sampler,
@@ -149,7 +149,13 @@ def _cmd_simulate(args, cfg, seed):
         "mean_occupation": batch.mean_occupation.tolist(),
         "var_occupation": batch.var_occupation.tolist(),
         "mean_flux": batch.mean_flux.tolist(),
-    })
+        "jumps": batch.jumps,
+    }
+    if batch.candidates is not None:
+        results["candidates"] = batch.candidates
+        results["accept_ratio"] = (batch.jumps / batch.candidates
+                                   if batch.candidates else None)
+    out.write_json("results.json", results)
     out.finish()
     mean = ", ".join(_fmt(v) for v in batch.mean_occupation)
     _emit(out, args.format, "batch.csv", [

@@ -17,6 +17,16 @@ rate_at_dirac + (s / t) * (rate_at_anchor - rate_at_dirac), whose integral is
 inverted to machine precision; it is the independent oracle for thinning.
 Every field is affine in the occupation measure, so both work for any field.
 
+The thinning loop reads its candidates from numpy arrays, one draw chunk at
+a time: candidate times are the cumulative sum of the exponential clocks
+over lam, continued from the previous chunk's last time, and acceptance
+thresholds are the uniforms times rate_upper.  numpy's cumsum adds in
+sequence and every elementwise product or quotient is one IEEE operation,
+so these are the values a per-candidate ``t += e / lam`` and ``u * c``
+would give.  The acceptance test and the anchor update then run in Python
+with their float operations in a fixed order, so seeded paths stay
+bit-identical.  Chunks hold at most 2**18 draws.
+
 ``lockstep_thinning`` runs the thinning sampler on many paths at once, one
 candidate step per numpy operation over a block of paths, and reads their
 occupations (and fluxes) off at a list of times.  It repeats the scalar
@@ -30,13 +40,12 @@ Per-path randomness comes from counter-based streams keyed by
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import errors
+from . import core, errors
 
 _NEWTON_MAX = 64
 _ROOT_TOL = 1e-12
@@ -54,6 +63,8 @@ class Trajectory:
     """One simulated path: initial state, horizon, and the jump events.
 
     ``times`` is increasing; ``sources``/``targets`` hold 1-based labels.
+    ``candidates`` counts the thinning candidates at or before the horizon;
+    it is None for the exact-affine sampler, which draws none.
     """
 
     x0: int
@@ -62,6 +73,7 @@ class Trajectory:
     sources: np.ndarray
     targets: np.ndarray
     d: int
+    candidates: int | None = None
 
     @property
     def n_jumps(self):
@@ -126,15 +138,26 @@ def _rate_rows(field, measure, x_idx):
     return row_anchor, row_dirac
 
 
+# Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
+# about 6 MB.
+_MAX_CHUNK = 1 << 18
+# Candidates, or trajectory.csv rows, turned into Python objects at a time,
+# so a draw chunk or a path is never held whole as Python objects (some
+# 80 bytes per candidate or row).
+_SLICE = 8192
+
+
 def _chunk_sizes(lam, horizon):
     """Sizes of a thinning path's first and later draw chunks.
 
     The first chunk covers the mean candidate count lam * horizon plus six
-    standard deviations, so a path almost never needs a second one.
+    standard deviations, so a path almost never needs a second one.  Both
+    are capped at _MAX_CHUNK draws, which bounds a chunk's memory for any
+    horizon.
     """
     mean_n = lam * horizon
-    return (max(64, int(mean_n + 6.0 * math.sqrt(mean_n) + 16.0)),
-            max(256, int(0.125 * mean_n)))
+    first = min(_MAX_CHUNK, mean_n + 6.0 * math.sqrt(mean_n) + 16.0)
+    return max(64, int(first)), max(256, int(min(_MAX_CHUNK, 0.125 * mean_n)))
 
 
 def _draw_chunk(rng, n, n_dest):
@@ -148,29 +171,33 @@ def _draw_chunk(rng, n, n_dest):
     yield rng.integers(0, n_dest, size=n)
 
 
-class _Draws:
-    """Chunked per-path draws; the consumption order is deterministic."""
+def _candidates(rng, n_dest, lam, c, horizon):
+    """Yield a thinning path's candidates up to the horizon in list slices.
 
-    def __init__(self, rng, n_dest, lam, horizon):
-        self.rng = rng
-        self.n_dest = n_dest
-        first, self.refill = _chunk_sizes(lam, horizon)
-        self._load(first)
-
-    def _load(self, n):
-        draws = _draw_chunk(self.rng, n, self.n_dest)
-        self.exp = next(draws).tolist()
-        self.uni = next(draws).tolist()
-        self.pick = next(draws).tolist()
-        self.i = 0
-        self.n = n
-
-    def next(self):
-        if self.i >= self.n:
-            self._load(self.refill)
-        i = self.i
-        self.i = i + 1
-        return self.exp[i], self.pick[i], self.uni[i]
+    Each slice is (times, thresholds u * c, destination picks) for at most
+    _SLICE consecutive candidates.  A chunk's times are the cumulative sum
+    of e / lam started from the previous chunk's last time: numpy's cumsum
+    adds in sequence, so they are the sums t += e / lam would give.
+    """
+    size, refill = _chunk_sizes(lam, horizon)
+    t = 0.0
+    while True:
+        draws = _draw_chunk(rng, size, n_dest)
+        cand = next(draws)
+        cand /= lam
+        cand[0] += t
+        np.cumsum(cand, out=cand)
+        uc = next(draws)
+        uc *= c
+        pick = next(draws)
+        n = int(np.searchsorted(cand, horizon, side="right"))
+        for lo in range(0, n, _SLICE):
+            hi = min(lo + _SLICE, n)
+            yield cand[lo:hi].tolist(), uc[lo:hi].tolist(), pick[lo:hi].tolist()
+        if n < size:
+            return
+        t = float(cand[-1])
+        size = refill
 
 
 def simulate_thinning(field, x0, horizon, seed, path_index=0):
@@ -188,9 +215,9 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     d = field.d
     c = field.rate_upper
     lam = (d - 1) * c
-    times, srcs, dsts = [], [], []
+    times, dsts = [], []
+    n_cand = 0
     if lam > 0.0:
-        draws = _Draws(path_stream(seed, path_index), d - 1, lam, horizon)
         x = x0 - 1
         s_anchor = 0.0
         anchor = [0.0] * d
@@ -198,37 +225,41 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
         vlist = field.vertices.tolist()
         row_anchor = vlist[x][x][:]  # at time 0 the occupation is delta_x0
         row_dirac = vlist[x][x]
-        t = 0.0
-        while True:
-            e, k, u = draws.next()
-            t += e / lam
-            if t > horizon:
-                break
-            j = k if k < x else k + 1
-            a = s_anchor / t
-            q = a * row_anchor[j] + (1.0 - a) * row_dirac[j]
-            if u * c <= q:
-                b = 1.0 - a
-                for z in range(d):
-                    anchor[z] *= a
-                anchor[x] += b
-                s_anchor = t
-                times.append(t)
-                srcs.append(x + 1)
-                dsts.append(j + 1)
-                x = j
-                arow = [0.0] * d
-                for z in range(d):
-                    az = anchor[z]
-                    if az != 0.0:
-                        vz = vlist[z][x]
-                        for jj in range(d):
-                            arow[jj] += az * vz[jj]
-                row_anchor = arow
-                row_dirac = vlist[x][x]
-    return Trajectory(x0, horizon, np.asarray(times, dtype=float),
-                      np.asarray(srcs, dtype=np.int64),
-                      np.asarray(dsts, dtype=np.int64), d)
+        # dest[x][k]: the k-th destination out of state x
+        dest = [[k if k < y else k + 1 for k in range(d - 1)] for y in range(d)]
+        dest_x = dest[x]
+        states = range(d)
+        add_time = times.append
+        add_dst = dsts.append
+        for cand, thresholds, picks in _candidates(path_stream(seed, path_index),
+                                                   d - 1, lam, c, horizon):
+            n_cand += len(cand)
+            for t, uc, k in zip(cand, thresholds, picks):
+                j = dest_x[k]
+                a = s_anchor / t
+                if uc <= a * row_anchor[j] + (1.0 - a) * row_dirac[j]:
+                    b = 1.0 - a
+                    for z in states:
+                        anchor[z] *= a
+                    anchor[x] += b
+                    s_anchor = t
+                    add_time(t)
+                    add_dst(j)
+                    x = j
+                    arow = [0.0] * d
+                    for z in states:
+                        az = anchor[z]
+                        if az != 0.0:
+                            vz = vlist[z][x]
+                            for jj in states:
+                                arow[jj] += az * vz[jj]
+                    row_anchor = arow
+                    row_dirac = vlist[x][x]
+                    dest_x = dest[x]
+    targets = np.asarray(dsts, dtype=np.int64) + 1
+    sources = np.concatenate(([x0], targets))[:-1]
+    return Trajectory(x0, horizon, np.asarray(times, dtype=float), sources, targets, d,
+                      candidates=n_cand)
 
 
 def _integrated_hazard(b, a, s, t):
@@ -483,6 +514,8 @@ class BatchResult:
 
     Summary moments use ddof=0, so a single path reports its own values with
     zero variance.  ``first_trajectory`` is the batch's first path in full.
+    ``jumps`` and ``candidates`` total the paths' jumps and thinning
+    candidates (None for the exact-affine sampler).
     """
 
     x0: int
@@ -492,6 +525,8 @@ class BatchResult:
     occupations: np.ndarray  # (n, d)
     fluxes: np.ndarray  # (n, d, d)
     first_trajectory: Trajectory
+    jumps: int
+    candidates: int | None
     mean_occupation: np.ndarray = dataclass_field(init=False)
     var_occupation: np.ndarray = dataclass_field(init=False)
     mean_flux: np.ndarray = dataclass_field(init=False)
@@ -520,30 +555,44 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
     indices = np.arange(path_offset, path_offset + n_paths, dtype=np.int64)
+    jumps, candidates = 0, 0
     # the first path runs last, so no trajectory is held while the others run
     for i in reversed(range(n_paths)):
         traj = run(field, x0, horizon, seed, path_index=int(indices[i]))
         occ[i] = traj.occupation_at(horizon)
         flux[i] = traj.flux_at(horizon)
-    return BatchResult(int(x0), float(horizon), int(seed), indices, occ, flux, traj)
+        jumps += traj.n_jumps
+        candidates += traj.candidates or 0
+    return BatchResult(int(x0), float(horizon), int(seed), indices, occ, flux, traj,
+                       jumps, None if traj.candidates is None else candidates)
 
 
 def write_trajectory_csv(traj, fh):
-    """Rows time,from,to with full-precision decimal times."""
-    w = csv.writer(fh)
-    w.writerow(["time", "from", "to"])
-    for t, s, d_ in zip(traj.times, traj.sources, traj.targets):
-        w.writerow([repr(float(t)), int(s), int(d_)])
+    """Rows time,from,to with full-precision decimal times.
+
+    The bytes are those of ``csv.writer``: nothing needs quoting, and rows
+    end in \\r\\n.  Rows are formatted _SLICE at a time.
+    """
+    fh.write("time,from,to\r\n")
+    for lo in range(0, traj.n_jumps, _SLICE):
+        part = slice(lo, lo + _SLICE)
+        fh.write("".join(f"{t!r},{s},{d_}\r\n" for t, s, d_ in zip(
+            traj.times[part].tolist(), traj.sources[part].tolist(),
+            traj.targets[part].tolist())))
 
 
 def write_batch_csv(result, fh):
-    """Rows path,seed_index,L_1..L_d,R_edge1..R_edgea (canonical edge order)."""
+    """Rows path,seed_index,L_1..L_d,R_edge1..R_edgea (canonical edge order).
+
+    Byte-identical to ``csv.writer`` output, like ``write_trajectory_csv``.
+    """
     d = result.occupations.shape[1]
-    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-    w = csv.writer(fh)
-    w.writerow(["path", "seed_index"] + [f"L_{k + 1}" for k in range(d)]
-               + [f"R_edge{e + 1}" for e in range(len(pairs))])
-    for row, (pi, L, R) in enumerate(zip(result.path_indices,
-                                         result.occupations, result.fluxes)):
-        w.writerow([row, int(pi)] + [repr(float(v)) for v in L]
-                   + [repr(float(R[i, j])) for i, j in pairs])
+    rows, cols = zip(*core.edge_pairs(d))
+    header = (["path", "seed_index"] + [f"L_{k + 1}" for k in range(d)]
+              + [f"R_edge{e + 1}" for e in range(len(rows))])
+    values = np.concatenate([result.occupations,
+                             result.fluxes[:, list(rows), list(cols)]], axis=1)
+    fh.write(",".join(header) + "\r\n")
+    fh.write("".join(f"{row},{pi}," + ",".join(map(repr, v)) + "\r\n"
+                     for row, (pi, v) in enumerate(zip(result.path_indices.tolist(),
+                                                       values.tolist()))))

@@ -195,6 +195,25 @@ def test_simulate_csv_format_streams_batch(tmp_path, capsys):
     assert "wrote" in cap.err
 
 
+def test_simulate_results_count_jumps_and_candidates(tmp_path, capsys):
+    for sampler in ("thinning", "exact-affine"):
+        doc = {"field": UNIT_FIELD, "seed": 6,
+               "simulate": {"x0": 1, "horizon": 12.0, "n_paths": 5, "sampler": sampler}}
+        cfg = write_cfg(tmp_path, doc, name=f"{sampler}.yaml")
+        out_root = tmp_path / sampler
+        assert run(["simulate", "--config", cfg, "--out", str(out_root)]) == 0
+        res = json.loads((only_run_dir(out_root, "simulate") / "results.json").read_text())
+        field = config.build_field(config.load_config(cfg).field)
+        paths = [sim._SAMPLERS[sampler](field, 1, 12.0, 6, path_index=i) for i in range(5)]
+        assert res["jumps"] == sum(p.n_jumps for p in paths)
+        if sampler == "thinning":
+            assert res["candidates"] == sum(p.candidates for p in paths)
+            assert res["accept_ratio"] == res["jumps"] / res["candidates"]
+            assert 0.0 < res["accept_ratio"] <= 1.0
+        else:
+            assert "candidates" not in res and "accept_ratio" not in res
+
+
 def test_rate_matches_library_exactly(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 0,
            "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 1.0], [1.0, 0.0]]},

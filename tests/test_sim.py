@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import io
 
 import numpy as np
@@ -286,3 +288,196 @@ def test_lockstep_input_gates():
     for times in ([], [0.0, 1.0], [2.0, 1.0]):
         with pytest.raises(ValueError):
             next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+
+
+# sha256 of times, sources and targets of simulate_thinning(field, x0, t,
+# seed) for every conftest family, recorded before the sampler read its
+# candidates from numpy arrays: at t = 100 with the default chunks, and at
+# t = 700 with chunks of 64 then 256 draws, so that every path refills.
+GOLDEN_T100 = {
+    ("affine", 0, 1):
+        "8510b96312af55104529dd3d9f63e844f07849cc0809ea676d9da81d8746e719",
+    ("affine", 0, 2):
+        "ec26248b2981d91411bb3082fdb374873d90a6f1b8419eed1d110b8e5135a427",
+    ("affine", 7, 1):
+        "d7e8f1b3ef2b86717a1da98878f8430b31c771db22e251c7b69da6d40b109f78",
+    ("affine", 7, 2):
+        "2a6c1d5bec99859b6cd2ee8663c9c07d5f563ffb121540de2f61ea626ac852f0",
+    ("autochemotaxis", 0, 1):
+        "c83ef98880d371290a1ce28d0bdbec50caa8b25c91dc4cae0e84f49e8db01a7c",
+    ("autochemotaxis", 0, 2):
+        "5857893aa34ccc22898b20090922a7ae963e1bcc98ec7ac015b5239faf95158b",
+    ("autochemotaxis", 7, 1):
+        "002c7209b8dd3bcf1a35106216ef817c6020d3de30d43ae1140629423952f468",
+    ("autochemotaxis", 7, 2):
+        "66051546eada35e8952fe85d44fd734dafcb97f36e6769626efc2329f5c4d79d",
+    ("catalytic", 0, 1):
+        "83f16155da551e40a53ef8e062011876216c19b96384bd05a5e9385c42e50f47",
+    ("catalytic", 0, 2):
+        "3c39648ef5cb3e91152f5a7653be359f038a05129f9851bbcd00a457f4bb3d36",
+    ("catalytic", 7, 1):
+        "b1b64f376a00712434fc72079463378a6aad866f6434a3f195f6cccb5bb53251",
+    ("catalytic", 7, 2):
+        "793a0959d8b7e5a5345844e9ba0897c7f67d05109cf53fa26b371432a2c89663",
+    ("congestion", 0, 1):
+        "b07e26f176cffa1fd1f4635ccfa07f1c198515be78110777f2ee08079ba62425",
+    ("congestion", 0, 2):
+        "e07f2c7603ffc1ebb1f001cbe05534098c43425c3ab5ae4f9946de2ae60665fc",
+    ("congestion", 7, 1):
+        "cd141aa143241b04894be0a98f87822e24695151323705f0f5be757f6504aa02",
+    ("congestion", 7, 2):
+        "fefb81513c5becb2766862ff785aea5bf12c7717bfe6471ebe05346b70cd848f",
+    ("constant", 0, 1):
+        "f8def397e41f8bc7aa8f0b11c86df761a230a7e2e76f70c48c17ea1629f9f537",
+    ("constant", 0, 2):
+        "77f3af333bad5d46ffd83211d4fd2df5fd2ce870dba0daccf41f0012085af4e2",
+    ("constant", 7, 1):
+        "2b1c9d5bfdbc3602e403e656f6e4b8ee3642939bcfa136ea3489e97cd1b494e8",
+    ("constant", 7, 2):
+        "e48f20a9ad2e183a40e7f5e1ecd46b4fc88884e4d454b1b9598aea4337d6a47b",
+}
+GOLDEN_T700_REFILL = {
+    ("affine", 0, 1):
+        "fbf5ca1091ea27deb97d877c4bcdfadc3994ce5bef76ae6fadc3d0b46c2cc6be",
+    ("affine", 0, 2):
+        "82fc8730f6ed353306a32c1967d0bb4d67cf709df50258c39737628e194a3329",
+    ("affine", 7, 1):
+        "d07074ee58f450ddf5e8ef5b60ce2a47dd15dbead86bc6f90e9a74d5b5d36c5b",
+    ("affine", 7, 2):
+        "8d0752002011e61ab35bb25a731fe805c6ed1df34567b0012f981e698115c11b",
+    ("autochemotaxis", 0, 1):
+        "13cb45135c5890e159ebc446af79dd855c479ca79a9ee831282ea3cbeebe5257",
+    ("autochemotaxis", 0, 2):
+        "4ea460fdacd364e69599cf49a47bccf4fd511aefd72c6b41678e9d4ccaeed220",
+    ("autochemotaxis", 7, 1):
+        "6eeb1504e0969e4df541797cc3be05b381bd8ebf4dfa61cfa5fb8cc40899799c",
+    ("autochemotaxis", 7, 2):
+        "c8e33e1e6ca52f15ae1b60e1e9ffc50ea200724f5153cef47ce97479abaf538e",
+    ("catalytic", 0, 1):
+        "381b3924bee11f804607df8ecc5f2511e98d9cbd96db30295d578a128951f736",
+    ("catalytic", 0, 2):
+        "b67d718f77577c5d7265f7fe9d8bc44297e5364ac6c8439224e86576809ebd3f",
+    ("catalytic", 7, 1):
+        "d6c407dd71c5501f592c3c82b75b198db0c9fab218926df0bcaf723ad5293299",
+    ("catalytic", 7, 2):
+        "ca75b9b7b9e99aaca95a84dc9d00c493da25c7c88e5a1e1b6d4cf1444642c9fb",
+    ("congestion", 0, 1):
+        "b732fade2e6770b47e19630df657727dee1730e7ef14cda89d88fd65c7e393cc",
+    ("congestion", 0, 2):
+        "bb4b979565a277b5a681fe266730f8c5c198452f656d1d6ac2f44b170df23246",
+    ("congestion", 7, 1):
+        "43d90443b1e9aeb8028ba3e024a6ae3c51d883648dd35a1d0042d5627ef082c0",
+    ("congestion", 7, 2):
+        "77575fa1dee8e33678c929aa44a56541b54a97e2a3157fe3f1eb8d394b1281ca",
+    ("constant", 0, 1):
+        "8e7c37c900524b6a7c3c87c50693867de1314b22b3816316fe3118496dd97a78",
+    ("constant", 0, 2):
+        "e2cb3d2459e25d09cd123ab5d8a61f53b1eae71c60ff675ba8dde371c2ec109d",
+    ("constant", 7, 1):
+        "de1573e7f13667d3ac037cb048881fa41d587f946c69f03d8408a2689cc2ef49",
+    ("constant", 7, 2):
+        "026b42aee1cd0ab5d9e0b2f41daa629d50921c2a7cd66bbcfa9d634dfc5e52d6",
+}
+
+
+def trajectory_digest(traj):
+    return hashlib.sha256(traj.times.tobytes() + traj.sources.tobytes()
+                          + traj.targets.tobytes()).hexdigest()
+
+
+def test_thinning_matches_golden_digests(family_fields):
+    for (name, seed, x0), digest in GOLDEN_T100.items():
+        traj = sim.simulate_thinning(family_fields[name], x0, 100.0, seed)
+        assert trajectory_digest(traj) == digest, (name, seed, x0)
+
+
+def test_thinning_matches_golden_digests_with_refills(family_fields, monkeypatch):
+    monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: (64, 256))
+    for (name, seed, x0), digest in GOLDEN_T700_REFILL.items():
+        traj = sim.simulate_thinning(family_fields[name], x0, 700.0, seed)
+        assert traj.candidates > 64 + 256, (name, seed, x0)
+        assert trajectory_digest(traj) == digest, (name, seed, x0)
+
+
+def test_chunk_sizes_are_bounded():
+    # the benchmark's seeded first chunks are under the cap and keep their sizes
+    assert sim._chunk_sizes(4.0, 40000.0) == (162416, 20000)
+    assert sim._chunk_sizes(4.0, 40.0)[0] == 251
+    assert sim._chunk_sizes(4.0, 1e12) == (2 ** 18, 2 ** 18)
+    # lam * horizon overflows to inf here; int(inf) would raise
+    assert sim._chunk_sizes(4.0, 1e308) == (2 ** 18, 2 ** 18)
+
+
+def candidate_count(field, x0, horizon, seed, path_index, sizes):
+    """Candidates at or before the horizon, from the path's raw draws."""
+    lam = (field.d - 1) * field.rate_upper
+    rng = sim.path_stream(seed, path_index)
+    t, count, n = 0.0, 0, sizes[0]
+    while True:
+        clocks = rng.standard_exponential(n).tolist()
+        rng.random(n)
+        rng.integers(0, field.d - 1, size=n)
+        for e in clocks:
+            t += e / lam
+            if t > horizon:
+                return count
+            count += 1
+        n = sizes[1]
+
+
+@pytest.mark.parametrize("sizes", [None, (64, 256)])
+def test_candidates_match_count_from_draws(family_fields, monkeypatch, sizes):
+    if sizes is not None:
+        monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: sizes)
+    for name, f in family_fields.items():
+        for i in range(3):
+            traj = sim.simulate_thinning(f, 2, 60.0, seed=11, path_index=i)
+            lam = (f.d - 1) * f.rate_upper
+            expected = candidate_count(f, 2, 60.0, 11, i, sim._chunk_sizes(lam, 60.0))
+            assert traj.candidates == expected, (name, i)
+            assert 0 < traj.n_jumps <= traj.candidates
+
+
+def test_batch_totals_jumps_and_candidates():
+    f = chemo_field()
+    b = sim.batch_simulate(f, 1, 20.0, 5, seed=4)
+    paths = [sim.simulate_thinning(f, 1, 20.0, seed=4, path_index=i) for i in range(5)]
+    assert b.jumps == sum(p.n_jumps for p in paths)
+    assert b.candidates == sum(p.candidates for p in paths)
+    affine = sim.batch_simulate(f, 1, 20.0, 3, seed=4, sampler="exact-affine")
+    assert affine.first_trajectory.candidates is None
+    assert affine.candidates is None
+    assert affine.jumps == sum(sim.simulate_exact_affine(f, 1, 20.0, seed=4, path_index=i)
+                               .n_jumps for i in range(3))
+    zero = sim.simulate_thinning(core.RateField.constant(np.zeros((2, 2))), 1, 5.0, seed=0)
+    assert zero.candidates == 0 and zero.sources.size == 0
+
+
+def test_writers_match_csv_writer_reference():
+    f = core.RateField.constant(
+        np.array([[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]]))
+    b = sim.batch_simulate(f, 2, 30.0, 5, seed=12, path_offset=3)
+    traj = b.first_trajectory
+    assert traj.n_jumps > 10
+
+    ref = io.StringIO()
+    w = csv.writer(ref)
+    w.writerow(["time", "from", "to"])
+    for t, s, d_ in zip(traj.times, traj.sources, traj.targets):
+        w.writerow([repr(float(t)), int(s), int(d_)])
+    got = io.StringIO()
+    sim.write_trajectory_csv(traj, got)
+    assert got.getvalue() == ref.getvalue()
+    assert got.getvalue().endswith("\r\n")
+
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    ref = io.StringIO()
+    w = csv.writer(ref)
+    w.writerow(["path", "seed_index", "L_1", "L_2", "L_3"]
+               + [f"R_edge{e + 1}" for e in range(len(pairs))])
+    for row, (pi, L, R) in enumerate(zip(b.path_indices, b.occupations, b.fluxes)):
+        w.writerow([row, int(pi)] + [repr(float(v)) for v in L]
+                   + [repr(float(R[i, j])) for i, j in pairs])
+    got = io.StringIO()
+    sim.write_batch_csv(b, got)
+    assert got.getvalue() == ref.getvalue()

@@ -178,7 +178,7 @@ def _cmd_dv_rate(args, cfg, seed):
     flux = ldp.as_flux(np.array(_need(target.flux, "target.flux")))
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
     if not np.isfinite(value):
-        reason = varsolve.flux_infeasibility(field, flux) or "no finite cost"
+        reason = varsolve.flux_infeasibility(field, flux, gamma) or "no finite cost"
         print(f"infeasible: {reason}", file=sys.stderr)
         return 1
     out.write_json("results.json", {"value": value, "gamma": gamma.tolist(),
@@ -284,7 +284,7 @@ def _cmd_mc_ldp(args, cfg, seed):
     mcc = _need(cfg.mc, "mc")
     target = BallTarget(np.array(mcc.center), mcc.radius)
     points = mc.decay_curve(field, mcc.x0, target, mcc.times, mcc.n_paths,
-                            seed=seed, sampler=mcc.sampler)
+                            seed=seed)
     if mcc.rate is not None:
         rate, rate_source = mcc.rate, "config"
     else:
@@ -352,8 +352,6 @@ def build_parser():
         p.add_argument("--out", default="out", help="output root (default: out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="deprecated and ignored; sampling runs in one thread")
         p.add_argument("--format", choices=("csv", "pretty"), default="pretty",
                        help="stdout rendering")
     return parser
@@ -361,9 +359,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        print("warning: --threads is deprecated and ignored; sampling runs in one thread",
-              file=sys.stderr)
     try:
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed

@@ -11,7 +11,7 @@ lists; arrays are built only when the field object is constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -234,30 +234,19 @@ def _parse_target(section, d, loc="target"):
     return TargetConfig(**kw)
 
 
-_SOLVER_KEYS = tuple(f.name for f in dataclass_fields(SolveOptions))
-# Smallest allowed value of each integer knob, and of the float knobs that
-# may reach a bound; every other float knob must be positive.
-_SOLVER_INTS = {"grid_cells": 2, "n_starts": 1, "penalty_rounds": 1, "inner_maxiter": 1}
-_SOLVER_FLOAT_MIN = {"grid_horizon": 1.0, "penalty_factor": 1.0, "balance_tol": 0.0,
-                     "rho_floor": 0.0, "early_stop_value": 0.0}
-
-
 def _parse_solver(section, loc="solver"):
     section = _require_map(section, loc)
-    _no_extras(section, _SOLVER_KEYS, loc)
+    _no_extras(section, ("grid_horizon", "grid_cells", "n_starts"), loc)
     kw = {}
-    for key, value in section.items():
-        where = f"{loc}.{key}"
-        if key in _SOLVER_INTS:
-            kw[key] = _integer(value, where, minimum=_SOLVER_INTS[key])
-            continue
-        x = _number(value, where)
-        low = _SOLVER_FLOAT_MIN.get(key)
-        if low is None and x <= 0:
-            raise errors.ConfigError(f"must be positive, got {x}", where)
-        if low is not None and x < low:
-            raise errors.ConfigError(f"must be >= {low}, got {x}", where)
-        kw[key] = x
+    if "grid_horizon" in section:
+        kw["grid_horizon"] = _number(section["grid_horizon"], f"{loc}.grid_horizon")
+        if kw["grid_horizon"] < 1.0:
+            raise errors.ConfigError(f"must be >= 1, got {kw['grid_horizon']}",
+                                     f"{loc}.grid_horizon")
+    if "grid_cells" in section:
+        kw["grid_cells"] = _integer(section["grid_cells"], f"{loc}.grid_cells", minimum=2)
+    if "n_starts" in section:
+        kw["n_starts"] = _integer(section["n_starts"], f"{loc}.n_starts", minimum=1)
     return kw
 
 
@@ -269,13 +258,11 @@ class McConfig:
     center: list
     radius: float
     rate: float | None = None
-    sampler: str = "thinning"
 
 
 def _parse_mc(section, d, loc="mc"):
     section = _require_map(section, loc)
-    _no_extras(section, ("x0", "times", "n_paths", "center", "radius", "rate",
-                         "sampler"), loc)
+    _no_extras(section, ("x0", "times", "n_paths", "center", "radius", "rate"), loc)
     for key in ("x0", "times", "n_paths", "center", "radius"):
         if key not in section:
             raise errors.ConfigError(f"missing {key!r}", loc)
@@ -294,14 +281,9 @@ def _parse_mc(section, d, loc="mc"):
     rate = None
     if "rate" in section:
         rate = _number(section["rate"], f"{loc}.rate")
-    sampler = section.get("sampler", "thinning")
-    if sampler not in SAMPLERS:
-        raise errors.ConfigError(
-            f"sampler must be one of {', '.join(SAMPLERS)}, got {sampler!r}",
-            f"{loc}.sampler")
     return McConfig(x0=x0, times=times, n_paths=_integer(section["n_paths"],
                     f"{loc}.n_paths", minimum=1), center=center, radius=radius,
-                    rate=rate, sampler=sampler)
+                    rate=rate)
 
 
 @dataclass(frozen=True)
@@ -365,46 +347,6 @@ def parse_config(raw):
     if "fixed_point" in raw:
         kw["fixed_point"] = _parse_fixed_point(raw["fixed_point"])
     return RunConfig(raw=raw, field=fc, seed=seed, **kw)
-
-
-def serialize(cfg):
-    """Rebuild a plain mapping from parsed sections.
-
-    Reparsing the result yields the same RunConfig up to defaults made
-    explicit, which is the round-trip contract for config echoes.
-    """
-    out = {"seed": cfg.seed}
-    fc = cfg.field
-    fd = {"family": fc.family}
-    for key in ("q0", "strength", "alpha", "beta", "generators", "vertices"):
-        value = getattr(fc, key)
-        if value is not None:
-            fd[key] = value
-    out["field"] = fd
-    if cfg.simulate is not None:
-        sc = cfg.simulate
-        out["simulate"] = {"x0": sc.x0, "horizon": sc.horizon,
-                           "n_paths": sc.n_paths, "sampler": sc.sampler}
-    if cfg.target is not None:
-        tc = cfg.target
-        out["target"] = {k: v for k, v in
-                         (("gamma", tc.gamma), ("flux", tc.flux),
-                          ("current", tc.current)) if v is not None}
-    if cfg.solver is not None:
-        out["solver"] = dict(cfg.solver)
-    if cfg.mc is not None:
-        mcc = cfg.mc
-        section = {"x0": mcc.x0, "times": mcc.times, "n_paths": mcc.n_paths,
-                   "center": mcc.center, "radius": mcc.radius,
-                   "sampler": mcc.sampler}
-        if mcc.rate is not None:
-            section["rate"] = mcc.rate
-        out["mc"] = section
-    if cfg.fixed_point is not None:
-        fp = cfg.fixed_point
-        out["fixed_point"] = {"tol": fp.tol, "max_iter": fp.max_iter,
-                              "n_starts": fp.n_starts}
-    return out
 
 
 def load_config(path):

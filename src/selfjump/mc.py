@@ -22,7 +22,7 @@ import numpy as np
 
 from . import errors
 from .core import SIMPLEX_TOL, as_simplex, l1_distance
-from .sim import _SAMPLERS, lockstep_thinning
+from .sim import lockstep_thinning
 
 Z_95 = 1.959963984540054
 
@@ -139,54 +139,40 @@ def _decay_point(t, hits, n, z):
     return DecayPoint(t, hits / n, lo, hi, n, False, -math.log(hits / n) / t)
 
 
-def _count_hits(field, x0, times, target, seed, sampler, n_paths):
+def _count_hits(field, x0, times, target, seed, n_paths):
     windowed = target.flux_window is not None
     hits = np.zeros(len(times), dtype=np.int64)
-    if sampler == "thinning":
-        for occ, flux in lockstep_thinning(field, x0, times, n_paths, seed,
-                                           with_flux=windowed):
-            for k in range(len(times)):
-                hits[k] += np.count_nonzero(
-                    target.hits(occ[k], flux[k] if windowed else None))
-        return hits
-    simulate = _SAMPLERS[sampler]
-    for i in range(n_paths):
-        traj = simulate(field, x0, times[-1], seed, path_index=i)
-        for k, t in enumerate(times):
-            flux = traj.flux_at(t) if windowed else None
-            if target.hit(traj.occupation_at(t), flux):
-                hits[k] += 1
+    for occ, flux in lockstep_thinning(field, x0, times, n_paths, seed,
+                                       with_flux=windowed):
+        for k in range(len(times)):
+            hits[k] += np.count_nonzero(
+                target.hits(occ[k], flux[k] if windowed else None))
     return hits
 
 
-def decay_curve(field, x0, target, times, n_paths, seed=0, sampler="thinning",
-                z=Z_95):
+def decay_curve(field, x0, target, times, n_paths, seed=0, z=Z_95):
     """Estimate P((L_t, R_t) hits target) for each time, one simulated path set.
 
     Returns a list of DecayPoint sorted by time.  Paths are independent
-    streams keyed by (seed, path index), so results grow consistently with
-    n_paths.  The thinning sampler advances blocks of paths in lockstep
+    thinning streams keyed by (seed, path index), so results grow
+    consistently with n_paths.  Blocks of paths advance in lockstep
     (``sim.lockstep_thinning``) with the same values as path-by-path runs.
     """
-    if sampler not in _SAMPLERS:
-        raise errors.ConfigError(f"unknown sampler {sampler!r}", location="sampler")
     n_paths = int(n_paths)
     if n_paths <= 0:
         raise errors.ZeroSamples("need at least one path")
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise errors.OutOfRange("times must be positive")
-    hits = _count_hits(field, x0, times, target, seed, sampler, n_paths)
+    hits = _count_hits(field, x0, times, target, seed, n_paths)
     return [_decay_point(t, int(h), n_paths, z) for t, h in zip(times, hits)]
 
 
-def estimate_ball_probability(field, x0, target, t, n_paths, seed=0,
-                              sampler="thinning", z=Z_95):
+def estimate_ball_probability(field, x0, target, t, n_paths, seed=0, z=Z_95):
     """Single-time estimate; see decay_curve."""
     if n_paths == 0:
         raise errors.ZeroSamples("need at least one path")
-    return decay_curve(field, x0, target, [t], n_paths, seed=seed,
-                       sampler=sampler, z=z)[0]
+    return decay_curve(field, x0, target, [t], n_paths, seed=seed, z=z)[0]
 
 
 @dataclass(frozen=True)

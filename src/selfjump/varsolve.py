@@ -50,8 +50,8 @@ from scipy.sparse.linalg import lsqr
 
 from . import errors
 from .core import as_simplex, edge_pairs, renormalize_simplex, uniform_simplex
-from .ldp import as_flux, ell, flux_balanced, scaled_ell, stationary_distribution, \
-    fixed_point_pi_star
+from .ldp import BALANCE_TOL, as_flux, ell, flux_balanced, scaled_ell, \
+    stationary_distribution, fixed_point_pi_star
 
 SUPPORT_TOL = 1e-12
 
@@ -330,28 +330,17 @@ def random_feasible_path(field, grid, seed=0):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the flux-variable augmented-Lagrangian solver.
+    """The control-path discretisation and the number of solver starts.
 
-    penalty_init is the initial penalty weight mu, penalty_factor its growth
-    per round, penalty_rounds the maximum number of multiplier rounds per
-    start and inner_maxiter the L-BFGS-B iterations per round.  The
-    tolerances govern status=converged; targets with a component below
-    rho_floor are solved at the floored interior target (status=boundary).
+    grid_horizon and grid_cells set the TimeGrid; n_starts (at most two
+    deterministic starts exist) bounds how many starts are tried.  The
+    augmented-Lagrangian schedule and the tolerances behind status=converged
+    are fixed module constants.
     """
 
     grid_horizon: float = 8.0
     grid_cells: int = 64
     n_starts: int = 2
-    penalty_init: float = 100.0
-    penalty_factor: float = 10.0
-    penalty_rounds: int = 6
-    inner_maxiter: int = 300
-    tol_marginal: float = 1e-5
-    tol_stationarity: float = 1e-5
-    tol_flux: float = 1e-5
-    balance_tol: float = 1e-10
-    rho_floor: float = 1e-6
-    early_stop_value: float = 1e-8
 
     def grid(self):
         return TimeGrid.uniform(self.grid_horizon, self.grid_cells)
@@ -375,6 +364,19 @@ class RateResult:
 
 
 _LOG_GUARD = 1e-300
+
+# Augmented-Lagrangian schedule: initial penalty weight, its growth per
+# multiplier round, rounds per start and L-BFGS-B iterations per round.
+_PENALTY_INIT = 100.0
+_PENALTY_FACTOR = 10.0
+_PENALTY_ROUNDS = 6
+_INNER_MAXITER = 300
+# Bound on the marginal, stationarity and flux residuals for status=converged.
+_TOL = 1e-5
+# Targets with a component below this are solved at the floored interior target.
+_RHO_FLOOR = 1e-6
+# A feasible start at or below this value ends the search.
+_EARLY_STOP = 1e-8
 
 
 class _FluxProblem:
@@ -497,21 +499,24 @@ def _starts(prob, field, mode, gamma, flux):
     yield prob.pack(pi, pi[:, None] * field.evaluate(pi))
 
 
-def _feasible(rd, opts):
-    return (rd["marginal"] <= opts.tol_marginal
-            and rd["stationarity"] <= opts.tol_stationarity
-            and rd["flux"] <= opts.tol_flux
+def _feasible(rd):
+    return (max(rd["marginal"], rd["stationarity"], rd["flux"]) <= _TOL
             and rd["support"] == 0)
 
 
-def _violation(rd, opts):
-    return max(rd["marginal"] / opts.tol_marginal,
-               rd["stationarity"] / opts.tol_stationarity,
-               rd["flux"] / opts.tol_flux,
+def _violation(rd):
+    return max(rd["marginal"] / _TOL, rd["stationarity"] / _TOL, rd["flux"] / _TOL,
                float(rd["support"]))
 
 
 def _minimize(field, mode, gamma, flux, current, opts):
+    """Best of the starts; a gamma with a component below _RHO_FLOOR is solved
+    at the floored interior target, and a converged solve there reports
+    status=boundary."""
+    floored = gamma is not None and float(gamma.min()) < _RHO_FLOOR
+    if floored:
+        gamma = np.clip(gamma, _RHO_FLOOR, None)
+        gamma = gamma / gamma.sum()
     prob = _FluxProblem(field, opts.grid(), mode, gamma=gamma, flux=flux,
                         current=current)
     bounds = [(0.0, None)] * prob.A.shape[1]
@@ -523,74 +528,69 @@ def _minimize(field, mode, gamma, flux, current, opts):
     starts = islice(_starts(prob, field, mode, gamma, flux), opts.n_starts)
     for si, u in enumerate(starts):
         lam = lsqr(prob.A.T, -prob.cost_u(u)[1], atol=1e-14, btol=1e-14)[0]
-        mu = opts.penalty_init
-        for _ in range(opts.penalty_rounds):
+        mu = _PENALTY_INIT
+        for _ in range(_PENALTY_ROUNDS):
             res = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
                            method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": opts.inner_maxiter, "maxcor": 25,
+                           options={"maxiter": _INNER_MAXITER, "maxcor": 25,
                                     "ftol": 1e-14, "gtol": 1e-9})
             u = res.x
             path = prob.path_from(u)
             rd = residuals(path, field, gamma=gamma, flux=flux, current=current)
-            if _violation(rd, opts) <= 0.01:
+            if _violation(rd) <= 0.01:
                 break
             lam = lam + mu * (prob.A @ u - prob.b)
-            mu *= opts.penalty_factor
+            mu *= _PENALTY_FACTOR
         value = jtilde(path, field)
-        feas = _feasible(rd, opts)
-        key = (not feas, value if feas else _violation(rd, opts), si)
+        feas = _feasible(rd)
+        key = (not feas, value if feas else _violation(rd), si)
         if best is None or key < best[0]:
             best = (key, si, value, path, rd)
-        if feas and value <= opts.early_stop_value:
+        if feas and value <= _EARLY_STOP:
             break
     _, si, value, path, rd = best
-    status = "converged" if _feasible(rd, opts) else "max_iter"
+    if not _feasible(rd):
+        status = "max_iter"
+    else:
+        status = "boundary" if floored else "converged"
     return RateResult(value, path, rd, status, best_start=si)
 
 
-def _boundary_target(gamma, opts):
-    gamma = as_simplex(gamma)
-    if float(gamma.min()) >= opts.rho_floor:
-        return gamma, False
-    floored = np.clip(gamma, opts.rho_floor, None)
-    return floored / floored.sum(), True
+def flux_infeasibility(field, flux, gamma):
+    """Why no path realises this edge flux at occupation gamma, or None.
 
-
-def flux_infeasibility(field, flux, balance_tol=1e-10):
-    """Why no path realises this edge flux, or None when the gates pass.
-
-    Every path flux is balanced and charges only edges in the field's
-    support; these two analytic gates are shared by solve_rate and dv-rate.
+    Every path flux is balanced, charges only edges in the field's support,
+    and leaves a state only at the rate that state is occupied; these
+    analytic gates are shared by solve_rate and dv-rate.
     """
-    if not flux_balanced(flux, balance_tol):
+    if not flux_balanced(flux):
         return "flux balance violated"
     off_support = ~field.support & ~np.eye(field.d, dtype=bool)
     if np.any(flux[off_support] > SUPPORT_TOL):
         return "flux charges edges off the support"
+    if np.any(flux[np.asarray(gamma) == 0.0] > SUPPORT_TOL):
+        return "flux leaves a state with zero occupation"
     return None
 
 
 def solve_rate(gamma, flux, field, opts=None):
     """Minimize the control cost at fixed occupation gamma and flux varsigma.
 
-    Analytic gates first: an imbalanced flux, or flux on edges the field
-    cannot charge, is infeasible with value +infinity.  A gamma with a
-    component below the rho floor is solved against the floored interior
-    target and flagged status=boundary.
+    Analytic gates first: an imbalanced flux, flux on edges the field cannot
+    charge, or flux out of a state gamma does not occupy is infeasible with
+    value +infinity.  A gamma with a component below the rho floor is solved
+    against the floored interior target and, once converged, flagged
+    status=boundary.
     """
     opts = opts or SolveOptions()
     gamma = as_simplex(gamma)
     flux = as_flux(flux)
     if gamma.size != field.d or flux.shape != (field.d, field.d):
         raise ValueError("dimension mismatch with the field")
-    reason = flux_infeasibility(field, flux, opts.balance_tol)
+    reason = flux_infeasibility(field, flux, gamma)
     if reason is not None:
         return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
-    target, boundary = _boundary_target(gamma, opts)
-    result = _minimize(field, "rate", target, flux, None, opts)
-    if boundary:
-        result.status = "boundary"
-    return result
+    return _minimize(field, "rate", gamma, flux, None, opts)
 
 
 def occupation_rate(gamma, field, opts=None):
@@ -599,11 +599,7 @@ def occupation_rate(gamma, field, opts=None):
     gamma = as_simplex(gamma)
     if gamma.size != field.d:
         raise ValueError("dimension mismatch with the field")
-    target, boundary = _boundary_target(gamma, opts)
-    result = _minimize(field, "occupation", target, None, None, opts)
-    if boundary:
-        result.status = "boundary"
-    return result
+    return _minimize(field, "occupation", gamma, None, None, opts)
 
 
 def current_rate(current, field, opts=None):
@@ -620,7 +616,7 @@ def current_rate(current, field, opts=None):
         raise ValueError("dimension mismatch with the field")
     if np.max(np.abs(current + current.T)) > 1e-12:
         raise ValueError("current must be antisymmetric")
-    if np.max(np.abs(current.sum(axis=1))) > opts.balance_tol:
+    if np.max(np.abs(current.sum(axis=1))) > BALANCE_TOL:
         return RateResult(float("inf"), None, {}, "infeasible",
                           detail="current is not divergence-free")
     pair_support = field.support | field.support.T

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from selfjump import cli, config, sim, varsolve
 
 UNIT_FIELD = {"family": "constant", "q0": [[-1.0, 1.0], [1.0, -1.0]]}
-FAST_SOLVER = {"n_starts": 2, "grid_cells": 16, "penalty_rounds": 4}
+FAST_SOLVER = {"n_starts": 2, "grid_cells": 16}
 
 
 def write_cfg(tmp_path, doc, name="run.yaml"):
@@ -87,6 +88,15 @@ def test_dv_rate_infeasible(tmp_path, capsys):
     assert "infeasible: flux balance violated" in capsys.readouterr().err
 
 
+def test_dv_rate_flux_out_of_unoccupied_state_is_infeasible(tmp_path, capsys):
+    doc = {"field": UNIT_FIELD,
+           "target": {"gamma": [1.0, 0.0], "flux": [[0.0, 1.0], [1.0, 0.0]]}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["dv-rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "infeasible: flux leaves a state with zero occupation" in err
+
+
 def test_dv_rate_rejects_interacting_field(tmp_path, capsys):
     doc = {"field": {"family": "autochemotaxis", "q0": [[-1.0, 1.0], [1.0, -1.0]],
                      "strength": 1.0},
@@ -111,30 +121,24 @@ def test_simulate_artifacts_and_determinism(tmp_path, capsys):
     assert only_run_dir(out_root, "simulate") == rd
     for name, blob in kept.items():
         assert (rd / name).read_bytes() == blob
-    # worker threads cannot change any artifact
-    capsys.readouterr()
-    assert run(["simulate", "--config", cfg, "--out", str(out_root),
-                "--threads", "3"]) == 0
-    assert (rd / "batch.csv").read_bytes() == kept["batch.csv"]
     manifest = json.loads((rd / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
     assert "batch.csv" in manifest["outputs"]
 
 
-def test_simulate_threads_flag_is_deprecated_no_op(tmp_path, capsys):
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 5,
            "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}
     cfg = write_cfg(tmp_path, doc)
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert "deprecated" not in capsys.readouterr().err
-    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "b"),
-                "--threads", "4"]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len([line for line in err if "--threads is deprecated" in line]) == 1
-    for name in ("batch.csv", "trajectory.csv"):
-        assert ((only_run_dir(tmp_path / "a", "simulate") / name).read_bytes()
-                == (only_run_dir(tmp_path / "b", "simulate") / name).read_bytes())
+    out_root = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--config", cfg, "--out", str(out_root), "--threads", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments: --threads 4" in err
+    assert "Traceback" not in err
+    assert not out_root.exists()
 
 
 def test_manifest_wall_time_covers_computation(tmp_path, capsys, monkeypatch):
@@ -299,28 +303,6 @@ def test_mc_ldp_with_config_rate(tmp_path, capsys):
     assert len(decay) == 3
 
 
-def test_config_round_trip():
-    doc = {"field": {"family": "congestion", "q0": [[-1.0, 1.0], [2.0, -2.0]],
-                     "alpha": [0.1, 0.2], "beta": [0.3, 0.4]},
-           "seed": 11,
-           "simulate": {"x0": 2, "horizon": 3.0, "n_paths": 4,
-                        "sampler": "exact-affine"},
-           "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 0.5], [0.5, 0.0]]},
-           "solver": {"n_starts": 3, "grid_cells": 8, "tol_flux": 1e-4},
-           "mc": {"x0": 1, "times": [1.0, 2.0], "n_paths": 5,
-                  "center": [0.5, 0.5], "radius": 0.2},
-           "fixed_point": {"tol": 1e-9, "n_starts": 2}}
-    cfg = config.parse_config(doc)
-    cfg2 = config.parse_config(config.serialize(cfg))
-    assert cfg2.field == cfg.field
-    assert cfg2.seed == cfg.seed
-    assert cfg2.simulate == cfg.simulate
-    assert cfg2.target == cfg.target
-    assert cfg2.solver == cfg.solver
-    assert cfg2.mc == cfg.mc
-    assert cfg2.fixed_point == cfg.fixed_point
-
-
 def test_rate_rerun_is_byte_identical(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 0,
            "target": {"gamma": [0.6, 0.4]}, "solver": dict(FAST_SOLVER)}
@@ -351,7 +333,7 @@ NAN = float("nan")
              "radius": 0.1}}, "mc.times[0]"),
     ({"solver": {"grid_horizon": 0.5}}, "solver.grid_horizon"),
     ({"solver": {"grid_cells": 1}}, "solver.grid_cells"),
-    ({"solver": {"tol_flux": -1}}, "solver.tol_flux"),
+    ({"solver": {"n_starts": 0}}, "solver.n_starts"),
     ({"solver": {"seed": 3}}, "solver: unknown key 'seed'"),
     ({"solver": {"h_floor": 1e-8}}, "solver: unknown key 'h_floor'"),
     ({"target": {"current": [[0.0, 1.0], [0.5, 0.0]]}}, "target.current"),
@@ -375,11 +357,29 @@ VALID_RUN = {
     "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2, "sampler": "thinning"},
     "target": {"gamma": [0.6, 0.4], "flux": [[0.0, 0.5], [0.5, 0.0]],
                "current": [[0.0, 0.0], [0.0, 0.0]]},
-    "solver": {"grid_cells": 8, "n_starts": 1, "tol_flux": 1e-4},
+    "solver": {"grid_horizon": 8.0, "grid_cells": 8, "n_starts": 1},
     "mc": {"x0": 1, "times": [1.0, 2.0], "n_paths": 5, "center": [0.5, 0.5],
            "radius": 0.2, "rate": 0.1},
     "fixed_point": {"tol": 1e-9, "max_iter": 20, "n_starts": 2},
 }
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "penalty_init", 100.0), ("solver", "penalty_factor", 10.0),
+    ("solver", "penalty_rounds", 6), ("solver", "inner_maxiter", 300),
+    ("solver", "tol_marginal", 1e-5), ("solver", "tol_stationarity", 1e-5),
+    ("solver", "tol_flux", 1e-5), ("solver", "balance_tol", 1e-10),
+    ("solver", "rho_floor", 1e-6), ("solver", "early_stop_value", 1e-8),
+    ("mc", "sampler", "thinning"),
+])
+def test_removed_knobs_exit_2(tmp_path, capsys, section, key, value):
+    full = copy.deepcopy(VALID_RUN)
+    full[section][key] = value
+    cfg = write_cfg(tmp_path, full)
+    assert run(["validate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: unknown key '{key}'")
+    assert "Traceback" not in err
+
 
 _numbers = st.one_of(
     st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True),
@@ -433,3 +433,17 @@ def test_validate_never_raises_on_mutated_run_files(edits):
             rc = cli.main(["validate", "--config", str(cfg)])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_benchmark_run_files_validate(tmp_path, capsys, monkeypatch, tiny):
+    # every run file the benchmark writes must stay a valid run file
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        job = workloads.make_job(name, workloads.DEFAULT_SEED, workdir, tiny=tiny)
+        config_path = job.argv[job.argv.index("--config") + 1]
+        assert run(["validate", "--config", config_path]) == 0, name
+        assert "config OK" in capsys.readouterr().out

@@ -216,8 +216,6 @@ def test_decay_curve_input_gates():
         mc.decay_curve(field, 1, target, [1.0], 0)
     with pytest.raises(errors.OutOfRange):
         mc.decay_curve(field, 1, target, [0.0, 1.0], 10)
-    with pytest.raises(errors.ConfigError):
-        mc.decay_curve(field, 1, target, [1.0], 10, sampler="magic")
 
 
 def test_two_seed_groups_agree_statistically():

@@ -60,9 +60,17 @@ class _Outputs:
         self.names = []
         self.t0 = time.monotonic()
 
+    def _write(self, name, text):
+        path = self.run_dir / name
+        try:
+            self.run_dir.mkdir(parents=True, exist_ok=True)
+            _atomic_write(path, text)
+        except OSError as exc:
+            raise errors.SelfJumpError(
+                f"cannot write {path}: {exc.strerror or exc}") from exc
+
     def write_text(self, name, text):
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.run_dir / name, text)
+        self._write(name, text)
         self.names.append(name)
 
     def write_json(self, name, obj):
@@ -88,8 +96,7 @@ class _Outputs:
             "wall_time_s": time.monotonic() - self.t0,
             "created": datetime.now(timezone.utc).isoformat(),
         }
-        _atomic_write(self.run_dir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     def note(self, fmt):
         stream = sys.stderr if fmt == "csv" else sys.stdout

@@ -13,6 +13,9 @@ with ell(r) = r log r - r + 1.
 Also here: stationary distributions of rate matrices, the self-consistent
 equilibrium of an occupation-dependent field (pi with pi Q(pi) = 0), its
 equilibrium flux, and the closed-form two-state occupation rate.
+
+ell and scaled_ell import scipy.special's xlogy when called, so sampling
+commands that never evaluate a cost do not load scipy.special.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import errors
 from .core import as_simplex, l1_distance, uniform_simplex, validate_generator
@@ -34,6 +36,8 @@ def ell(x):
 
     Accepts scalars or arrays; strictly convex, zero exactly at x = 1.
     """
+    from scipy.special import xlogy
+
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise errors.NegativeInput(f"ell needs x >= 0, got {x}")
@@ -49,6 +53,8 @@ def scaled_ell(q, h):
     Conventions: 0 * ell(h / 0) = +infinity for h > 0 and 0 for h = 0, the
     limits of the cost as the reference rate vanishes.  Vectorized.
     """
+    from scipy.special import xlogy
+
     qa = np.asarray(q, dtype=float)
     ha = np.asarray(h, dtype=float)
     if np.any(qa < 0) or np.any(ha < 0):

@@ -168,13 +168,6 @@ def decay_curve(field, x0, target, times, n_paths, seed=0, z=Z_95):
     return [_decay_point(t, int(h), n_paths, z) for t, h in zip(times, hits)]
 
 
-def estimate_ball_probability(field, x0, target, t, n_paths, seed=0, z=Z_95):
-    """Single-time estimate; see decay_curve."""
-    if n_paths == 0:
-        raise errors.ZeroSamples("need at least one path")
-    return decay_curve(field, x0, target, [t], n_paths, seed=seed, z=z)[0]
-
-
 @dataclass(frozen=True)
 class DecayComparison:
     """Decay curve against a variational rate.

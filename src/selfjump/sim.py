@@ -105,18 +105,6 @@ class Trajectory:
         np.add.at(counts, (self.sources[:k] - 1, self.targets[:k] - 1), 1.0)
         return counts / t
 
-    def current_at(self, t):
-        """Antisymmetric net flux R_t - R_t^T."""
-        r = self.flux_at(t)
-        return r - r.T
-
-    def state_at(self, t):
-        """Occupied state (1-based) at time t in [0, horizon]."""
-        if not 0.0 <= t <= self.horizon:
-            raise errors.OutOfRange(f"t={t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.times, t, side="right"))
-        return int(self.x0 if k == 0 else self.targets[k - 1])
-
     def holding_times(self):
         """Completed holding times (the censored final interval is dropped)."""
         return np.diff(np.concatenate(([0.0], self.times)))

@@ -35,6 +35,11 @@ from at most two deterministic starts.
 For a constant field the cost is jointly convex in (rho, j) and the
 minimizer is the constant path rho = gamma, j = varsigma, whose value is the
 level-2.5 rate; that identity is the primary cross-check of the solver.
+
+scipy's optimize and sparse modules are imported inside the functions that
+solve, so importing this module (and the CLI) does not load them.  The one
+name that forwards to scipy is ``minimize`` (scipy.optimize.minimize); the
+solver calls L-BFGS-B only through it.
 """
 
 from __future__ import annotations
@@ -44,14 +49,10 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import minimize
-from scipy.sparse.linalg import lsqr
 
 from . import errors
-from .core import as_simplex, edge_pairs, renormalize_simplex, uniform_simplex
-from .ldp import BALANCE_TOL, as_flux, ell, flux_balanced, scaled_ell, \
-    stationary_distribution, fixed_point_pi_star
+from .core import as_simplex, edge_pairs, uniform_simplex
+from .ldp import BALANCE_TOL, as_flux, flux_balanced, scaled_ell, fixed_point_pi_star
 
 SUPPORT_TOL = 1e-12
 
@@ -117,37 +118,6 @@ class ControlPath:
     H: np.ndarray
 
 
-def make_control_path(grid, rho, H, support=None):
-    """Validate and assemble a ControlPath.
-
-    Rows of rho within 1e-9 of the simplex are renormalized; H may be given
-    through its off-diagonal entries (diagonals are recomputed).  When a
-    support mask is given, off-support entries must vanish.
-    """
-    rho = np.asarray(rho, dtype=float)
-    H = np.asarray(H, dtype=float)
-    n_blocks = grid.n_cells + 1
-    if rho.ndim != 2 or rho.shape[0] != n_blocks:
-        raise ValueError(f"rho must have shape ({n_blocks}, d), got {rho.shape}")
-    d = rho.shape[1]
-    if H.shape != (n_blocks, d, d):
-        raise ValueError(f"H must have shape ({n_blocks}, {d}, {d}), got {H.shape}")
-    rho = np.vstack([renormalize_simplex(row) for row in rho])
-    H = H.copy()
-    for c in range(n_blocks):
-        np.fill_diagonal(H[c], 0.0)
-    if np.any(H < 0):
-        raise errors.NegativeOffDiagonal("H entries must be nonnegative")
-    if support is not None:
-        offmask = ~support & ~np.eye(d, dtype=bool)
-        if np.any(H[:, offmask] > SUPPORT_TOL):
-            raise errors.SupportMismatch("H charges an edge off the support")
-        H[:, offmask] = 0.0
-    for c in range(n_blocks):
-        np.fill_diagonal(H[c], -H[c].sum(axis=1))
-    return ControlPath(grid, rho, H)
-
-
 def m_from_rho(path):
     """Occupation profile M at the grid nodes, exactly integrated.
 
@@ -163,25 +133,6 @@ def m_from_rho(path):
     out[:-1] = np.exp(grid.nodes[:-1])[:, None] * suffix[:-1]
     out[-1] = path.rho[-1]
     return out
-
-
-def m_evolution_defect(path):
-    """Max defect of the discrete evolution identity M' = M - rho.
-
-    On each cell the exactly integrated M satisfies
-    M(s_{k+1}) - M(s_k) = integral of (M - rho_k) over the cell; this
-    returns the largest componentwise violation across cells (pure float
-    noise for any path, of order 1e-12 or below).
-    """
-    m = m_from_rho(path)
-    nodes = path.grid.nodes
-    delta = np.diff(nodes)[:, None]
-    decay = np.exp(-delta)
-    m_next = m[1:]
-    rho = path.rho[:-1]
-    cell_integral = m_next * (1.0 - decay) + rho * (delta - (1.0 - decay))
-    defect = m_next - m[:-1] - cell_integral + delta * rho
-    return float(np.max(np.abs(defect)))
 
 
 def _block_rates(field, m_blocks):
@@ -259,72 +210,6 @@ def residuals(path, field, gamma=None, flux=None, current=None):
     return out
 
 
-@dataclass(frozen=True)
-class ThetaPath:
-    """Product-form reweighting measure equivalent to a control path.
-
-    Per block: the marginal rho, a point mass at the per-edge multiplier
-    matrix v, and the uniform coordinate on [0, rate_upper].  v equals
-    H / Q(M) on edges with positive rate and 1 elsewhere, so the reweighting
-    cost coincides with the control cost term by term.
-    """
-
-    grid: TimeGrid
-    rho: np.ndarray
-    v: np.ndarray
-
-
-def convert_to_theta(path, field):
-    """Dirac-form reweighting of a feasible path (H = 0 wherever Q(M) = 0)."""
-    q = _block_rates(field, m_from_rho(path))
-    h_off = path.H.copy()
-    for c in range(h_off.shape[0]):
-        np.fill_diagonal(h_off[c], 0.0)
-    if np.any(h_off[q <= 0.0] > SUPPORT_TOL):
-        raise ValueError("path charges an edge with zero rate; no Dirac form")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(q > 0.0, h_off / np.where(q > 0.0, q, 1.0), 1.0)
-    for c in range(v.shape[0]):
-        np.fill_diagonal(v[c], 0.0)
-    return ThetaPath(path.grid, path.rho.copy(), v)
-
-
-def jtheta(theta, field):
-    """Reweighting cost: sum of w * rho(x) * Q_xy(M) * ell(v_xy) over blocks.
-
-    Uses the same block M as jtilde, so for theta obtained from
-    convert_to_theta the two values agree to float precision.
-    """
-    carrier = ControlPath(theta.grid, theta.rho, np.zeros_like(theta.v))
-    q = _block_rates(field, m_from_rho(carrier))
-    cost = q * ell(np.clip(theta.v, 0.0, None))
-    for c in range(cost.shape[0]):
-        np.fill_diagonal(cost[c], 0.0)
-    per_block = np.einsum("cx,cxy->c", theta.rho, cost)
-    return float(theta.grid.block_weights @ per_block)
-
-
-def random_feasible_path(field, grid, seed=0):
-    """Random path satisfying stationarity exactly on every block.
-
-    H is lognormal on the support and rho is the stationary distribution of
-    each block's H, so the path is feasible for its own read-off
-    (gamma, varsigma) = (M(0), path_flux).
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    d = field.d
-    n_blocks = grid.n_cells + 1
-    rho = np.empty((n_blocks, d))
-    H = np.zeros((n_blocks, d, d))
-    for c in range(n_blocks):
-        h = np.zeros((d, d))
-        h[field.support] = np.exp(0.5 * rng.standard_normal(int(field.support.sum())))
-        np.fill_diagonal(h, -h.sum(axis=1))
-        H[c] = h
-        rho[c] = stationary_distribution(h)
-    return ControlPath(grid, rho, H)
-
-
 # -- flux-variable minimization ----------------------------------------------
 
 
@@ -395,6 +280,8 @@ class _FluxProblem:
     """
 
     def __init__(self, field, grid, mode, gamma=None, flux=None, current=None):
+        from scipy import sparse
+
         d = field.d
         xs, ys = np.nonzero(field.support)
         self.grid, self.d = grid, d
@@ -486,6 +373,17 @@ class _FluxProblem:
         return ControlPath(self.grid, rho.copy(), H)
 
 
+def minimize(fun, x0, *args, **kwargs):
+    """scipy.optimize.minimize, imported on the first solve.
+
+    _minimize calls L-BFGS-B through this module-level name, so a caller can
+    wrap or replace ``varsolve.minimize`` to observe every inner solve.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, *args, **kwargs)
+
+
 def _starts(prob, field, mode, gamma, flux):
     """Deterministic starts, built on demand: the informed constant path
     (exactly feasible in rate mode), then the self-consistent equilibrium."""
@@ -513,6 +411,8 @@ def _minimize(field, mode, gamma, flux, current, opts):
     """Best of the starts; a gamma with a component below _RHO_FLOOR is solved
     at the floored interior target, and a converged solve there reports
     status=boundary."""
+    from scipy.sparse.linalg import lsqr
+
     floored = gamma is not None and float(gamma.min()) < _RHO_FLOOR
     if floored:
         gamma = np.clip(gamma, _RHO_FLOOR, None)

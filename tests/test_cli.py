@@ -4,6 +4,9 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -125,6 +128,26 @@ def test_simulate_artifacts_and_determinism(tmp_path, capsys):
     assert manifest["command"] == "simulate"
     assert manifest["seed"] == 5
     assert "batch.csv" in manifest["outputs"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0,
+                                                    "n_paths": 2}}),
+    ("dv-rate", {"field": UNIT_FIELD,
+                 "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 1.0], [1.0, 0.0]]}}),
+])
+def test_out_naming_a_file_exits_1_in_one_line(tmp_path, capsys, command, doc):
+    cfg = write_cfg(tmp_path, doc)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert run([command, "--config", cfg, "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {blocker}{os.sep}{command}{os.sep}")
+    assert lines[0].endswith(": Not a directory")
+    assert blocker.read_text() == ""
 
 
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
@@ -301,6 +324,55 @@ def test_mc_ldp_with_config_rate(tmp_path, capsys):
     decay = (rd / "decay.csv").read_text().splitlines()
     assert decay[0] == "t,p_hat,ci_low,ci_high,n,censored,neg_log_rate"
     assert len(decay) == 3
+
+
+SOLVER_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.special")
+
+# Runs in a fresh interpreter: which solver modules each stage leaves loaded,
+# and the occupation-rate value written by the last stage.
+IMPORT_PROBE = """
+import contextlib, json, sys
+out, cfg = sys.argv[1], sys.argv[2]
+heavy = %r
+loaded = lambda: [m for m in heavy if m in sys.modules]
+from selfjump import cli
+report = {"import": loaded()}
+with contextlib.redirect_stdout(sys.stderr):
+    codes = [cli.main([c, "--config", cfg, "--out", out])
+             for c in ("validate", "simulate", "fixed-point", "mc-ldp")]
+    report["sampling"] = loaded()
+    codes.append(cli.main(["occupation-rate", "--config", cfg, "--out", out]))
+report["solve"] = loaded()
+report["codes"] = codes
+print(json.dumps(report))
+""" % (SOLVER_MODULES,)
+
+
+def test_sampling_commands_do_not_load_the_solver_modules(tmp_path, capsys):
+    doc = {"field": {"family": "autochemotaxis", "q0": [[-2.0, 2.0], [1.0, -1.0]],
+                     "strength": 1.0},
+           "seed": 3,
+           "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 3},
+           "mc": {"x0": 1, "times": [2.0, 4.0], "n_paths": 20,
+                  "center": [0.5, 0.5], "radius": 0.3, "rate": 0.02},
+           "target": {"gamma": [0.6, 0.4]}, "solver": dict(FAST_SOLVER)}
+    cfg = write_cfg(tmp_path, doc)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "fresh"), cfg],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * 5
+    assert report["import"] == [] and report["sampling"] == []
+    assert report["solve"] == list(SOLVER_MODULES)
+    # the lazily imported solver gives the in-process value bit for bit
+    assert run(["occupation-rate", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
+    fresh, here = (json.loads((only_run_dir(tmp_path / root, "occupation-rate")
+                               / "results.json").read_text())["value"]
+                   for root in ("fresh", "here"))
+    assert fresh.hex() == here.hex()
 
 
 def test_rate_rerun_is_byte_identical(tmp_path, capsys):

@@ -36,6 +36,27 @@ def test_scaled_ell_edge_cases():
     assert ldp.scaled_ell(0.0, 0.3) == math.inf
 
 
+def test_ell_and_scaled_ell_are_the_xlogy_formula_bitwise():
+    # x * log(x) under np.where differs from xlogy in the last bit on some
+    # inputs, so any rewrite of the cost would move reported values
+    from scipy.special import xlogy
+
+    rng = np.random.default_rng(20260518)
+    edges = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                      3e-301, 1.0, 1e300, 5e299])
+    x = np.concatenate([edges, rng.uniform(0.0, 1.0, 200_000),
+                        rng.lognormal(0.0, 3.0, 20_000),
+                        10.0 ** rng.uniform(-300.0, 300.0, 20_000)])
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    assert np.array_equal(bits(ldp.ell(x)), bits(xlogy(x, x) - x + 1.0))
+    for v in edges:
+        assert bits(ldp.ell(float(v))) == bits(xlogy(v, v) - v + 1.0)
+    q, h = x, rng.permutation(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = xlogy(h, h) - xlogy(h, q) + q - h
+    assert np.array_equal(bits(ldp.scaled_ell(q, h)), bits(want))
+
+
 def test_flux_validation_and_balance():
     f = ldp.as_flux([[5.0, 0.3], [0.3, 0.0]])
     assert f[0, 0] == 0.0  # diagonal carries no flux

@@ -81,7 +81,7 @@ def test_ball_target_flux_window():
 
 def test_radius_two_hits_everything():
     t = mc.BallTarget(np.array([1.0, 0.0]), 2.0)
-    p = mc.estimate_ball_probability(unit_field(), 1, t, 5.0, 50, seed=0)
+    p = mc.decay_curve(unit_field(), 1, t, [5.0], 50, seed=0)[0]
     assert p.p_hat == 1.0
     assert not p.censored
 
@@ -89,13 +89,13 @@ def test_radius_two_hits_everything():
 def test_censoring_iff_zero_hits():
     # a tiny ball at a corner is unreachable from equilibrium at long t
     corner = mc.BallTarget(np.array([1.0, 0.0]), 0.01)
-    p = mc.estimate_ball_probability(unit_field(), 1, corner, 50.0, 40, seed=1)
+    p = mc.decay_curve(unit_field(), 1, corner, [50.0], 40, seed=1)[0]
     assert p.p_hat == 0.0
     assert p.censored
     assert p.neg_log_rate == pytest.approx(-math.log(1.0 / 40) / 50.0)
     assert p.ci_low == 0.0
     easy = mc.BallTarget(np.array([0.5, 0.5]), 0.5)
-    q = mc.estimate_ball_probability(unit_field(), 1, easy, 50.0, 40, seed=1)
+    q = mc.decay_curve(unit_field(), 1, easy, [50.0], 40, seed=1)[0]
     assert q.p_hat > 0.0
     assert not q.censored
     assert q.neg_log_rate == pytest.approx(-math.log(q.p_hat) / 50.0)
@@ -108,13 +108,13 @@ def test_nested_radii_monotone_on_shared_paths():
     for radius in (0.05, 0.1, 0.2, 0.4):
         t = mc.BallTarget(np.array([0.6, 0.4]), radius)
         p_hats.append(
-            mc.estimate_ball_probability(field, 1, t, 20.0, 200, seed=3).p_hat)
+            mc.decay_curve(field, 1, t, [20.0], 200, seed=3)[0].p_hat)
     assert all(a <= b for a, b in zip(p_hats, p_hats[1:]))
 
 
 def test_concentration_at_equilibrium():
     t = mc.BallTarget(np.array([0.5, 0.5]), 0.2)
-    p = mc.estimate_ball_probability(unit_field(), 1, t, 200.0, 500, seed=2)
+    p = mc.decay_curve(unit_field(), 1, t, [200.0], 500, seed=2)[0]
     assert p.p_hat >= 0.9
 
 
@@ -126,7 +126,7 @@ def test_decay_curve_shared_paths_and_sorting():
     for p in pts:
         assert p.n == 300
         assert p.ci_low <= p.p_hat <= p.ci_high
-    single = mc.estimate_ball_probability(field, 1, target, 30.0, 300, seed=4)
+    single = mc.decay_curve(field, 1, target, [30.0], 300, seed=4)[0]
     assert single == pts[-1]
 
 
@@ -221,8 +221,8 @@ def test_decay_curve_input_gates():
 def test_two_seed_groups_agree_statistically():
     field = unit_field()
     target = mc.BallTarget(np.array([0.6, 0.4]), 0.2)
-    a = mc.estimate_ball_probability(field, 1, target, 30.0, 400, seed=10)
-    b = mc.estimate_ball_probability(field, 1, target, 30.0, 400, seed=11)
+    a = mc.decay_curve(field, 1, target, [30.0], 400, seed=10)[0]
+    b = mc.decay_curve(field, 1, target, [30.0], 400, seed=11)[0]
     se = math.sqrt(a.p_hat * (1 - a.p_hat) / 400 + b.p_hat * (1 - b.p_hat) / 400)
     assert abs(a.p_hat - b.p_hat) <= 4.0 * se + 1e-12
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from selfjump import core, errors, ldp, varsolve
-from selfjump.varsolve import (ControlPath, SolveOptions, TimeGrid,
-                               convert_to_theta, jtheta, jtilde,
-                               m_evolution_defect, m_from_rho,
-                               make_control_path, random_feasible_path,
-                               residuals)
+from control_paths import (constant_path, m_evolution_defect, random_feasible_path,
+                           reweighting_cost)
+from selfjump import core, ldp, varsolve
+from selfjump.varsolve import ControlPath, SolveOptions, TimeGrid, jtilde, m_from_rho, \
+    residuals
 
 TWO_LOG_TWO_MINUS_ONE = 2.0 * np.log(2.0) - 1.0
 
@@ -20,13 +19,6 @@ def unit_field():
 def ring_field():
     q0 = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
     return core.RateField.constant(q0)
-
-
-def constant_path(grid, rho_row, h_full):
-    nb = grid.n_cells + 1
-    rho = np.tile(np.asarray(rho_row, dtype=float), (nb, 1))
-    H = np.tile(np.asarray(h_full, dtype=float), (nb, 1, 1))
-    return make_control_path(grid, rho, H)
 
 
 def dv_anchor_path(grid):
@@ -136,49 +128,25 @@ def test_residuals_stationarity_hand_value():
     assert rd["flux"] == 0.0
 
 
-def test_convert_to_theta_anchor_multiplier():
-    path = dv_anchor_path(TimeGrid.uniform(8.0, 16))
-    theta = convert_to_theta(path, unit_field())
-    off = ~np.eye(2, dtype=bool)
-    assert np.allclose(theta.v[:, off], 2.0, atol=1e-14)
-
-
-def test_convert_to_theta_suppressed_edge():
-    h = np.array([[0.0, 0.0], [1.0, -1.0]])
-    path = constant_path(TimeGrid.uniform(4.0, 8), [0.5, 0.5], h)
-    theta = convert_to_theta(path, unit_field())
-    assert np.allclose(theta.v[:, 0, 1], 0.0)
-    assert np.allclose(theta.v[:, 1, 0], 1.0)
-
-
-def test_convert_to_theta_rejects_dead_edge_charge():
-    q0 = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
-    f = core.RateField.constant(q0)
-    h = np.array([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
-    path = constant_path(TimeGrid.uniform(4.0, 8), np.full(3, 1 / 3), h)
-    with pytest.raises(ValueError):
-        convert_to_theta(path, f)
-
-
-def test_jtheta_matches_jtilde_on_random_paths():
+def test_reweighting_cost_matches_jtilde_on_random_paths():
     f = ring_field()
     g = TimeGrid.uniform(8.0, 24)
     for seed in range(20):
         path = random_feasible_path(f, g, seed=seed)
         a = jtilde(path, f)
-        b = jtheta(convert_to_theta(path, f), f)
+        b = reweighting_cost(path, f)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def test_jtheta_hand_values():
+def test_jtilde_hand_values():
     f = unit_field()
     g = TimeGrid.uniform(4.0, 8)
     follow = constant_path(g, [0.5, 0.5], f.evaluate([0.5, 0.5]))
-    assert jtheta(convert_to_theta(follow, f), f) == pytest.approx(0.0, abs=1e-15)
-    # v = 0 everywhere costs ell(0) = 1 per unit of rate mass
-    suppress = convert_to_theta(
-        constant_path(g, [0.5, 0.5], np.zeros((2, 2))), f)
-    assert jtheta(suppress, f) == pytest.approx(1.0, abs=1e-13)
+    assert jtilde(follow, f) == pytest.approx(0.0, abs=1e-15)
+    # H = 0 everywhere costs ell(0) = 1 per unit of rate mass
+    suppress = constant_path(g, [0.5, 0.5], np.zeros((2, 2)))
+    assert jtilde(suppress, f) == pytest.approx(1.0, abs=1e-13)
+    assert reweighting_cost(suppress, f) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_flux_cost_gradient_finite_difference():
@@ -369,25 +337,6 @@ def test_random_feasible_path_is_stationary():
     assert rd["stationarity"] <= 1e-12
     assert rd["support"] == 0
     assert np.max(np.abs(path.rho.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_make_control_path_validation():
-    g = TimeGrid.uniform(4.0, 8)
-    nb = g.n_cells + 1
-    rho = np.tile([0.6, 0.6], (nb, 1))
-    with pytest.raises(ValueError):
-        make_control_path(g, rho, np.zeros((nb, 2, 2)))
-    rho = np.tile([0.5, 0.5], (nb, 1))
-    h = np.zeros((nb, 2, 2))
-    h[:, 0, 1] = -1.0
-    with pytest.raises(errors.NegativeOffDiagonal):
-        make_control_path(g, rho, h)
-    h = np.zeros((nb, 2, 2))
-    h[:, 0, 1] = 1.0
-    support = np.zeros((2, 2), dtype=bool)
-    support[1, 0] = True
-    with pytest.raises(errors.SupportMismatch):
-        make_control_path(g, rho, h, support=support)
 
 
 def test_occupation_rate_benchmark_field_not_above_penalty_solver():

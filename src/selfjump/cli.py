@@ -51,12 +51,16 @@ class _Outputs:
     """Collects artifacts for one run directory and writes the manifest last.
 
     Commands create it on entry, so the manifest's wall time covers the
-    computation; the directory itself appears with the first artifact.
+    computation; the directory itself appears with the first artifact.  An
+    --out that runs through a file fails here, before any computation.
     """
 
     def __init__(self, args, command, cfg, seed):
         self.effective = _effective(cfg, command, seed)
         self.run_dir = _run_dir(args.out, command, self.effective)
+        ancestor = next(p for p in (self.run_dir, *self.run_dir.parents) if p.exists())
+        if not ancestor.is_dir():
+            raise errors.SelfJumpError(f"cannot write {self.run_dir}: Not a directory")
         self.names = []
         self.t0 = time.monotonic()
 

@@ -47,33 +47,8 @@ def as_simplex(w, tol=SIMPLEX_TOL):
     return w
 
 
-def renormalize_simplex(w, slack=1e-9):
-    """Repair a vector that is within ``slack`` of the simplex.
-
-    Components at least -slack are clipped to zero and the result is divided
-    by its sum.  Inputs further away are rejected.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w < -slack):
-        raise ValueError(f"component below -{slack:g}: {w}")
-    s = float(w.sum())
-    if abs(s - 1.0) > slack:
-        raise ValueError(f"components sum to {s!r}, not 1 within {slack:g}")
-    w = np.clip(w, 0.0, None)
-    return w / w.sum()
-
-
 def uniform_simplex(d):
     return np.full(d, 1.0 / d)
-
-
-def dirac(d, label):
-    """Point mass at the state with the given 1-based label."""
-    if not 1 <= label <= d:
-        raise errors.InvalidState(f"state label {label} outside 1..{d}")
-    w = np.zeros(d)
-    w[label - 1] = 1.0
-    return w
 
 
 def l1_distance(g1, g2):

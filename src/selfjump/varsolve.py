@@ -30,7 +30,9 @@ Bertini, Faggionato and Gabrielli (AIHP 2015), and every constraint above
 is linear: (a) and (d) are weighted sums over blocks, (c) says each block's
 j is divergence-free, and the simplex rows of rho are sums.  With rho, j >= 0
 as L-BFGS-B bounds, one augmented Lagrangian enforces the linear system,
-from at most two deterministic starts.
+from at most two deterministic starts.  A state that gamma leaves empty has
+its rho and the flux on its edges bounded to zero, so targets on the faces
+of the simplex are the same problem.
 
 For a constant field the cost is jointly convex in (rho, j) and the
 minimizer is the constant path rho = gamma, j = varsigma, whose value is the
@@ -237,7 +239,7 @@ class RateResult:
 
     value is jtilde of the returned path (infinite for analytic
     infeasibility, where path is None).  status is one of converged,
-    infeasible, max_iter, boundary; detail explains infeasibility.
+    infeasible, max_iter; detail explains infeasibility.
     """
 
     value: float
@@ -258,8 +260,6 @@ _PENALTY_ROUNDS = 6
 _INNER_MAXITER = 300
 # Bound on the marginal, stationarity and flux residuals for status=converged.
 _TOL = 1e-5
-# Targets with a component below this are solved at the floored interior target.
-_RHO_FLOOR = 1e-6
 # A feasible start at or below this value ends the search.
 _EARLY_STOP = 1e-8
 
@@ -385,10 +385,20 @@ def minimize(fun, x0, *args, **kwargs):
 
 
 def _starts(prob, field, mode, gamma, flux):
-    """Deterministic starts, built on demand: the informed constant path
-    (exactly feasible in rate mode), then the self-consistent equilibrium."""
+    """Deterministic starts, built on demand: the informed constant path at
+    rho = gamma, then the self-consistent equilibrium.
+
+    The informed flux is the target flux in rate mode and otherwise the
+    balanced flux j_xy = sqrt(gamma_x Q_xy(gamma) gamma_y Q_yx(gamma)): it is
+    symmetric, hence divergence-free, and zero on every edge at an empty
+    state, so the informed start is exactly feasible in both modes.
+    """
     if gamma is not None:
-        j = flux if mode == "rate" else gamma[:, None] * field.evaluate(gamma)
+        if mode == "rate":
+            j = flux
+        else:
+            p = gamma[:, None] * field.evaluate(gamma)
+            j = np.sqrt(np.clip(p * p.T, 0.0, None))
         yield prob.pack(gamma, j)
     try:
         pi = fixed_point_pi_star(field, tol=1e-11, max_iter=400).pi
@@ -408,18 +418,21 @@ def _violation(rd):
 
 
 def _minimize(field, mode, gamma, flux, current, opts):
-    """Best of the starts; a gamma with a component below _RHO_FLOOR is solved
-    at the floored interior target, and a converged solve there reports
-    status=boundary."""
+    """Best of the starts.
+
+    A state with gamma_x = 0 is pinned: its rho_c(x) and the flux on every
+    edge at x get the bounds (0, 0), so an edge from an occupied y into x
+    costs exactly its killing term rho_y Q_yx(M).  Faces and vertices of the
+    simplex are solved as they stand, by the same path as interior targets.
+    """
     from scipy.sparse.linalg import lsqr
 
-    floored = gamma is not None and float(gamma.min()) < _RHO_FLOOR
-    if floored:
-        gamma = np.clip(gamma, _RHO_FLOOR, None)
-        gamma = gamma / gamma.sum()
     prob = _FluxProblem(field, opts.grid(), mode, gamma=gamma, flux=flux,
                         current=current)
-    bounds = [(0.0, None)] * prob.A.shape[1]
+    empty = np.zeros(field.d, dtype=bool) if gamma is None else gamma == 0.0
+    pinned = np.concatenate([np.tile(empty, prob.nb),
+                             np.tile(empty[prob.xs] | empty[prob.ys], prob.nb)])
+    bounds = [(0.0, 0.0) if p else (0.0, None) for p in pinned]
 
     # Each start ends in one candidate: feasible ones are scored by value,
     # infeasible ones by scaled violation.  Multiplier rounds only tighten
@@ -449,10 +462,7 @@ def _minimize(field, mode, gamma, flux, current, opts):
         if feas and value <= _EARLY_STOP:
             break
     _, si, value, path, rd = best
-    if not _feasible(rd):
-        status = "max_iter"
-    else:
-        status = "boundary" if floored else "converged"
+    status = "converged" if _feasible(rd) else "max_iter"
     return RateResult(value, path, rd, status, best_start=si)
 
 
@@ -478,9 +488,8 @@ def solve_rate(gamma, flux, field, opts=None):
 
     Analytic gates first: an imbalanced flux, flux on edges the field cannot
     charge, or flux out of a state gamma does not occupy is infeasible with
-    value +infinity.  A gamma with a component below the rho floor is solved
-    against the floored interior target and, once converged, flagged
-    status=boundary.
+    value +infinity.  A gamma on a face of the simplex is solved exactly,
+    with its empty states pinned (see _minimize).
     """
     opts = opts or SolveOptions()
     gamma = as_simplex(gamma)

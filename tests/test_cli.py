@@ -150,6 +150,24 @@ def test_out_naming_a_file_exits_1_in_one_line(tmp_path, capsys, command, doc):
     assert blocker.read_text() == ""
 
 
+def test_out_naming_a_file_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    calls = []
+    batch_simulate = sim.batch_simulate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return batch_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "batch_simulate", spy)
+    doc = {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}
+    cfg = write_cfg(tmp_path, doc)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert run(["simulate", "--config", cfg, "--out", str(blocker)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.endswith(": Not a directory\n")
+
+
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 5,
            "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}

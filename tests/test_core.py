@@ -19,22 +19,6 @@ def test_as_simplex_accepts_and_rejects():
         core.as_simplex([-0.1, 1.1])
 
 
-def test_renormalize_simplex_slack():
-    g = core.renormalize_simplex([0.5, 0.5 + 1e-10])
-    assert abs(g.sum() - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        core.renormalize_simplex([0.5, 0.6])
-
-
-def test_dirac_one_based():
-    assert core.dirac(3, 1).tolist() == [1.0, 0.0, 0.0]
-    assert core.dirac(3, 3).tolist() == [0.0, 0.0, 1.0]
-    with pytest.raises(errors.InvalidState):
-        core.dirac(3, 0)
-    with pytest.raises(errors.InvalidState):
-        core.dirac(3, 4)
-
-
 def test_validate_generator():
     core.validate_generator(np.array([[-1.0, 1.0], [2.0, -2.0]]))
     with pytest.raises(errors.NegativeOffDiagonal):

@@ -243,13 +243,56 @@ def test_solve_rate_gates():
 
 
 def test_solve_rate_boundary_flag():
-    # no flux at gamma = delta_1: the floored target is solved and matches
-    # the closed form Q_12 = 1
+    # no flux at gamma = delta_1: state 2 is pinned empty, the solve converges
+    # and the value is the killing cost of the edge into it, Q_12 = 1
     res = varsolve.solve_rate([1.0, 0.0], np.zeros((2, 2)), unit_field(), FAST)
-    assert res.status == "boundary"
+    assert res.status == "converged"
     dv = ldp.dv_rate(unit_field().vertices[0], [1.0, 0.0], np.zeros((2, 2)))
     assert dv == 1.0
-    assert res.value == pytest.approx(dv, abs=1e-5)
+    assert res.value == pytest.approx(dv, abs=1e-6)
+
+
+@pytest.mark.parametrize("g2", [1e-8, 1e-12])
+def test_solve_rate_near_the_boundary_matches_closed_form(g2):
+    gamma = np.array([1.0 - g2, g2])
+    flux = np.array([[0.0, 0.5], [0.5, 0.0]])
+    res = varsolve.solve_rate(gamma, flux, unit_field())
+    assert res.status == "converged"
+    dv = ldp.dv_rate(unit_field().vertices[0], gamma, flux)
+    assert res.value == pytest.approx(dv, abs=1e-6)
+
+
+@pytest.mark.parametrize("g2", [0.0, 1e-6, 1e-8, 1e-12])
+def test_occupation_rate_near_the_boundary_matches_closed_form(g2):
+    gamma = np.array([1.0 - g2, g2])
+    res = varsolve.occupation_rate(gamma, unit_field())
+    assert res.status == "converged"
+    closed = ldp.dv_occupation_rate_2state(unit_field().vertices[0], gamma)
+    assert res.value == pytest.approx(closed, abs=1e-6)
+
+
+THREE_STATE_Q0 = np.array([[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]])
+
+
+def test_occupation_rate_on_a_face_of_the_simplex():
+    # state 3 empty: the two-state rate on {1, 2} plus the killing cost of
+    # the edges into 3
+    q = THREE_STATE_Q0
+    g = np.array([0.5, 0.5, 0.0])
+    closed = ((np.sqrt(g[0] * q[0, 1]) - np.sqrt(g[1] * q[1, 0])) ** 2
+              + g[0] * q[0, 2] + g[1] * q[1, 2])
+    res = varsolve.occupation_rate(g, core.RateField.constant(q))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(closed, abs=1e-6)
+    assert np.all(res.path.rho[:, 2] == 0.0)
+
+
+def test_occupation_rate_at_a_three_state_vertex():
+    # at delta_3 every path stays in 3; the cost is the total exit rate
+    res = varsolve.occupation_rate([0.0, 0.0, 1.0],
+                                   core.RateField.constant(THREE_STATE_Q0))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(-THREE_STATE_Q0[2, 2], abs=1e-6)
 
 
 def test_solve_rate_flux_out_of_unoccupied_state_is_infeasible():
@@ -262,15 +305,43 @@ def test_solve_rate_flux_out_of_unoccupied_state_is_infeasible():
 
 
 def test_boundary_status_only_for_converged_solves():
-    # the floored target next to delta_1 on the benchmark field does not
-    # converge with the default options; it must not read as boundary
+    # a target on the boundary reads converged, at its exact value: at
+    # delta_1 on the benchmark field the only cost is the killing term
+    # Q_12(delta_1) = 2 of the edge into the empty state
     chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
                                           strength=1.0)
     res = varsolve.occupation_rate([1.0, 0.0], chemo)
-    rd = res.residuals
-    converged = (max(rd["marginal"], rd["stationarity"], rd["flux"]) <= 1e-5
-                 and rd["support"] == 0)
-    assert res.status == ("boundary" if converged else "max_iter")
+    assert res.status == "converged"
+    assert res.value == pytest.approx(chemo.evaluate([1.0, 0.0])[0, 1], abs=1e-6)
+    assert res.value == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("q0, strength, gamma", [
+    ([[-1.0, 1.0], [1.5, -1.5]], 6.0, [0.15, 0.85]),
+    ([[-1.0, 1.0], [1.0, -1.0]], 10.0, [0.05, 0.95]),
+])
+def test_occupation_rate_converges_on_strong_interactions(q0, strength, gamma):
+    field = core.RateField.autochemotaxis(np.array(q0), strength=strength)
+    res = varsolve.occupation_rate(gamma, field)
+    assert res.status == "converged"
+    assert res.value == jtilde(res.path, field)
+
+
+@pytest.mark.parametrize("field, gamma", [
+    (core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                   strength=1.0), [0.6, 0.4]),
+    (core.RateField.constant(THREE_STATE_Q0), [0.2, 0.3, 0.5]),
+    (core.RateField.constant(THREE_STATE_Q0), [0.5, 0.5, 0.0]),
+])
+def test_occupation_start_is_exactly_feasible(field, gamma):
+    gamma = np.array(gamma)
+    prob = varsolve._FluxProblem(field, TimeGrid.uniform(8.0, 16), "occupation",
+                                 gamma=gamma)
+    start = next(varsolve._starts(prob, field, "occupation", gamma, None))
+    rd = residuals(prob.path_from(start), field, gamma=gamma)
+    assert rd["marginal"] <= 1e-12
+    assert rd["stationarity"] <= 1e-12
+    assert rd["support"] == 0
 
 
 def test_occupation_rate_two_state_closed_form():

@@ -162,8 +162,8 @@ def decay_curve(field, x0, target, times, n_paths, seed=0, z=Z_95):
     if n_paths <= 0:
         raise errors.ZeroSamples("need at least one path")
     times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0:
-        raise errors.OutOfRange("times must be positive")
+    if not times or times[0] <= 0.0 or not all(map(math.isfinite, times)):
+        raise errors.OutOfRange("times must be positive and finite")
     hits = _count_hits(field, x0, times, target, seed, n_paths)
     return [_decay_point(t, int(h), n_paths, z) for t, h in zip(times, hits)]
 

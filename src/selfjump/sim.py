@@ -36,10 +36,18 @@ bit-identical to ``simulate_thinning`` followed by ``occupation_at`` /
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
+Path i's stream is Philox under the key numpy's
+``SeedSequence(entropy=seed mod 2**64, spawn_key=(i,))`` generates;
+``_stream_keys`` computes those keys for a whole block of paths in one
+vectorised pass of SeedSequence's hash, which numpy's stream-compatibility
+policy keeps fixed: the seed's words are mixed once per seed, and only the
+index words per path.  A lockstep block then resets one Philox generator to
+each path's fresh stream instead of building a generator per path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -51,11 +59,85 @@ _NEWTON_MAX = 64
 _ROOT_TOL = 1e-12
 
 
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the multipliers of SeedSequence's mix
+
+
+def _hash_consts(init, mult, n):
+    """The first n + 1 constants SeedSequence's hashmix steps through."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+# hashmix constants of entropy mixing (4 seed words, 12 cross-mixes of the
+# pool, then 4 per index word) and of state generation (4 pool words)
+_MIXING = _hash_consts(0x43B0D7E5, 0x931E8875, 24)
+_GENERATION = _hash_consts(0x8B51F9DD, 0x58F38DED, 4)
+
+
+def _hashmix(value, const, next_const):
+    """SeedSequence's hashmix on uint32 arrays, whose products wrap mod 2**32."""
+    value = (value ^ const) * next_const
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed):
+    """SeedSequence's four-word pool after the words of ``seed`` (in [0, 2**64)).
+
+    The seed's two 32-bit words, zero-padded to the pool size, come first
+    in every path's entropy, so this pool is shared by all paths of a seed.
+    Read-only, as the cache hands it to every caller.
+    """
+    m = _MIXING
+    pool = _hashmix(np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32),
+                    m[:4], m[1:5])
+    for src in range(4):
+        # hashmix calls 4 + 3 src .. 6 + 3 src mix pool[src] into the others
+        k = 4 + 3 * src
+        others = np.arange(4) != src
+        pool[others] = _mix(pool[others], _hashmix(pool[src], m[k:k + 3], m[k + 1:k + 4]))
+    pool.flags.writeable = False
+    return pool
+
+
+def _stream_keys(seed, indices):
+    """Philox keys of the streams of paths ``indices``, as an (n, 2) uint64 array.
+
+    Row k is ``SeedSequence(entropy=seed mod 2**64, spawn_key=(indices[k],))
+    .generate_state(2, np.uint64)``, for indices in [0, 2**64).  The index
+    words (the low one, and the high one from 2**32 on) are mixed into
+    every path's copy of the seed's pool at once.
+    """
+    idx = np.asarray(indices).reshape(-1)
+    if idx.min(initial=0) < 0:
+        raise ValueError("path indices must be nonnegative")
+    idx = idx.astype(np.uint64)
+    pool = _seed_pool(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    # one row per path and one column per pool word; hashmix calls 16-19
+    # mix in the low index word, 20-23 the high one
+    m = _MIXING
+    low = idx.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
+    pool = _mix(pool, _hashmix(low, m[16:20], m[17:21]))
+    if idx.max(initial=0) > _MASK32:
+        high = (idx >> 32).astype(np.uint32)[:, None]
+        pool = np.where(high != 0, _mix(pool, _hashmix(high, m[20:24], m[21:25])), pool)
+    g = _GENERATION
+    # numpy's own little-endian pairing of the four state words
+    return _hashmix(pool, g[:4], g[1:]).astype("<u4").view("<u8").astype(np.uint64)
+
+
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
-    entropy = int(seed) & 0xFFFFFFFFFFFFFFFF
-    ss = np.random.SeedSequence(entropy=entropy, spawn_key=(int(path_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    key = _stream_keys(seed, [int(path_index)])[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -198,8 +280,8 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     """
     x0 = _check_x0(field, x0)
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     d = field.d
     c = field.rate_upper
     lam = (d - 1) * c
@@ -303,8 +385,8 @@ def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
     """Exact trajectory by closed-form inversion of the affine exit hazard."""
     x0 = _check_x0(field, x0)
     horizon = float(horizon)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     d = field.d
     rng = path_stream(seed, path_index)
     times, srcs, dsts = [], [], []
@@ -353,9 +435,11 @@ def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
 _SAMPLERS = {"thinning": simulate_thinning, "exact-affine": simulate_exact_affine}
 
 
-# Candidate draws one lockstep block holds: about 1.6 MB of draw arrays,
-# or 261 paths of the 251 draws each that t = 40 at rate 4 needs.
-_BLOCK_DRAWS = 1 << 16
+# Candidate draws one lockstep block holds.  A draw takes 16 bytes (a time
+# and a threshold) at d = 2 and 17 with its pick up to d = 256, so the draw
+# arrays hold about 1.6 MB: 391 paths of the 251 draws each that t = 40 at
+# rate 4 needs.
+_BLOCK_DRAWS = 3 << 15
 # A lockstep step costs some 40 us of numpy calls whatever the block size,
 # so below about 64 paths per block the scalar loop is faster.
 _MIN_BLOCK_PATHS = 64
@@ -375,8 +459,9 @@ def lockstep_thinning(field, x0, times, n_paths, seed, with_flux=False):
     x0 = _check_x0(field, x0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not times[0] > 0.0 \
-            or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be a nonempty nondecreasing list of positive values")
+            or not np.isfinite(times).all() or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be a nonempty nondecreasing list of positive "
+                         "finite values")
     n_paths = int(n_paths)
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
@@ -407,9 +492,14 @@ def _scalar_block(field, x0, times, seed, paths, with_flux):
 def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
     """Run ``paths`` in lockstep through their first draw chunks.
 
-    Step k handles every path's k-th candidate with the scalar loop's float
-    operations, so values match it bitwise.  A path whose first chunk ends
-    before the horizon is re-run whole by ``simulate_thinning``.
+    One Philox generator is reset to each path's fresh stream in turn (keys
+    from ``_stream_keys``) to draw the chunks.  At d = 2 the destination is
+    the other state, and the scalar loop's pick draws consume no bits, so
+    no picks are drawn; otherwise they are stored in the narrowest unsigned
+    type that holds d - 1.  Step k handles every path's k-th candidate with
+    the scalar loop's float operations, so values match it bitwise.  A path
+    whose first chunk ends before the horizon is re-run whole by
+    ``simulate_thinning``.
     """
     d = field.d
     c = field.rate_upper
@@ -420,9 +510,18 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
     # draws are stored step-major, so each step reads contiguous rows
     cand = np.empty((n_draws, n))  # candidate times
     uc = np.empty((n_draws, n))  # acceptance thresholds u * c
-    pick = np.empty((n_draws, n), dtype=np.int64)
-    for b, i in enumerate(paths):
-        cand[:, b], uc[:, b], pick[:, b] = _draw_chunk(path_stream(seed, i), n_draws, d - 1)
+    pick = None if d == 2 else np.empty((n_draws, n), dtype=np.min_scalar_type(d - 1))
+    draws = (cand, uc) if pick is None else (cand, uc, pick)
+    keys = _stream_keys(seed, paths)
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer: the start of a stream
+    for b, key in enumerate(keys):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        # zip stops before the pick draw when there are no picks to store
+        for out, draw in zip(draws, _draw_chunk(rng, n_draws, d - 1)):
+            out[:, b] = draw
     np.divide(cand, lam, out=cand)
     np.cumsum(cand, axis=0, out=cand)  # the scalar loop's t += e / lam
     uc *= c
@@ -465,8 +564,11 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
         if step == n_steps:
             break
         t = cand[step]
-        pk = pick[step]
-        j = pk + (pk >= x)
+        if pick is None:
+            j = 1 - x
+        else:
+            pk = pick[step]
+            j = pk + (pk >= x)
         a = s / t
         q = a * row_anchor[rows, j] + (1.0 - a) * dirac_rows[x, j]
         acc = np.flatnonzero(uc[step] <= q)

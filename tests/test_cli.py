@@ -537,3 +537,21 @@ def test_benchmark_run_files_validate(tmp_path, capsys, monkeypatch, tiny):
         config_path = job.argv[job.argv.index("--config") + 1]
         assert run(["validate", "--config", config_path]) == 0, name
         assert "config OK" in capsys.readouterr().out
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's hooks into sim, varsolve and cli must survive refactors
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "17 of 17 cases as expected" in proc.stdout, proc.stdout
+
+
+def test_benchmark_mc_decay_meets_its_seeded_references(tmp_path, monkeypatch):
+    # the benchmark's mc-decay run at its default seed: hits (479, 84, 3)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    job = workloads.make_job("mc-decay", workloads.DEFAULT_SEED, tmp_path)
+    assert run(job.argv + ["--out", str(tmp_path / "out")]) == 0
+    assert job.check(job.run_dir(tmp_path / "out")) == []

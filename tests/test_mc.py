@@ -218,6 +218,14 @@ def test_decay_curve_input_gates():
         mc.decay_curve(field, 1, target, [0.0, 1.0], 10)
 
 
+def test_decay_curve_rejects_non_finite_times():
+    # a path simulated to t = inf would never end
+    target = mc.BallTarget(np.array([0.6, 0.4]), 0.15)
+    for times in ([float("inf")], [1.0, float("nan")]):
+        with pytest.raises(errors.OutOfRange):
+            mc.decay_curve(unit_field(), 1, target, times, 10)
+
+
 def test_two_seed_groups_agree_statistically():
     field = unit_field()
     target = mc.BallTarget(np.array([0.6, 0.4]), 0.2)

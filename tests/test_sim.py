@@ -257,6 +257,21 @@ def test_lockstep_blocks_and_x0(monkeypatch):
     assert_lockstep_matches_scalar(chemo_field(), 2, [4.0, 30.0], 23, seed=3)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("name", ["autochemotaxis", "congestion"])
+def test_lockstep_block_boundaries_at_default_size(family_fields, name, extra):
+    # one block short of full, one full block, and a full block plus one path,
+    # at d = 2 (no picks drawn) and d = 3 (picks stored as uint8); 160 mean
+    # candidates per path keep blocks near the benchmark's 391 paths
+    field = family_fields[name]
+    lam = (field.d - 1) * field.rate_upper
+    horizon = 160.0 / lam
+    block = sim._BLOCK_DRAWS // sim._chunk_sizes(lam, horizon)[0]
+    assert block >= sim._MIN_BLOCK_PATHS
+    assert_lockstep_matches_scalar(field, 1, [0.25 * horizon, horizon], block + extra,
+                                   seed=5)
+
+
 def test_lockstep_long_paths_run_one_at_a_time(monkeypatch):
     # 1,400 draws per path leave room for fewer than _MIN_BLOCK_PATHS per block
     ran = []
@@ -292,6 +307,49 @@ def test_lockstep_input_gates():
     for times in ([], [0.0, 1.0], [2.0, 1.0]):
         with pytest.raises(ValueError):
             next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+
+
+def test_samplers_reject_non_finite_horizons():
+    # an infinite horizon would never run out of candidates
+    for run in (sim.simulate_thinning, sim.simulate_exact_affine):
+        for horizon in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                run(unit_field(), 1, horizon, seed=0)
+    with pytest.raises(ValueError):
+        sim.batch_simulate(unit_field(), 1, np.inf, 2, seed=0)
+    for times in ([1.0, np.inf], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+
+
+KEY_SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -1)
+KEY_INDICES = list(range(300)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63 - 1]
+
+
+def seed_sequence(seed, path_index):
+    return np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(path_index,))
+
+
+def test_stream_keys_match_seed_sequence():
+    for seed in KEY_SEEDS:
+        ref = [seed_sequence(seed, i).generate_state(2, np.uint64) for i in KEY_INDICES]
+        keys = sim._stream_keys(seed, KEY_INDICES)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, ref), seed
+
+
+def test_path_stream_draws_match_seed_sequence_stream():
+    for seed in (0, 7, -1):
+        for i in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1):
+            new = sim.path_stream(seed, i)
+            old = np.random.Generator(np.random.Philox(seed_sequence(seed, i)))
+            for draw in (lambda g: g.standard_exponential(300), lambda g: g.random(300),
+                         lambda g: g.integers(0, 2, size=300)):
+                assert np.array_equal(draw(new), draw(old)), (seed, i)
+    with pytest.raises(ValueError):
+        sim.path_stream(0, -1)
+    with pytest.raises(ValueError):
+        sim._stream_keys(0, [3, -1])
 
 
 # sha256 of times, sources and targets of simulate_thinning(field, x0, t,

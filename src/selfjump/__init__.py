@@ -13,7 +13,6 @@ from .core import (
     RateField,
     as_simplex,
     edge_pairs,
-    l1_distance,
     uniform_simplex,
     validate_generator,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "RateField",
     "as_simplex",
     "edge_pairs",
-    "l1_distance",
     "uniform_simplex",
     "validate_generator",
     "FixedPointResult",

@@ -371,6 +371,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise errors.ConfigError(f"must be >= 0, got {args.seed}", "--seed")
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
         return _COMMANDS[args.command](args, cfg, seed)

@@ -51,15 +51,6 @@ def uniform_simplex(d):
     return np.full(d, 1.0 / d)
 
 
-def l1_distance(g1, g2):
-    """l1 distance between two probability vectors (at most 2)."""
-    g1 = as_simplex(g1)
-    g2 = as_simplex(g2)
-    if g1.size != g2.size:
-        raise ValueError("dimension mismatch")
-    return float(np.abs(g1 - g2).sum())
-
-
 def validate_generator(m, tol=GENERATOR_TOL):
     """Certify m as a rate matrix: off-diagonals >= 0, rows sum to zero.
 
@@ -91,59 +82,31 @@ def _support_from_vertices(vertices, tol=0.0):
     return mask
 
 
-def _mask_from_edges(d, edges):
-    mask = np.zeros((d, d), dtype=bool)
-    for pair in edges:
-        i, j = int(pair[0]), int(pair[1])
-        if not (1 <= i <= d and 1 <= j <= d) or i == j:
-            raise ValueError(f"bad edge label pair ({i},{j}) for d={d}")
-        mask[i - 1, j - 1] = True
-    return mask
-
-
 class RateField:
     """Occupation-dependent rate field gamma -> Q(gamma).
 
     Built through the family classmethods below.  ``support`` is the set of
-    edges on which rates may be positive; rates vanish identically off it.
+    edges some vertex matrix charges; rates vanish identically off it.
     ``rate_upper`` bounds every rate over the whole simplex and ``rate_lower_coeff``
     k satisfies Q_xy(gamma) >= k * min_z gamma(z) on the support.
     """
 
-    def __init__(self, family, d, vertices, support, rate_upper, rate_lower_coeff,
-                 params):
+    def __init__(self, family, d, vertices, support, rate_upper, rate_lower_coeff):
         self.family = family
         self.d = int(d)
         self.vertices = vertices  # (d, d, d) array, vertices[z] = Q(delta_{z+1})
         self.support = support  # boolean (d, d) mask, False on the diagonal
         self.rate_upper = float(rate_upper)
         self.rate_lower_coeff = rate_lower_coeff
-        self.params = params
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def _finish_affine(family, vertices, support, params):
+    def _finish_affine(family, vertices):
         d = vertices.shape[0]
         for z in range(d):
             validate_generator(vertices[z])
-        derived = _support_from_vertices(vertices)
-        if support is None:
-            mask = derived
-        else:
-            mask = support if isinstance(support, np.ndarray) else _mask_from_edges(d, support)
-            extra = derived & ~mask
-            if np.any(extra):
-                i, j = np.argwhere(extra)[0]
-                raise errors.SupportMismatch(
-                    f"field produces a positive rate on undeclared edge ({i + 1},{j + 1})"
-                )
-            dead = mask & ~derived
-            if np.any(dead):
-                i, j = np.argwhere(dead)[0]
-                raise errors.SupportMismatch(
-                    f"declared edge ({i + 1},{j + 1}) carries no rate at any vertex"
-                )
+        mask = _support_from_vertices(vertices)
         if not mask.any():
             k_lower = 0.0
             c_upper = 0.0
@@ -151,29 +114,27 @@ class RateField:
             vertex_sums = vertices.sum(axis=0)
             k_lower = float(vertex_sums[mask].min())
             c_upper = float(np.max(vertices[:, mask]))
-        return RateField(family, d, vertices, mask, c_upper, k_lower, params)
+        return RateField(family, d, vertices, mask, c_upper, k_lower)
 
     @classmethod
-    def constant(cls, q0, support=None):
+    def constant(cls, q0):
         """Occupation-independent field Q(gamma) = Q0."""
         q0 = validate_generator(q0)
         d = q0.shape[0]
         vertices = np.repeat(q0[None, :, :], d, axis=0)
-        return cls._finish_affine("constant", vertices, support,
-                                  {"q0": q0.tolist()})
+        return cls._finish_affine("constant", vertices)
 
     @classmethod
-    def affine(cls, vertices, support=None):
+    def affine(cls, vertices):
         """Generic affine field given its vertex matrices Q(delta_x), x = 1..d."""
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 3 or vertices.shape[0] != vertices.shape[1] or \
                 vertices.shape[1] != vertices.shape[2]:
             raise ValueError(f"expected d matrices of shape (d, d), got {vertices.shape}")
-        return cls._finish_affine("affine", vertices, support,
-                                  {"vertices": vertices.tolist()})
+        return cls._finish_affine("affine", vertices)
 
     @classmethod
-    def autochemotaxis(cls, q0, strength, support=None):
+    def autochemotaxis(cls, q0, strength):
         """Attraction to visited states: Q_ij(gamma) = Q0_ij * (gamma(j) * strength + 1)."""
         q0 = validate_generator(q0)
         if strength < 0:
@@ -186,8 +147,7 @@ class RateField:
             np.fill_diagonal(q, 0.0)
             np.fill_diagonal(q, -q.sum(axis=1))
             vertices[z] = q
-        fld = cls._finish_affine("autochemotaxis", vertices, support,
-                                 {"q0": q0.tolist(), "strength": float(strength)})
+        fld = cls._finish_affine("autochemotaxis", vertices)
         # closed form for the bound: the attraction is maximal at delta_target
         off = q0.copy()
         np.fill_diagonal(off, 0.0)
@@ -195,7 +155,7 @@ class RateField:
         return fld
 
     @classmethod
-    def congestion(cls, q0, alpha, beta, support=None):
+    def congestion(cls, q0, alpha, beta):
         """Crowding slowdown: Q_ij(gamma) = (1 - alpha_i gamma(i) - beta_j gamma(j)) Q0_ij.
 
         Requires alpha_i + beta_j < 1 on the support so rates stay positive
@@ -227,12 +187,10 @@ class RateField:
             q = off * scale
             np.fill_diagonal(q, -q.sum(axis=1))
             vertices[z] = q
-        return cls._finish_affine("congestion", vertices, support,
-                                  {"q0": q0.tolist(), "alpha": alpha.tolist(),
-                                   "beta": beta.tolist()})
+        return cls._finish_affine("congestion", vertices)
 
     @classmethod
-    def catalytic(cls, channels, support=None):
+    def catalytic(cls, channels):
         """Mixture of channel matrices: Q(gamma) = sum_k gamma(k) * Q^(k)."""
         channels = np.asarray(channels, dtype=float)
         if channels.ndim != 3 or channels.shape[0] != channels.shape[1] or \
@@ -247,8 +205,7 @@ class RateField:
                 raise errors.NegativeOffDiagonal(f"channel {z + 1} has a negative rate")
             np.fill_diagonal(q, -q.sum(axis=1))
             vertices[z] = q
-        return cls._finish_affine("catalytic", vertices, support,
-                                  {"channels": channels.tolist()})
+        return cls._finish_affine("catalytic", vertices)
 
     # -- evaluation --------------------------------------------------------
 
@@ -277,7 +234,7 @@ class RateField:
         if np.any(off[~self.support] > GENERATOR_TOL):
             i, j = np.argwhere((off > GENERATOR_TOL) & ~self.support)[0]
             raise errors.SupportMismatch(
-                f"rate ({i + 1},{j + 1}) = {off[i, j]!r} off the declared support"
+                f"rate ({i + 1},{j + 1}) = {off[i, j]!r} off the support"
             )
         off[~self.support] = 0.0
         if np.any(off > self.rate_upper * (1.0 + 1e-12) + 1e-300):

@@ -18,7 +18,7 @@ class NegativeRate(SelfJumpError):
 
 
 class SupportMismatch(SelfJumpError):
-    """Declared support disagrees with the rates the field can produce."""
+    """A rate field charged an edge outside its support."""
 
 
 class RateBoundExceeded(SelfJumpError):

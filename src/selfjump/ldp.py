@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core import as_simplex, l1_distance, uniform_simplex, validate_generator
+from .core import as_simplex, uniform_simplex, validate_generator
 
 BALANCE_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-10

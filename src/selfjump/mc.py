@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import errors
-from .core import SIMPLEX_TOL, as_simplex, l1_distance
+from .core import SIMPLEX_TOL, as_simplex
 from .sim import lockstep_thinning
 
 Z_95 = 1.959963984540054
@@ -29,51 +29,21 @@ Z_95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class BallTarget:
-    """An l1 ball of occupation measures, optionally windowed in flux.
-
-    A point (L, R) hits the target when l1_distance(L, center) <= radius
-    and, if a flux window (low, high) is set, every off-diagonal R entry
-    lies inside its interval.
-    """
+    """An l1 ball of occupation measures: L hits it when |L - center|_1 <= radius."""
 
     center: np.ndarray
     radius: float
-    flux_window: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_simplex(self.center))
         if not 0.0 < self.radius <= 2.0:
             raise errors.OutOfRange(f"radius must lie in (0, 2], got {self.radius}")
-        if self.flux_window is not None:
-            lo = np.asarray(self.flux_window[0], dtype=float)
-            hi = np.asarray(self.flux_window[1], dtype=float)
-            d = self.center.size
-            if lo.shape != (d, d) or hi.shape != (d, d):
-                raise errors.WrongDimension(
-                    f"flux window matrices must be {d}x{d}")
-            if np.any(lo[~np.eye(d, dtype=bool)] > hi[~np.eye(d, dtype=bool)]):
-                raise errors.OutOfRange("flux window has low > high on an edge")
-            object.__setattr__(self, "flux_window", (lo, hi))
 
-    def distance(self, occupation):
-        return l1_distance(occupation, self.center)
+    def hit(self, occupation):
+        return bool(self.hits(np.asarray(occupation, dtype=float)[None])[0])
 
-    def contains(self, occupation):
-        return self.distance(occupation) <= self.radius
-
-    def hit(self, occupation, flux=None):
-        if not self.contains(occupation):
-            return False
-        if self.flux_window is None:
-            return True
-        if flux is None:
-            raise ValueError("target has a flux window but no flux was given")
-        lo, hi = self.flux_window
-        off = ~np.eye(self.center.size, dtype=bool)
-        return bool(np.all((flux[off] >= lo[off]) & (flux[off] <= hi[off])))
-
-    def hits(self, occupations, fluxes=None):
-        """``hit`` for each row of occupations (n, d) and fluxes (n, d, d).
+    def hits(self, occupations):
+        """``hit`` for each row of occupations (n, d).
 
         Rows are checked as ``as_simplex`` checks a vector: a negative entry
         or a sum more than SIMPLEX_TOL from 1 raises ValueError.
@@ -88,15 +58,7 @@ class BallTarget:
         if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
             bad = sums[np.argmax(np.abs(sums - 1.0))]
             raise ValueError(f"occupation row sums to {bad!r}, not 1 within {SIMPLEX_TOL:g}")
-        inside = np.abs(occ - self.center).sum(axis=1) <= self.radius
-        if self.flux_window is None:
-            return inside
-        if fluxes is None:
-            raise ValueError("target has a flux window but no flux was given")
-        lo, hi = self.flux_window
-        off = ~np.eye(d, dtype=bool)
-        fl = np.asarray(fluxes, dtype=float)[:, off]
-        return inside & np.all((fl >= lo[off]) & (fl <= hi[off]), axis=1)
+        return np.abs(occ - self.center).sum(axis=1) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -132,26 +94,23 @@ def wilson_interval(hits, n, z=Z_95):
     return lo, hi
 
 
-def _decay_point(t, hits, n, z):
-    lo, hi = wilson_interval(hits, n, z)
+def _decay_point(t, hits, n):
+    lo, hi = wilson_interval(hits, n)
     if hits == 0:
         return DecayPoint(t, 0.0, lo, hi, n, True, -math.log(1.0 / n) / t)
     return DecayPoint(t, hits / n, lo, hi, n, False, -math.log(hits / n) / t)
 
 
 def _count_hits(field, x0, times, target, seed, n_paths):
-    windowed = target.flux_window is not None
     hits = np.zeros(len(times), dtype=np.int64)
-    for occ, flux in lockstep_thinning(field, x0, times, n_paths, seed,
-                                       with_flux=windowed):
+    for occ in lockstep_thinning(field, x0, times, n_paths, seed):
         for k in range(len(times)):
-            hits[k] += np.count_nonzero(
-                target.hits(occ[k], flux[k] if windowed else None))
+            hits[k] += np.count_nonzero(target.hits(occ[k]))
     return hits
 
 
-def decay_curve(field, x0, target, times, n_paths, seed=0, z=Z_95):
-    """Estimate P((L_t, R_t) hits target) for each time, one simulated path set.
+def decay_curve(field, x0, target, times, n_paths, seed=0):
+    """Estimate P(L_t hits target) for each time, one simulated path set.
 
     Returns a list of DecayPoint sorted by time.  Paths are independent
     thinning streams keyed by (seed, path index), so results grow
@@ -165,7 +124,7 @@ def decay_curve(field, x0, target, times, n_paths, seed=0, z=Z_95):
     if not times or times[0] <= 0.0 or not all(map(math.isfinite, times)):
         raise errors.OutOfRange("times must be positive and finite")
     hits = _count_hits(field, x0, times, target, seed, n_paths)
-    return [_decay_point(t, int(h), n_paths, z) for t, h in zip(times, hits)]
+    return [_decay_point(t, int(h), n_paths) for t, h in zip(times, hits)]
 
 
 @dataclass(frozen=True)

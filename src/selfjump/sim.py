@@ -29,10 +29,10 @@ bit-identical.  Chunks hold at most 2**18 draws.
 
 ``lockstep_thinning`` runs the thinning sampler on many paths at once, one
 candidate step per numpy operation over a block of paths, and reads their
-occupations (and fluxes) off at a list of times.  It repeats the scalar
-sampler's float operations in the same order, so its values are
-bit-identical to ``simulate_thinning`` followed by ``occupation_at`` /
-``flux_at``.
+occupations off at a list of times, which is what P(L_t hits target)
+needs.  It repeats the scalar sampler's float operations in the same order,
+so its values are bit-identical to ``simulate_thinning`` followed by
+``occupation_at``.
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
@@ -445,16 +445,15 @@ _BLOCK_DRAWS = 3 << 15
 _MIN_BLOCK_PATHS = 64
 
 
-def lockstep_thinning(field, x0, times, n_paths, seed, with_flux=False):
-    """Occupations (and fluxes) of thinning paths 0..n_paths-1 at each time.
+def lockstep_thinning(field, x0, times, n_paths, seed):
+    """Occupations of thinning paths 0..n_paths-1 at each time.
 
-    Paths run to times[-1] in consecutive blocks; one (occupations, fluxes)
-    pair is yielded per block, occupations of shape (len(times), block, d)
-    and fluxes of shape (len(times), block, d, d), or None unless
-    ``with_flux``.  Entry [k, b] is bit-identical to
+    Paths run to times[-1] in consecutive blocks; one occupation array of
+    shape (len(times), block, d) is yielded per block.  Entry [k, b] is
+    bit-identical to
     ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
-    (and ``flux_at``) for the block's b-th path i.  Paths too long for
-    _MIN_BLOCK_PATHS of them to fit in one block run one at a time.
+    for the block's b-th path i.  Paths too long for _MIN_BLOCK_PATHS of
+    them to fit in one block run one at a time.
     """
     x0 = _check_x0(field, x0)
     times = np.asarray(times, dtype=float)
@@ -471,25 +470,22 @@ def lockstep_thinning(field, x0, times, n_paths, seed, with_flux=False):
     for lo in range(0, n_paths, block):
         paths = range(lo, min(n_paths, lo + block))
         if lockstep:
-            yield _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux)
+            yield _lockstep_block(field, x0, times, seed, paths, n_draws)
         else:
-            yield _scalar_block(field, x0, times, seed, paths, with_flux)
+            yield _scalar_block(field, x0, times, seed, paths)
 
 
-def _scalar_block(field, x0, times, seed, paths, with_flux):
+def _scalar_block(field, x0, times, seed, paths):
     """lockstep_thinning's output for ``paths``, run one at a time."""
     occ = np.empty((len(times), len(paths), field.d))
-    flux = np.empty((len(times), len(paths), field.d, field.d)) if with_flux else None
     for b, i in enumerate(paths):
         traj = simulate_thinning(field, x0, times[-1], seed, path_index=i)
         for k, t in enumerate(times):
             occ[k, b] = traj.occupation_at(t)
-            if with_flux:
-                flux[k, b] = traj.flux_at(t)
-    return occ, flux
+    return occ
 
 
-def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
+def _lockstep_block(field, x0, times, seed, paths, n_draws):
     """Run ``paths`` in lockstep through their first draw chunks.
 
     One Philox generator is reset to each path's fresh stream in turn (keys
@@ -545,16 +541,12 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
     anchor[:, x0 - 1] = 1.0
     row_anchor = np.tile(dirac_rows[x0 - 1], (n, 1))  # Q(anchor)[x, :]
     held = np.zeros((n, d))  # completed holding time per state, in jump order
-    counts = np.zeros((n, d, d)) if with_flux else None
     occ_out = np.empty((len(times), n, d))
-    flux_out = np.empty((len(times), n, d, d)) if with_flux else None
 
     def read_out(k, sel):
         occ = held[sel]
         occ[np.arange(sel.size), x[sel]] += times[k] - s[sel]
         occ_out[k, sel] = occ / times[k]
-        if with_flux:
-            flux_out[k, sel] = counts[sel] / times[k]
 
     for step in range(n_steps + 1):
         for k in range(len(times)):
@@ -576,8 +568,6 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
             continue
         xa, ja, ta, aa = x[acc], j[acc], t[acc], a[acc]
         held[acc, xa] += ta - s[acc]
-        if with_flux:
-            counts[acc, xa, ja] += 1.0
         new_anchor = anchor[acc] * aa[:, None]
         new_anchor[np.arange(acc.size), xa] += 1.0 - aa
         anchor[acc] = new_anchor
@@ -590,12 +580,9 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws, with_flux):
 
     rerun = np.flatnonzero(exhausted)
     if rerun.size:
-        occ, flux = _scalar_block(field, x0, times, seed, [paths[b] for b in rerun],
-                                  with_flux)
-        occ_out[:, rerun] = occ
-        if with_flux:
-            flux_out[:, rerun] = flux
-    return occ_out, flux_out
+        occ_out[:, rerun] = _scalar_block(field, x0, times, seed,
+                                          [paths[b] for b in rerun])
+    return occ_out
 
 
 @dataclass

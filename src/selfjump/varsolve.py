@@ -169,11 +169,9 @@ def jtilde(path, field):
 
 def path_flux(path):
     """Discount-weighted edge flux of a path: sum of w * rho(x) * H(x, y)."""
-    w = path.grid.block_weights
-    h_off = path.H.copy()
-    for c in range(h_off.shape[0]):
-        np.fill_diagonal(h_off[c], 0.0)
-    return np.einsum("c,cx,cxy->xy", w, path.rho, h_off)
+    flux = np.einsum("c,cx,cxy->xy", path.grid.block_weights, path.rho, path.H)
+    np.fill_diagonal(flux, 0.0)
+    return flux
 
 
 def residuals(path, field, gamma=None, flux=None, current=None):
@@ -204,11 +202,9 @@ def residuals(path, field, gamma=None, flux=None, current=None):
         out["flux"] = float(gap.max())
     else:
         out["flux"] = 0.0
-    q = _block_rates(field, m_from_rho(path))
-    h_off = path.H.copy()
-    for c in range(h_off.shape[0]):
-        np.fill_diagonal(h_off[c], 0.0)
-    out["support"] = int(np.sum((h_off > SUPPORT_TOL) & (q <= 0.0)))
+    q = _block_rates(field, m)
+    off = ~np.eye(field.d, dtype=bool)
+    out["support"] = int(np.sum((path.H > SUPPORT_TOL) & (q <= 0.0) & off))
     return out
 
 
@@ -368,8 +364,8 @@ class _FluxProblem:
         rx = rho[:, self.xs]
         H = np.zeros((self.nb, self.d, self.d))
         H[:, self.xs, self.ys] = np.where(rx > 0.0, j / np.where(rx > 0.0, rx, 1.0), 0.0)
-        for c in range(self.nb):
-            np.fill_diagonal(H[c], -H[c].sum(axis=1))
+        diag = np.arange(self.d)
+        H[:, diag, diag] = -H.sum(axis=2)
         return ControlPath(self.grid, rho.copy(), H)
 
 
@@ -424,14 +420,20 @@ def _minimize(field, mode, gamma, flux, current, opts):
     edge at x get the bounds (0, 0), so an edge from an occupied y into x
     costs exactly its killing term rho_y Q_yx(M).  Faces and vertices of the
     simplex are solved as they stand, by the same path as interior targets.
+    In current mode a one-way edge x -> y carries its pair's whole current
+    as a weighted sum of nonnegative fluxes, so a zero current there pins
+    its flux to zero in every block.
     """
     from scipy.sparse.linalg import lsqr
 
     prob = _FluxProblem(field, opts.grid(), mode, gamma=gamma, flux=flux,
                         current=current)
+    xs, ys = prob.xs, prob.ys
     empty = np.zeros(field.d, dtype=bool) if gamma is None else gamma == 0.0
-    pinned = np.concatenate([np.tile(empty, prob.nb),
-                             np.tile(empty[prob.xs] | empty[prob.ys], prob.nb)])
+    pinned_edges = empty[xs] | empty[ys]
+    if mode == "current":
+        pinned_edges |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
+    pinned = np.concatenate([np.tile(empty, prob.nb), np.tile(pinned_edges, prob.nb)])
     bounds = [(0.0, 0.0) if p else (0.0, None) for p in pinned]
 
     # Each start ends in one candidate: feasible ones are scored by value,
@@ -515,9 +517,10 @@ def current_rate(current, field, opts=None):
     """Minimize the control cost over paths whose net flux matches the current.
 
     The current must be antisymmetric; currents with nonzero divergence, or
-    charging pairs without any supported direction, are infeasible (every
-    achievable flux is balanced, so its current is divergence-free).  For two
-    states this forces the zero current.
+    flowing along an edge the field cannot charge, are infeasible (every
+    achievable flux is balanced, so its current is divergence-free, and a
+    positive current on x -> y needs flux on x -> y).  For two states this
+    forces the zero current.
     """
     opts = opts or SolveOptions()
     current = np.asarray(current, dtype=float)
@@ -528,8 +531,7 @@ def current_rate(current, field, opts=None):
     if np.max(np.abs(current.sum(axis=1))) > BALANCE_TOL:
         return RateResult(float("inf"), None, {}, "infeasible",
                           detail="current is not divergence-free")
-    pair_support = field.support | field.support.T
-    if np.any((np.abs(current) > SUPPORT_TOL) & ~pair_support):
+    if np.any((current > SUPPORT_TOL) & ~field.support):
         return RateResult(float("inf"), None, {}, "infeasible",
                           detail="current charges edges off the support")
     return _minimize(field, "current", None, None, current, opts)

@@ -227,6 +227,19 @@ def test_simulate_seed_override_changes_run_dir(tmp_path, capsys):
     assert len(list((out_root / "simulate").iterdir())) == 2
 
 
+@pytest.mark.parametrize("command, section", [
+    ("fixed-point", {"fixed_point": {"n_starts": 3}}),
+    ("simulate", {"simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}),
+])
+def test_negative_seed_exits_2_in_one_line(tmp_path, capsys, command, section):
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD, "seed": 1, **section})
+    out_root = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", str(out_root), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: --seed: must be >= 0, got -1"]
+    assert not out_root.exists()
+
+
 def test_simulate_csv_format_streams_batch(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 1,
            "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 3}}

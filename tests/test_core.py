@@ -76,12 +76,6 @@ def test_affine_vertex_generators_validated():
         core.RateField.affine(bad)
 
 
-def test_support_declared_vs_derived_mismatch():
-    q0 = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.5, 0.5, -1.0]])
-    with pytest.raises(errors.SupportMismatch):
-        core.RateField.constant(q0, support=[(1, 2), (2, 1), (3, 1), (3, 2), (1, 3)])
-
-
 def test_rate_upper_is_sharp_for_affine():
     rng = np.random.default_rng(5)
     for _ in range(20):

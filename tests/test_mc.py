@@ -46,37 +46,18 @@ def test_ball_target_validation():
         mc.BallTarget(np.array([0.5, 0.5]), 0.0)
     with pytest.raises(errors.OutOfRange):
         mc.BallTarget(np.array([0.5, 0.5]), 2.5)
-    with pytest.raises(errors.WrongDimension):
-        mc.BallTarget(np.array([0.5, 0.5]), 0.1,
-                      flux_window=(np.zeros((3, 3)), np.ones((3, 3))))
-    with pytest.raises(errors.OutOfRange):
-        mc.BallTarget(np.array([0.5, 0.5]), 0.1,
-                      flux_window=(np.ones((2, 2)), np.zeros((2, 2))))
 
 
 def test_ball_target_geometry():
     t = mc.BallTarget(np.array([0.75, 0.25]), 0.1)
-    assert t.distance(np.array([0.75, 0.25])) == 0.0
-    assert not t.contains(np.array([0.5, 0.5]))
+    assert t.hit(np.array([0.75, 0.25]))
+    assert not t.hit(np.array([0.5, 0.5]))
     # l1 ball of radius 0.1 around (0.75, 0.25) is gamma_1 in [0.70, 0.80];
     # probe strictly inside and outside, away from the float boundary
-    assert t.contains(np.array([0.79, 0.21]))
-    assert t.contains(np.array([0.71, 0.29]))
-    assert not t.contains(np.array([0.69, 0.31]))
-    assert not t.contains(np.array([0.81, 0.19]))
-
-
-def test_ball_target_flux_window():
-    lo = np.zeros((2, 2))
-    hi = np.full((2, 2), 0.6)
-    t = mc.BallTarget(np.array([0.5, 0.5]), 0.3, flux_window=(lo, hi))
-    occ = np.array([0.5, 0.5])
-    inside = np.array([[0.0, 0.5], [0.5, 0.0]])
-    outside = np.array([[0.0, 0.7], [0.5, 0.0]])
-    assert t.hit(occ, inside)
-    assert not t.hit(occ, outside)
-    with pytest.raises(ValueError):
-        t.hit(occ)
+    assert t.hit(np.array([0.79, 0.21]))
+    assert t.hit(np.array([0.71, 0.29]))
+    assert not t.hit(np.array([0.69, 0.31]))
+    assert not t.hit(np.array([0.81, 0.19]))
 
 
 def test_radius_two_hits_everything():
@@ -144,8 +125,7 @@ def scalar_hits(field, x0, target, times, n_paths, seed):
     for i in range(n_paths):
         traj = sim.simulate_thinning(field, x0, times[-1], seed, path_index=i)
         for k, t in enumerate(times):
-            flux = traj.flux_at(t) if target.flux_window is not None else None
-            hits[k] += target.hit(traj.occupation_at(t), flux)
+            hits[k] += target.hit(traj.occupation_at(t))
     return hits
 
 
@@ -166,31 +146,15 @@ def test_decay_curve_hits_match_scalar_every_family(family_field, seed):
     assert lockstep_hits(family_field, 1, target, times, 150, seed) == expected
 
 
-def test_decay_curve_flux_window_matches_scalar():
-    lo = np.array([[0.0, 0.3], [0.3, 0.0]])
-    hi = np.array([[0.0, 0.7], [0.7, 0.0]])
-    target = mc.BallTarget(np.array([0.5, 0.5]), 0.4, flux_window=(lo, hi))
-    times = [4.0, 10.0]
-    expected = scalar_hits(unit_field(), 1, target, times, 200, seed=5)
-    assert 0 < sum(expected)
-    assert lockstep_hits(unit_field(), 1, target, times, 200, seed=5) == expected
-    unwindowed = mc.BallTarget(np.array([0.5, 0.5]), 0.4)
-    assert sum(expected) < sum(scalar_hits(unit_field(), 1, unwindowed, times, 200, 5))
-
-
 def test_ball_target_hits_agree_with_hit_row_by_row():
     rng = np.random.default_rng(3)
     for d in (2, 3, 9):
         rows = rng.dirichlet(np.ones(d), size=300)
         rows[:5] = np.eye(d)[rng.integers(0, d, 5)]
-        fluxes = rng.uniform(0.0, 1.0, (300, d, d))
-        window = (np.full((d, d), 0.01), np.ones((d, d)))
-        for fw in (None, window):
-            target = mc.BallTarget(np.full(d, 1.0 / d), 0.6, flux_window=fw)
-            got = target.hits(rows, fluxes if fw else None)
-            want = [target.hit(r, f) for r, f in zip(rows, fluxes)]
-            assert got.tolist() == want
-            assert 0 < got.sum() < len(rows)
+        target = mc.BallTarget(np.full(d, 1.0 / d), 0.6)
+        got = target.hits(rows)
+        assert got.tolist() == [target.hit(r) for r in rows]
+        assert 0 < got.sum() < len(rows)
 
 
 def test_ball_target_hits_rejects_off_simplex_rows():
@@ -203,10 +167,6 @@ def test_ball_target_hits_rejects_off_simplex_rows():
         target.hits(np.vstack([good, [[0.5, 0.5 + 1e-9]]]))
     with pytest.raises(ValueError):
         target.hits(np.array([[0.2, 0.3, 0.5]]))
-    windowed = mc.BallTarget(np.array([0.5, 0.5]), 0.3,
-                             flux_window=(np.zeros((2, 2)), np.ones((2, 2))))
-    with pytest.raises(ValueError):
-        windowed.hits(good)
 
 
 def test_decay_curve_input_gates():

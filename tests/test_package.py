@@ -1,0 +1,45 @@
+"""Static checks of the package sources: no unused imports, a complete __all__."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import selfjump
+
+SOURCES = sorted(Path(selfjump.__file__).parent.glob("*.py"))
+
+
+def unused_imports(path):
+    """Names bound by module-level imports that the module never reads.
+
+    A name listed in the module's ``__all__`` counts as read: it is a
+    re-export.
+    """
+    tree = ast.parse(path.read_text())
+    bound = {}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_all_names_resolve():
+    missing = [name for name in selfjump.__all__ if not hasattr(selfjump, name)]
+    assert missing == []
+    assert len(set(selfjump.__all__)) == len(selfjump.__all__)

@@ -229,20 +229,18 @@ def test_batch_csv_schema():
     assert header == "path,seed_index,L_1,L_2,R_edge1,R_edge2"
 
 
-def lockstep_arrays(field, x0, times, n_paths, seed):
-    blocks = list(sim.lockstep_thinning(field, x0, times, n_paths, seed, with_flux=True))
-    return (np.concatenate([occ for occ, _ in blocks], axis=1),
-            np.concatenate([flux for _, flux in blocks], axis=1))
+def lockstep_occupations(field, x0, times, n_paths, seed):
+    return np.concatenate(list(sim.lockstep_thinning(field, x0, times, n_paths, seed)),
+                          axis=1)
 
 
 def assert_lockstep_matches_scalar(field, x0, times, n_paths, seed):
-    occ, flux = lockstep_arrays(field, x0, times, n_paths, seed)
+    occ = lockstep_occupations(field, x0, times, n_paths, seed)
     assert occ.shape == (len(times), n_paths, field.d)
     for i in range(n_paths):
         traj = sim.simulate_thinning(field, x0, times[-1], seed, path_index=i)
         for k, t in enumerate(times):
             assert np.array_equal(occ[k, i], traj.occupation_at(t)), (i, t)
-            assert np.array_equal(flux[k, i], traj.flux_at(t)), (i, t)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 7])
@@ -296,9 +294,8 @@ def test_lockstep_zero_rate_field():
     zero = core.RateField.constant(np.zeros((3, 3)))
     assert zero.rate_upper == 0.0
     assert_lockstep_matches_scalar(zero, 2, [1.0, 5.0], 4, seed=0)
-    occ, flux = lockstep_arrays(zero, 2, [1.0, 5.0], 4, seed=0)
+    occ = lockstep_occupations(zero, 2, [1.0, 5.0], 4, seed=0)
     assert np.all(occ == [0.0, 1.0, 0.0])
-    assert not flux.any()
 
 
 def test_lockstep_input_gates():

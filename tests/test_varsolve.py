@@ -395,6 +395,34 @@ def test_current_rate_two_state_nonzero_infeasible():
     assert "divergence" in res.detail
 
 
+def one_way_field():
+    # the d = 3 field of the long-paths benchmark: 2 -> 3 and 3 -> 1 are
+    # one-way edges, and 1 -> 3 and 3 -> 2 carry no rate
+    q0 = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
+    return core.RateField.autochemotaxis(q0, strength=1.0)
+
+
+def test_current_rate_against_one_way_edges_infeasible():
+    # the cycle 1 -> 3 -> 2 -> 1 needs flux on 1 -> 3 and 3 -> 2
+    cycle = np.zeros((3, 3))
+    cycle[0, 2] = cycle[2, 1] = cycle[1, 0] = 0.1
+    res = varsolve.current_rate(cycle - cycle.T, one_way_field(), FAST)
+    assert res.status == "infeasible"
+    assert res.value == np.inf
+    # the reverse cycle runs along charged edges only
+    res = varsolve.current_rate(cycle.T - cycle, one_way_field(), FAST)
+    assert res.status == "converged"
+    assert 0.0 < res.value < np.inf
+
+
+def test_current_rate_zero_current_with_one_way_edges_converges():
+    # a one-way edge's flux is the whole of its pair's current, so zero
+    # current leaves it no flux in any block
+    res = varsolve.current_rate(np.zeros((3, 3)), one_way_field(), FAST)
+    assert res.status == "converged"
+    assert res.residuals["flux"] <= 1e-8
+
+
 def test_current_rate_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         varsolve.current_rate(np.array([[0.0, 1.0], [0.0, 0.0]]), unit_field(),

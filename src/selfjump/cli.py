@@ -27,24 +27,8 @@ import numpy as np
 import scipy
 
 from . import __version__, errors, ldp, mc, sim, varsolve
-from .config import FixedPointConfig, build_field, load_config
+from .config import FixedPointConfig, build_field, check_seed, load_config
 from .mc import BallTarget
-
-
-def _effective(cfg, command, seed):
-    return {"command": command, "seed": seed, "config": cfg.raw}
-
-
-def _run_dir(out, command, effective):
-    digest = hashlib.sha256(
-        json.dumps(effective, sort_keys=True).encode()).hexdigest()[:12]
-    return Path(out) / command / digest
-
-
-def _atomic_write(path, text):
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class _Outputs:
@@ -56,8 +40,10 @@ class _Outputs:
     """
 
     def __init__(self, args, command, cfg, seed):
-        self.effective = _effective(cfg, command, seed)
-        self.run_dir = _run_dir(args.out, command, self.effective)
+        self.effective = {"command": command, "seed": seed, "config": cfg.raw}
+        digest = hashlib.sha256(
+            json.dumps(self.effective, sort_keys=True).encode()).hexdigest()[:12]
+        self.run_dir = Path(args.out) / command / digest
         ancestor = next(p for p in (self.run_dir, *self.run_dir.parents) if p.exists())
         if not ancestor.is_dir():
             raise errors.SelfJumpError(f"cannot write {self.run_dir}: Not a directory")
@@ -68,7 +54,9 @@ class _Outputs:
         path = self.run_dir / name
         try:
             self.run_dir.mkdir(parents=True, exist_ok=True)
-            _atomic_write(path, text)
+            tmp = path.parent / (name + ".tmp")
+            tmp.write_text(text)
+            os.replace(tmp, path)
         except OSError as exc:
             raise errors.SelfJumpError(
                 f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -200,9 +188,23 @@ def _cmd_dv_rate(args, cfg, seed):
     return 0
 
 
-def _solve_command(name, solve, args, cfg, seed):
-    out = _Outputs(args, name, cfg, seed)
-    result = solve()
+# solve command -> (varsolve function, the target keys it takes first)
+_SOLVES = {
+    "rate": ("solve_rate", ("gamma", "flux")),
+    "occupation-rate": ("occupation_rate", ("gamma",)),
+    "current-rate": ("current_rate", ("current",)),
+}
+
+
+def _cmd_solve(args, cfg, seed):
+    name, keys = _SOLVES[args.command]
+    field = build_field(cfg.field)
+    target = _need(cfg.target, "target")
+    values = [np.array(_need(getattr(target, key), f"target.{key}")) for key in keys]
+    opts = cfg.solve_options()
+    out = _Outputs(args, args.command, cfg, seed)
+    # looked up per run, so wrappers set on the module are seen
+    result = getattr(varsolve, name)(*values, field, opts)
     if result.status == "infeasible":
         print(f"infeasible: {result.detail}", file=sys.stderr)
         return 1
@@ -219,36 +221,6 @@ def _solve_command(name, solve, args, cfg, seed):
         f"{rd['stationarity']:.2e}  flux {rd['flux']:.2e}",
     ])
     return 0
-
-
-def _cmd_rate(args, cfg, seed):
-    field = build_field(cfg.field)
-    target = _need(cfg.target, "target")
-    gamma = np.array(_need(target.gamma, "target.gamma"))
-    flux = np.array(_need(target.flux, "target.flux"))
-    opts = cfg.solve_options()
-    return _solve_command("rate", lambda: varsolve.solve_rate(gamma, flux, field, opts),
-                          args, cfg, seed)
-
-
-def _cmd_occupation_rate(args, cfg, seed):
-    field = build_field(cfg.field)
-    target = _need(cfg.target, "target")
-    gamma = np.array(_need(target.gamma, "target.gamma"))
-    opts = cfg.solve_options()
-    return _solve_command("occupation-rate",
-                          lambda: varsolve.occupation_rate(gamma, field, opts),
-                          args, cfg, seed)
-
-
-def _cmd_current_rate(args, cfg, seed):
-    field = build_field(cfg.field)
-    target = _need(cfg.target, "target")
-    current = np.array(_need(target.current, "target.current"))
-    opts = cfg.solve_options()
-    return _solve_command("current-rate",
-                          lambda: varsolve.current_rate(current, field, opts),
-                          args, cfg, seed)
 
 
 def _cmd_fixed_point(args, cfg, seed):
@@ -333,9 +305,7 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "simulate": _cmd_simulate,
     "dv-rate": _cmd_dv_rate,
-    "rate": _cmd_rate,
-    "occupation-rate": _cmd_occupation_rate,
-    "current-rate": _cmd_current_rate,
+    **dict.fromkeys(_SOLVES, _cmd_solve),
     "fixed-point": _cmd_fixed_point,
     "mc-ldp": _cmd_mc_ldp,
 }
@@ -371,8 +341,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise errors.ConfigError(f"must be >= 0, got {args.seed}", "--seed")
+        if args.seed is not None:
+            check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
         return _COMMANDS[args.command](args, cfg, seed)

@@ -55,6 +55,14 @@ def _integer(value, loc, minimum=None):
     return value
 
 
+def check_seed(value, loc):
+    """A seed: an integer in [0, 2**64), the range path streams are keyed by."""
+    value = _integer(value, loc, minimum=0)
+    if value >= 1 << 64:
+        raise errors.ConfigError(f"must be < 2**64, got {value}", loc)
+    return value
+
+
 def _vector(value, loc):
     if not isinstance(value, list) or not value:
         raise errors.ConfigError("expected a nonempty list of numbers", loc)
@@ -93,64 +101,43 @@ def _square(value, loc):
     return rows
 
 
+def _matrices(value, loc):
+    if not isinstance(value, list) or not value:
+        raise errors.ConfigError("expected a list of matrices", loc)
+    return [_square(m, f"{loc}[{i}]") for i, m in enumerate(value)]
+
+
+# the parser of every field parameter a family in FAMILIES names
+_FIELD_KEYS = {"q0": _square, "strength": _number, "alpha": _vector, "beta": _vector,
+               "generators": _matrices, "vertices": _matrices}
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     family: str
-    q0: list | None = None
-    strength: float | None = None
-    alpha: list | None = None
-    beta: list | None = None
-    generators: list | None = None
-    vertices: list | None = None
+    params: dict  # the family's FAMILIES keys -> parsed values
 
     @property
     def d(self):
-        if self.q0 is not None:
-            return len(self.q0)
-        if self.generators is not None:
-            return len(self.generators[0])
-        return len(self.vertices[0])
+        # the first parameter is q0 or a list of square matrices, so its
+        # first entry (a row or a matrix) has d entries
+        return len(self.params[FAMILIES[self.family][0]][0])
 
 
 def _parse_field(section, loc="field"):
     section = _require_map(section, loc)
     family = section.get("family")
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise errors.ConfigError(
             f"family must be one of {', '.join(FAMILIES)}, got {family!r}",
             f"{loc}.family")
-    needs = {
-        "constant": ("q0",),
-        "autochemotaxis": ("q0", "strength"),
-        "congestion": ("q0", "alpha", "beta"),
-        "catalytic": ("generators",),
-        "affine": ("vertices",),
-    }[family]
-    _no_extras(section, ("family",) + needs, loc)
-    for key in needs:
+    keys = FAMILIES[family]
+    _no_extras(section, ("family",) + keys, loc)
+    for key in keys:
         if key not in section:
             raise errors.ConfigError(f"family {family!r} needs {key!r}", loc)
-    kw = {}
-    if "q0" in needs:
-        kw["q0"] = _square(section["q0"], f"{loc}.q0")
-    if "strength" in needs:
-        kw["strength"] = _number(section["strength"], f"{loc}.strength")
-    if "alpha" in needs:
-        kw["alpha"] = _vector(section["alpha"], f"{loc}.alpha")
-        kw["beta"] = _vector(section["beta"], f"{loc}.beta")
-    if family == "catalytic":
-        gens = section["generators"]
-        if not isinstance(gens, list) or not gens:
-            raise errors.ConfigError("expected a list of matrices", f"{loc}.generators")
-        kw["generators"] = [_square(g, f"{loc}.generators[{i}]")
-                            for i, g in enumerate(gens)]
-    if family == "affine":
-        verts = section["vertices"]
-        if not isinstance(verts, list) or not verts:
-            raise errors.ConfigError("expected a list of matrices", f"{loc}.vertices")
-        kw["vertices"] = [_square(v, f"{loc}.vertices[{i}]")
-                          for i, v in enumerate(verts)]
-    return FieldConfig(family=family, **kw)
+    return FieldConfig(family, {key: _FIELD_KEYS[key](section[key], f"{loc}.{key}")
+                                for key in keys})
 
 
 def build_field(fc):
@@ -160,16 +147,8 @@ def build_field(fc):
     factors that can turn negative) surface as ConfigError at field level.
     """
     try:
-        if fc.family == "constant":
-            return RateField.constant(np.array(fc.q0))
-        if fc.family == "autochemotaxis":
-            return RateField.autochemotaxis(np.array(fc.q0), strength=fc.strength)
-        if fc.family == "congestion":
-            return RateField.congestion(np.array(fc.q0), alpha=np.array(fc.alpha),
-                                        beta=np.array(fc.beta))
-        if fc.family == "catalytic":
-            return RateField.catalytic(np.stack([np.array(g) for g in fc.generators]))
-        return RateField.affine(np.stack([np.array(v) for v in fc.vertices]))
+        return getattr(RateField, fc.family)(
+            **{key: np.array(value) for key, value in fc.params.items()})
     except (errors.SelfJumpError, ValueError) as exc:
         raise errors.ConfigError(str(exc), "field") from exc
 
@@ -334,7 +313,7 @@ def parse_config(raw):
         raise errors.ConfigError("missing 'field' section", "config")
     fc = _parse_field(raw["field"])
     d = fc.d
-    seed = _integer(raw.get("seed", 0), "config.seed", minimum=0)
+    seed = check_seed(raw.get("seed", 0), "config.seed")
     kw = {}
     if "simulate" in raw:
         kw["simulate"] = _parse_simulate(raw["simulate"], d)

@@ -17,14 +17,6 @@ class NegativeRate(SelfJumpError):
     """A rate field produced a negative jump rate."""
 
 
-class SupportMismatch(SelfJumpError):
-    """A rate field charged an edge outside its support."""
-
-
-class RateBoundExceeded(SelfJumpError):
-    """A rate exceeded the field's declared upper bound."""
-
-
 class InvalidState(SelfJumpError):
     """State label outside 1..d."""
 

@@ -36,13 +36,14 @@ so its values are bit-identical to ``simulate_thinning`` followed by
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
-Path i's stream is Philox under the key numpy's
-``SeedSequence(entropy=seed mod 2**64, spawn_key=(i,))`` generates;
-``_stream_keys`` computes those keys for a whole block of paths in one
-vectorised pass of SeedSequence's hash, which numpy's stream-compatibility
-policy keeps fixed: the seed's words are mixed once per seed, and only the
-index words per path.  A lockstep block then resets one Philox generator to
-each path's fresh stream instead of building a generator per path.
+Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
+``SeedSequence(entropy=seed, spawn_key=(i,))`` generates, which is how
+``path_stream`` builds it.  For a lockstep block, ``_stream_keys`` computes
+those keys for all its paths in one vectorised pass of SeedSequence's hash,
+which numpy's stream-compatibility policy keeps fixed: the seed's words are
+mixed once per seed, and only the index words per path.  The block then
+resets one Philox generator to each path's fresh stream instead of building
+a generator per path.
 """
 
 from __future__ import annotations
@@ -108,10 +109,18 @@ def _seed_pool(seed):
     return pool
 
 
+def _check_seed(seed):
+    """The seed as an int; raises ValueError outside [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _stream_keys(seed, indices):
     """Philox keys of the streams of paths ``indices``, as an (n, 2) uint64 array.
 
-    Row k is ``SeedSequence(entropy=seed mod 2**64, spawn_key=(indices[k],))
+    Row k is ``SeedSequence(entropy=seed, spawn_key=(indices[k],))
     .generate_state(2, np.uint64)``, for indices in [0, 2**64).  The index
     words (the low one, and the high one from 2**32 on) are mixed into
     every path's copy of the seed's pool at once.
@@ -120,7 +129,7 @@ def _stream_keys(seed, indices):
     if idx.min(initial=0) < 0:
         raise ValueError("path indices must be nonnegative")
     idx = idx.astype(np.uint64)
-    pool = _seed_pool(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    pool = _seed_pool(_check_seed(seed))
     # one row per path and one column per pool word; hashmix calls 16-19
     # mix in the low index word, 20-23 the high one
     m = _MIXING
@@ -136,8 +145,8 @@ def _stream_keys(seed, indices):
 
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
-    key = _stream_keys(seed, [int(path_index)])[0]
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(_check_seed(seed), spawn_key=(int(path_index),))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -607,13 +616,11 @@ class BatchResult:
     mean_occupation: np.ndarray = dataclass_field(init=False)
     var_occupation: np.ndarray = dataclass_field(init=False)
     mean_flux: np.ndarray = dataclass_field(init=False)
-    var_flux: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
         self.mean_occupation = self.occupations.mean(axis=0)
         self.var_occupation = self.occupations.var(axis=0)
         self.mean_flux = self.fluxes.mean(axis=0)
-        self.var_flux = self.fluxes.var(axis=0)
 
 
 def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",

@@ -240,6 +240,21 @@ def test_negative_seed_exits_2_in_one_line(tmp_path, capsys, command, section):
     assert not out_root.exists()
 
 
+@pytest.mark.parametrize("doc_seed, flag, location", [
+    (2 ** 64, [], "config.seed"),
+    (1, ["--seed", str(2 ** 64)], "--seed"),
+])
+def test_seed_beyond_64_bits_exits_2(tmp_path, capsys, doc_seed, flag, location):
+    # taken mod 2**64, seed 2**64 would rerun seed 0's paths in another run dir
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD, "seed": doc_seed,
+                               "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}})
+    out_root = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out_root)] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"config error: {location}: must be < 2**64, got {2 ** 64}"]
+    assert not out_root.exists()
+
+
 def test_simulate_csv_format_streams_batch(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 1,
            "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 3}}
@@ -444,6 +459,7 @@ NAN = float("nan")
     ({"field": dict(CHEMO_FIELD, q0=[[-2.0, NAN], [1.0, -1.0]])}, "field.q0[0][1]"),
     ({"field": dict(CHEMO_FIELD, strength=NAN)}, "field.strength"),
     ({"field": dict(CHEMO_FIELD, strength=-1.0)}, "field"),
+    ({"field": dict(CHEMO_FIELD, family=["constant"])}, "field.family"),
 ])
 def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     full = {"field": CHEMO_FIELD, **doc}
@@ -452,6 +468,17 @@ def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {location}")
     assert "Traceback" not in err
+
+
+def test_run_file_fields_match_their_classmethods(family_params, family_fields):
+    for name, params in family_params.items():
+        fc = config.parse_config({"field": {"family": name, **params}}).field
+        built, ref = config.build_field(fc), family_fields[name]
+        assert (built.family, built.d, fc.d) == (name, ref.d, ref.d)
+        assert np.array_equal(built.vertices, ref.vertices)
+        assert np.array_equal(built.support, ref.support)
+        assert built.rate_upper == ref.rate_upper
+        assert built.rate_lower_coeff == ref.rate_lower_coeff
 
 
 VALID_RUN = {

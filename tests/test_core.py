@@ -102,6 +102,24 @@ def test_rate_upper_is_sharp_for_affine():
         assert seen == pytest.approx(f.rate_upper, abs=1e-12)
 
 
+def test_evaluate_is_generator_within_bounds_every_family(family_field):
+    f = family_field
+    rng = np.random.default_rng(11)
+    off_diag = ~np.eye(f.d, dtype=bool)
+    faces = [np.where(np.arange(f.d) == z, 0.0, 1.0 / (f.d - 1)) for z in range(f.d)]
+    gammas = list(rng.dirichlet(np.ones(f.d), 200)) + faces + list(np.eye(f.d))
+    seen = 0.0
+    for g in gammas:
+        q = f.evaluate(g)
+        assert np.all(q[off_diag] >= 0.0)
+        assert np.all(q[off_diag] <= f.rate_upper + 1e-12)
+        assert np.all(q[off_diag & ~f.support] == 0.0)
+        assert np.allclose(q.sum(axis=1), 0.0, atol=1e-12)
+        seen = max(seen, q[off_diag].max())
+    # the bound is sharp: some vertex attains it
+    assert seen == pytest.approx(f.rate_upper, abs=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 2**31 - 1))
 def test_affine_evaluate_is_generator(d, seed):

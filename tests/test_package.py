@@ -1,4 +1,4 @@
-"""Static checks of the package sources: no unused imports, a complete __all__."""
+"""Static checks of the sources: no unused imports or error types, a full __all__."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,19 @@ def test_all_names_resolve():
     missing = [name for name in selfjump.__all__ if not hasattr(selfjump, name)]
     assert missing == []
     assert len(set(selfjump.__all__)) == len(selfjump.__all__)
+
+
+def test_every_error_type_is_named_outside_errors():
+    # an exception class that no other module names is never raised
+    errors_py = next(p for p in SOURCES if p.name == "errors.py")
+    defined = {node.name for node in ast.parse(errors_py.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in SOURCES:
+        if path != errors_py:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+    assert sorted(defined - named) == []

@@ -319,12 +319,12 @@ def test_samplers_reject_non_finite_horizons():
             next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
 
 
-KEY_SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, -1)
+KEY_SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 KEY_INDICES = list(range(300)) + [2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63 - 1]
 
 
 def seed_sequence(seed, path_index):
-    return np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(path_index,))
+    return np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
 
 
 def test_stream_keys_match_seed_sequence():
@@ -336,7 +336,7 @@ def test_stream_keys_match_seed_sequence():
 
 
 def test_path_stream_draws_match_seed_sequence_stream():
-    for seed in (0, 7, -1):
+    for seed in (0, 7, 2 ** 64 - 1):
         for i in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1):
             new = sim.path_stream(seed, i)
             old = np.random.Generator(np.random.Philox(seed_sequence(seed, i)))
@@ -347,6 +347,18 @@ def test_path_stream_draws_match_seed_sequence_stream():
         sim.path_stream(0, -1)
     with pytest.raises(ValueError):
         sim._stream_keys(0, [3, -1])
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+def test_seeds_outside_64_bits_raise(seed):
+    # taken mod 2**64, such a seed would rerun another seed's paths
+    with pytest.raises(ValueError):
+        sim.path_stream(seed, 0)
+    with pytest.raises(ValueError):
+        sim.simulate_thinning(unit_field(), 1, 1.0, seed)
+    # 100 short paths run as one lockstep block
+    with pytest.raises(ValueError):
+        next(sim.lockstep_thinning(unit_field(), 1, [1.0], 100, seed))
 
 
 # sha256 of times, sources and targets of simulate_thinning(field, x0, t,

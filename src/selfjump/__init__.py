@@ -21,7 +21,6 @@ from .ldp import (
     as_flux,
     dv_occupation_rate_2state,
     dv_rate,
-    ell,
     equilibrium_flux,
     fixed_point_multistart,
     fixed_point_pi_star,
@@ -47,12 +46,8 @@ from .varsolve import (
     SolveOptions,
     TimeGrid,
     current_rate,
-    jtilde,
-    m_from_rho,
     occupation_rate,
-    path_flux,
     rate_result_to_dict,
-    residuals,
     solve_rate,
     write_control_path_csv,
 )
@@ -77,7 +72,6 @@ __all__ = [
     "as_flux",
     "dv_occupation_rate_2state",
     "dv_rate",
-    "ell",
     "equilibrium_flux",
     "fixed_point_multistart",
     "fixed_point_pi_star",
@@ -99,12 +93,8 @@ __all__ = [
     "SolveOptions",
     "TimeGrid",
     "current_rate",
-    "jtilde",
-    "m_from_rho",
     "occupation_rate",
-    "path_flux",
     "rate_result_to_dict",
-    "residuals",
     "solve_rate",
     "write_control_path_csv",
     "BallTarget",

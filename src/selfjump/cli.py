@@ -218,7 +218,7 @@ def _cmd_solve(args, cfg, seed):
         f"value: {_fmt(result.value)}",
         f"status: {result.status}",
         f"residuals: marginal {rd['marginal']:.2e}  stationarity "
-        f"{rd['stationarity']:.2e}  flux {rd['flux']:.2e}",
+        f"{rd['stationarity']:.2e}  flux {rd['flux']:.2e}  simplex {rd['simplex']:.2e}",
     ])
     return 0
 

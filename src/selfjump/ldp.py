@@ -14,8 +14,8 @@ Also here: stationary distributions of rate matrices, the self-consistent
 equilibrium of an occupation-dependent field (pi with pi Q(pi) = 0), its
 equilibrium flux, and the closed-form two-state occupation rate.
 
-ell and scaled_ell import scipy.special's xlogy when called, so sampling
-commands that never evaluate a cost do not load scipy.special.
+scaled_ell imports scipy.special's xlogy when called, so sampling commands
+that never evaluate a cost do not load scipy.special.
 """
 
 from __future__ import annotations
@@ -29,22 +29,6 @@ from .core import as_simplex, uniform_simplex, validate_generator
 
 BALANCE_TOL = 1e-10
 STATIONARY_RESIDUAL_TOL = 1e-10
-
-
-def ell(x):
-    """Poisson cost ell(x) = x log x - x + 1 with ell(0) = 1.
-
-    Accepts scalars or arrays; strictly convex, zero exactly at x = 1.
-    """
-    from scipy.special import xlogy
-
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise errors.NegativeInput(f"ell needs x >= 0, got {x}")
-    out = xlogy(arr, arr) - arr + 1.0
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def scaled_ell(q, h):

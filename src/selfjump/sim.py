@@ -196,10 +196,6 @@ class Trajectory:
         np.add.at(counts, (self.sources[:k] - 1, self.targets[:k] - 1), 1.0)
         return counts / t
 
-    def holding_times(self):
-        """Completed holding times (the censored final interval is dropped)."""
-        return np.diff(np.concatenate(([0.0], self.times)))
-
 
 def _check_x0(field, x0):
     if not isinstance(x0, (int, np.integer)) or not 1 <= int(x0) <= field.d:

@@ -9,8 +9,8 @@ rate matrix H_s (the controlled jump rates).  Writing
 
 for the induced occupation profile (M solves M' = M - rho), the cost is
 
-    jtilde(rho, H) = integral e^-s sum_x rho_s(x) sum_y
-                         scaled_ell(Q_xy(M_s), H_s(x, y)) ds
+    J(rho, H) = integral e^-s sum_x rho_s(x) sum_y
+                    scaled_ell(Q_xy(M_s), H_s(x, y)) ds
 
 minimized subject to
     (a) marginal:      integral e^-s rho_s ds = gamma   (equals M_0),
@@ -20,19 +20,22 @@ minimized subject to
 
 Discretization: rho and H are piecewise constant on K cells covering
 [0, T_h] plus one constant tail pair on [T_h, infinity); the discount gives
-each cell the weight e^-s_k - e^-s_{k+1} and the tail e^-T_h, and M has a
-closed form.
+each cell the weight e^-s_k - e^-s_{k+1} and the tail e^-T_h, M has a
+closed form, and each block's cost reads M at the block's left node.
 
 The solver works in flux variables j = rho * H (per edge, j_xy =
-rho(x) H(x, y)).  There the block cost is the perspective form
+rho(x) H(x, y)), and only there.  The block cost is the perspective form
 j log(j / p) - j + p with p = rho(x) Q_xy(M), the level-2.5 cost of
 Bertini, Faggionato and Gabrielli (AIHP 2015), and every constraint above
 is linear: (a) and (d) are weighted sums over blocks, (c) says each block's
 j is divergence-free, and the simplex rows of rho are sums.  With rho, j >= 0
 as L-BFGS-B bounds, one augmented Lagrangian enforces the linear system,
-from at most two deterministic starts.  A state that gamma leaves empty has
-its rho and the flux on its edges bounded to zero, so targets on the faces
-of the simplex are the same problem.
+from at most two deterministic starts.  Every round is judged in the same
+variables: the value is the flux cost, and feasibility is the residual of
+the linear system, row group by row group.  The winner alone is turned into
+a control path (rho, H = j / rho).  A state that gamma leaves empty has its
+rho and the flux on its edges bounded to zero, so targets on the faces of
+the simplex are the same problem.
 
 For a constant field the cost is jointly convex in (rho, j) and the
 minimizer is the constant path rho = gamma, j = varsigma, whose value is the
@@ -54,7 +57,7 @@ import numpy as np
 
 from . import errors
 from .core import as_simplex, edge_pairs, uniform_simplex
-from .ldp import BALANCE_TOL, as_flux, flux_balanced, scaled_ell, fixed_point_pi_star
+from .ldp import BALANCE_TOL, as_flux, flux_balanced, fixed_point_pi_star
 
 SUPPORT_TOL = 1e-12
 
@@ -120,94 +123,6 @@ class ControlPath:
     H: np.ndarray
 
 
-def m_from_rho(path):
-    """Occupation profile M at the grid nodes, exactly integrated.
-
-    Returns an array of shape (K+1, d): M(s_k) for k = 0..K, with
-    M(s_K) = rho_tail (M is constant on the tail) and M(s_0) equal to the
-    discount-weighted average of all blocks.
-    """
-    grid = path.grid
-    w = grid.block_weights
-    contrib = w[:, None] * path.rho
-    suffix = np.cumsum(contrib[::-1], axis=0)[::-1]
-    out = np.empty_like(path.rho)
-    out[:-1] = np.exp(grid.nodes[:-1])[:, None] * suffix[:-1]
-    out[-1] = path.rho[-1]
-    return out
-
-
-def _block_rates(field, m_blocks):
-    """Rate matrices Q(M) for each block, zero off the field's support."""
-    q = np.einsum("cz,zij->cij", m_blocks, field.vertices)
-    q = np.clip(q, 0.0, None)
-    q[:, ~field.support] = 0.0
-    return q
-
-
-def jtilde(path, field):
-    """Discretized control cost of a path under the field.
-
-    Sum over blocks of weight * sum over supported edges of
-    rho(x) * scaled_ell(Q_xy(M), H(x, y)), with M at each block's left node.
-    Infinite when H charges an edge whose rate vanishes.
-    """
-    mask = field.support
-    off = ~mask & ~np.eye(field.d, dtype=bool)
-    if np.any(path.H[:, off] > SUPPORT_TOL):
-        return float("inf")
-    q = _block_rates(field, m_from_rho(path))
-    xs, ys = np.nonzero(mask)
-    qe = q[:, xs, ys]
-    he = path.H[:, xs, ys]
-    re = path.rho[:, xs]
-    if np.any(he[qe <= 0.0] > 0.0):
-        return float("inf")
-    terms = np.where(re > 0.0, re * scaled_ell(qe, np.clip(he, 0.0, None)), 0.0)
-    return float(path.grid.block_weights @ terms.sum(axis=1))
-
-
-def path_flux(path):
-    """Discount-weighted edge flux of a path: sum of w * rho(x) * H(x, y)."""
-    flux = np.einsum("c,cx,cxy->xy", path.grid.block_weights, path.rho, path.H)
-    np.fill_diagonal(flux, 0.0)
-    return flux
-
-
-def residuals(path, field, gamma=None, flux=None, current=None):
-    """Constraint residuals of a path.
-
-    marginal: l1 gap between M(0) and gamma (0 when gamma is None).
-    stationarity: max over blocks of the sup norm of rho_c H_c.
-    flux: max per-edge gap to the target flux, or to the target current when
-    ``current`` is given (0 when neither is given).
-    support: number of (block, edge) pairs where H charges a vanished rate.
-    """
-    m = m_from_rho(path)
-    out = {}
-    if gamma is None:
-        out["marginal"] = 0.0
-    else:
-        out["marginal"] = float(np.abs(m[0] - as_simplex(gamma)).sum())
-    stat = np.einsum("cx,cxy->cy", path.rho, path.H)
-    out["stationarity"] = float(np.max(np.abs(stat)))
-    f = path_flux(path)
-    if flux is not None:
-        gap = np.abs(f - as_flux(flux))
-        np.fill_diagonal(gap, 0.0)
-        out["flux"] = float(gap.max())
-    elif current is not None:
-        gap = np.abs((f - f.T) - np.asarray(current, dtype=float))
-        np.fill_diagonal(gap, 0.0)
-        out["flux"] = float(gap.max())
-    else:
-        out["flux"] = 0.0
-    q = _block_rates(field, m)
-    off = ~np.eye(field.d, dtype=bool)
-    out["support"] = int(np.sum((path.H > SUPPORT_TOL) & (q <= 0.0) & off))
-    return out
-
-
 # -- flux-variable minimization ----------------------------------------------
 
 
@@ -233,9 +148,12 @@ class SolveOptions:
 class RateResult:
     """Outcome of a rate minimization.
 
-    value is jtilde of the returned path (infinite for analytic
-    infeasibility, where path is None).  status is one of converged,
-    infeasible, max_iter; detail explains infeasibility.
+    value is the flux cost of the returned (rho, j), +infinity when j charges
+    an edge whose p = rho(x) Q(M) vanishes (and for analytic infeasibility,
+    where path is None).  residuals holds the largest simplex, stationarity,
+    marginal and flux gap in natural units and the support count (see
+    _FluxProblem.judge).  status is one of converged, infeasible, max_iter;
+    detail explains infeasibility.
     """
 
     value: float
@@ -254,7 +172,7 @@ _PENALTY_INIT = 100.0
 _PENALTY_FACTOR = 10.0
 _PENALTY_ROUNDS = 6
 _INNER_MAXITER = 300
-# Bound on the marginal, stationarity and flux residuals for status=converged.
+# Bound on every residual but the support count for status=converged.
 _TOL = 1e-5
 # A feasible start at or below this value ends the search.
 _EARLY_STOP = 1e-8
@@ -266,13 +184,17 @@ class _FluxProblem:
     Per block c the variables are rho_c (d entries) and the edge flux
     j_c = rho_c * H_c on the field's support edges, all nonnegative.  The
     cost sum_c w_c sum_e [j log(j / p) - j + p] with p = rho_c(x_e) Q_e(M_c)
-    equals jtilde at H = j / rho, and every constraint is linear.
+    is the control cost of the path H = j / rho, and every constraint is
+    linear.
 
     The block cost scales with the weight w_c, so the solver works in
     u_c = sqrt(w_c) z_c, which evens out the curvature across blocks.  In u
     the per-block rows (simplex, divergence-free j_c) have unit coefficients
     and the weighted sums over blocks (marginal, flux, current) have
-    sqrt(w_c); ``A`` and ``b`` hold them all: A u = b.
+    sqrt(w_c); ``A`` and ``b`` hold them all: A u = b.  ``judge`` reads
+    r = A u - b back in natural units: a per-block row divided by sqrt(w_c)
+    is that block's simplex or divergence gap, and a weighted-sum row is
+    already the gap of its target.
     """
 
     def __init__(self, field, grid, mode, gamma=None, flux=None, current=None):
@@ -298,20 +220,28 @@ class _FluxProblem:
         div[xs, edges] -= 1.0
         root_w = np.sqrt(self.w)[None, :]
         eye = sparse.identity(self.nb)
-        rows = [(sparse.kron(eye, np.ones((1, d))), None, root_w[0]),
-                (None, sparse.kron(eye, div), np.zeros(self.nb * d))]
+        rows = [("simplex", sparse.kron(eye, np.ones((1, d))), None, root_w[0]),
+                ("stationarity", None, sparse.kron(eye, div), np.zeros(self.nb * d))]
         if gamma is not None:
-            rows.append((sparse.kron(root_w, np.eye(d)), None, gamma))
+            rows.append(("marginal", sparse.kron(root_w, np.eye(d)), None, gamma))
         if mode == "rate":
-            rows.append((None, sparse.kron(root_w, np.eye(self.n_e)), flux[xs, ys]))
+            rows.append(("flux", None, sparse.kron(root_w, np.eye(self.n_e)),
+                         flux[xs, ys]))
         elif mode == "current":
             pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(xs, ys)})
             net = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
-                            for x, y in pairs])
-            rows.append((None, sparse.kron(root_w, net),
+                            for x, y in pairs]).reshape(len(pairs), self.n_e)
+            rows.append(("flux", None, sparse.kron(root_w, net),
                          np.array([current[x, y] for x, y in pairs])))
-        self.A = sparse.bmat([[a, c] for a, c, _ in rows], format="csr")
-        self.b = np.concatenate([b for _, _, b in rows])
+        self.A = sparse.bmat([[a, c] for _, a, c, _ in rows], format="csr")
+        self.AT = self.A.T.tocsr()
+        self.b = np.concatenate([b for *_, b in rows])
+        ends = np.cumsum([b.size for *_, b in rows])
+        self.groups = {name: slice(end - b.size, end)
+                       for (name, *_, b), end in zip(rows, ends)}
+        per_block = self.w ** -0.5
+        self.row_scale = np.concatenate([per_block, np.repeat(per_block, d),
+                                         np.ones(self.b.size - ends[1])])
 
     def pack(self, rho, j_full):
         """u for a constant path: rho (d,) and full flux matrix j (d, d) per block."""
@@ -324,17 +254,21 @@ class _FluxProblem:
         return (z[:self.n_rho].reshape(self.nb, self.d),
                 z[self.n_rho:].reshape(self.nb, self.n_e))
 
-    def cost(self, z):
-        """Cost and its gradient in z; the log guard only acts where j or p is 0."""
-        rho, j = self._unpack(z)
+    def _rates(self, rho):
+        """Q(M) on the support edges, M at each block's left node, and p = rho(x) Q."""
         w, k = self.w, self.nb - 1
         suffix = np.cumsum((w[:, None] * rho)[::-1], axis=0)[::-1]
         mh = np.empty_like(rho)
         mh[:k] = self.es[:, None] * suffix[:k]
         mh[k] = rho[k]
         q = mh @ self.vxy
-        rx = rho[:, self.xs]
-        p = rx * q
+        return q, rho[:, self.xs] * q
+
+    def cost(self, z):
+        """Cost and its gradient in z; the log guard only acts where j or p is 0."""
+        rho, j = self._unpack(z)
+        w, k = self.w, self.nb - 1
+        q, p = self._rates(rho)
         p_safe = np.maximum(p, _LOG_GUARD)
         log_ratio = np.log(np.maximum(j, _LOG_GUARD)) - np.log(p_safe)
         value = float(w @ (j * log_ratio - j + p).sum(axis=1))
@@ -342,7 +276,7 @@ class _FluxProblem:
         g_j = w[:, None] * log_ratio
         g_p = w[:, None] * (1.0 - j / p_safe)
         g_rho = (g_p * q) @ self.ox
-        gm = (g_p * rx) @ self.vxy.T
+        gm = (g_p * rho[:, self.xs]) @ self.vxy.T
         cums = np.cumsum(self.es[:, None] * gm[:k], axis=0)
         g_rho[:k] += w[:k, None] * cums
         g_rho[k] += w[k] * cums[k - 1] + gm[k]
@@ -357,7 +291,27 @@ class _FluxProblem:
         value, grad = self.cost_u(u)
         r = self.A @ u - self.b
         y = lam + mu * r
-        return value + float(lam @ r) + 0.5 * mu * float(r @ r), grad + self.A.T @ y
+        return value + float(lam @ r) + 0.5 * mu * float(r @ r), grad + self.AT @ y
+
+    def judge(self, u):
+        """Value, residuals and r = A u - b of the candidate u.
+
+        support counts the (block, edge) pairs where j > SUPPORT_TOL charges
+        p <= 0; the value is the cost, or +infinity when that count is not 0.
+        Every other residual is the largest |row| of its group of r, in
+        natural units, and 0 for a group the mode does not have.
+        """
+        z = self.scale * u
+        rho, j = self._unpack(z)
+        support = int(np.sum((j > SUPPORT_TOL) & (self._rates(rho)[1] <= 0.0)))
+        r = self.A @ u - self.b
+        gap = np.abs(r) * self.row_scale
+        rd = dict.fromkeys(("marginal", "stationarity", "flux", "simplex"), 0.0)
+        rd.update((name, float(gap[rows].max(initial=0.0)))
+                  for name, rows in self.groups.items())
+        rd["support"] = support
+        value = self.cost(z)[0] if support == 0 else float("inf")
+        return value, rd, r
 
     def path_from(self, u):
         rho, j = self._unpack(self.scale * u)
@@ -403,14 +357,14 @@ def _starts(prob, field, mode, gamma, flux):
     yield prob.pack(pi, pi[:, None] * field.evaluate(pi))
 
 
-def _feasible(rd):
-    return (max(rd["marginal"], rd["stationarity"], rd["flux"]) <= _TOL
-            and rd["support"] == 0)
-
-
 def _violation(rd):
-    return max(rd["marginal"] / _TOL, rd["stationarity"] / _TOL, rd["flux"] / _TOL,
-               float(rd["support"]))
+    """The largest residual in units of _TOL, or the support count if larger."""
+    gaps = (v for name, v in rd.items() if name != "support")
+    return max(max(gaps) / _TOL, float(rd["support"]))
+
+
+def _feasible(rd):
+    return _violation(rd) <= 1.0 and rd["support"] == 0
 
 
 def _minimize(field, mode, gamma, flux, current, opts):
@@ -422,7 +376,8 @@ def _minimize(field, mode, gamma, flux, current, opts):
     simplex are solved as they stand, by the same path as interior targets.
     In current mode a one-way edge x -> y carries its pair's whole current
     as a weighted sum of nonnegative fluxes, so a zero current there pins
-    its flux to zero in every block.
+    its flux to zero in every block.  The first multipliers are fitted to
+    the start's gradient over the free variables only.
     """
     from scipy.sparse.linalg import lsqr
 
@@ -435,6 +390,8 @@ def _minimize(field, mode, gamma, flux, current, opts):
         pinned_edges |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
     pinned = np.concatenate([np.tile(empty, prob.nb), np.tile(pinned_edges, prob.nb)])
     bounds = [(0.0, 0.0) if p else (0.0, None) for p in pinned]
+    free = ~pinned
+    free_rows = prob.AT[free]
 
     # Each start ends in one candidate: feasible ones are scored by value,
     # infeasible ones by scaled violation.  Multiplier rounds only tighten
@@ -442,30 +399,27 @@ def _minimize(field, mode, gamma, flux, current, opts):
     best = None
     starts = islice(_starts(prob, field, mode, gamma, flux), opts.n_starts)
     for si, u in enumerate(starts):
-        lam = lsqr(prob.A.T, -prob.cost_u(u)[1], atol=1e-14, btol=1e-14)[0]
+        lam = lsqr(free_rows, -prob.cost_u(u)[1][free], atol=1e-14, btol=1e-14)[0]
         mu = _PENALTY_INIT
         for _ in range(_PENALTY_ROUNDS):
-            res = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": _INNER_MAXITER, "maxcor": 25,
-                                    "ftol": 1e-14, "gtol": 1e-9})
-            u = res.x
-            path = prob.path_from(u)
-            rd = residuals(path, field, gamma=gamma, flux=flux, current=current)
+            u = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
+                         method="L-BFGS-B", bounds=bounds,
+                         options={"maxiter": _INNER_MAXITER, "maxcor": 25,
+                                  "ftol": 1e-14, "gtol": 1e-9}).x
+            value, rd, r = prob.judge(u)
             if _violation(rd) <= 0.01:
                 break
-            lam = lam + mu * (prob.A @ u - prob.b)
+            lam = lam + mu * r
             mu *= _PENALTY_FACTOR
-        value = jtilde(path, field)
         feas = _feasible(rd)
         key = (not feas, value if feas else _violation(rd), si)
         if best is None or key < best[0]:
-            best = (key, si, value, path, rd)
+            best = (key, si, value, u, rd)
         if feas and value <= _EARLY_STOP:
             break
-    _, si, value, path, rd = best
+    _, si, value, u, rd = best
     status = "converged" if _feasible(rd) else "max_iter"
-    return RateResult(value, path, rd, status, best_start=si)
+    return RateResult(value, prob.path_from(u), rd, status, best_start=si)
 
 
 def flux_infeasibility(field, flux, gamma):

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from control_paths import ell
 from selfjump import core, errors, ldp
 
 
 def test_ell_values():
-    assert ldp.ell(1.0) == 0.0
-    assert ldp.ell(0.0) == 1.0
-    assert ldp.ell(2.0) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-15)
+    assert ell(1.0) == 0.0
+    assert ell(0.0) == 1.0
+    assert ell(2.0) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-15)
     with pytest.raises(errors.NegativeInput):
-        ldp.ell(-0.5)
+        ell(-0.5)
 
 
 def test_ell_vectorized_and_convex():
     x = np.array([0.0, 0.5, 1.0, 3.0])
-    v = ldp.ell(x)
+    v = ell(x)
     assert v.shape == (4,)
     assert v[2] == 0.0
     # convexity on a fixed probe
     a, b, lam = 0.3, 2.7, 0.4
-    assert ldp.ell(lam * a + (1 - lam) * b) <= lam * ldp.ell(a) + (1 - lam) * ldp.ell(b) + 1e-12
+    assert ell(lam * a + (1 - lam) * b) <= lam * ell(a) + (1 - lam) * ell(b) + 1e-12
 
 
 def test_scaled_ell_edge_cases():
@@ -48,9 +49,9 @@ def test_ell_and_scaled_ell_are_the_xlogy_formula_bitwise():
                         rng.lognormal(0.0, 3.0, 20_000),
                         10.0 ** rng.uniform(-300.0, 300.0, 20_000)])
     bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
-    assert np.array_equal(bits(ldp.ell(x)), bits(xlogy(x, x) - x + 1.0))
+    assert np.array_equal(bits(ell(x)), bits(xlogy(x, x) - x + 1.0))
     for v in edges:
-        assert bits(ldp.ell(float(v))) == bits(xlogy(v, v) - v + 1.0)
+        assert bits(ell(float(v))) == bits(xlogy(v, v) - v + 1.0)
     q, h = x, rng.permutation(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = xlogy(h, h) - xlogy(h, q) + q - h
@@ -211,5 +212,5 @@ def test_dv_rate_nonnegative_and_zero_only_at_equilibrium(seed):
 @given(st.floats(0.01, 50.0), st.floats(0.0, 50.0))
 def test_scaled_ell_matches_q_times_ell(q, h):
     direct = ldp.scaled_ell(q, h)
-    via_ell = q * ldp.ell(h / q)
+    via_ell = q * ell(h / q)
     assert direct == pytest.approx(via_ell, rel=1e-12, abs=1e-12)

@@ -1,4 +1,5 @@
-"""Static checks of the sources: no unused imports or error types, a full __all__."""
+"""Static checks of the sources: no unused imports or error types, and an
+__all__ whose every name resolves and is used outside the tests."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 import selfjump
 
 SOURCES = sorted(Path(selfjump.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+# the code that uses the package: its own modules, the demos and the benchmark
+USERS = SOURCES + sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("bench/*.py"))
 
 
 def unused_imports(path):
@@ -59,3 +63,43 @@ def test_every_error_type_is_named_outside_errors():
                 elif isinstance(node, ast.Name):
                     named.add(node.id)
     assert sorted(defined - named) == []
+
+
+def names_read(tree):
+    """Names a module reads, each outside the function or class defining it.
+
+    A read is a loaded variable, an attribute, or a string constant (a name
+    looked up with getattr, as the CLI's solver table does); the strings of
+    an ``__all__`` list the names and read none of them.
+    """
+    read = set()
+
+    def visit(node, defining):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in defining:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # library surface that only tests reach belongs in the tests
+    read = set()
+    for path in USERS:
+        read |= names_read(ast.parse(path.read_text()))
+    assert len(USERS) > len(SOURCES)
+    assert sorted(set(selfjump.__all__) - read) == []

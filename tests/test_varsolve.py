@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from control_paths import (constant_path, m_evolution_defect, random_feasible_path,
-                           reweighting_cost)
+from control_paths import (constant_path, jtilde, m_evolution_defect, m_from_rho,
+                           path_flux, random_feasible_path, residuals, reweighting_cost)
 from selfjump import core, ldp, varsolve
-from selfjump.varsolve import ControlPath, SolveOptions, TimeGrid, jtilde, m_from_rho, \
-    residuals
+from selfjump.varsolve import ControlPath, SolveOptions, TimeGrid
 
 TWO_LOG_TWO_MINUS_ONE = 2.0 * np.log(2.0) - 1.0
 
@@ -155,7 +154,7 @@ def test_flux_cost_gradient_finite_difference():
     f = core.RateField.autochemotaxis(ring_field().vertices[0], strength=1.0)
     g = TimeGrid.uniform(2.0, 3)
     gamma = np.array([0.2, 0.3, 0.5])
-    flux = varsolve.path_flux(random_feasible_path(f, g, seed=0))
+    flux = path_flux(random_feasible_path(f, g, seed=0))
     cur = np.array([[0.0, 0.02, -0.02], [-0.02, 0.0, 0.02], [0.02, -0.02, 0.0]])
     cases = [("rate", dict(gamma=gamma, flux=flux)),
              ("occupation", dict(gamma=gamma)),
@@ -220,7 +219,7 @@ def test_solve_rate_constant_field_matches_static_rate():
     dv = ldp.dv_rate(np.array([[-1.0, 1.0], [1.0, -1.0]]), [0.5, 0.5], target)
     assert res.value == pytest.approx(dv, abs=1e-4)
     # the reported value is the raw cost of the reported path
-    assert res.value == jtilde(res.path, unit_field())
+    assert res.value == pytest.approx(jtilde(res.path, unit_field()), rel=1e-12)
     rd = res.residuals
     assert max(rd["marginal"], rd["stationarity"], rd["flux"]) <= 1e-5
     assert rd["support"] == 0
@@ -316,6 +315,49 @@ def test_boundary_status_only_for_converged_solves():
     assert res.value == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("field, exact", [
+    (unit_field(), 1.0),
+    (core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                   strength=1.0), 2.0),
+])
+def test_vertex_target_is_not_undercut_by_simplex_slack(field, exact):
+    # at delta_1 the informed start is exactly feasible at the killing cost;
+    # a start whose simplex rows miss 1 by 1e-7 read 1 - 1.2e-8 and 2 - 2e-7
+    # while only the marginal, stationarity and flux rows were checked
+    res = varsolve.occupation_rate([1.0, 0.0], field)
+    assert res.status == "converged"
+    assert res.value == pytest.approx(exact, abs=1e-9)
+    assert res.residuals["simplex"] <= 1e-5
+    assert np.max(np.abs(res.path.rho.sum(axis=1) - 1.0)) <= 1e-5
+
+
+def test_first_multipliers_keep_the_exact_informed_start():
+    # fitted over the free variables only, the first multipliers leave the
+    # exactly feasible informed start at the killing cost Q_12(delta_1) = 2
+    chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                          strength=1.0)
+    res = varsolve.occupation_rate([1.0, 0.0], chemo, SolveOptions(n_starts=1))
+    assert res.status == "converged"
+    assert res.value == 2.0
+
+
+def test_reported_residuals_agree_with_the_path():
+    # the solver's residuals, read off A u - b in natural units, against the
+    # H-space check of the returned path
+    chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                          strength=1.0)
+    res = varsolve.occupation_rate([0.6, 0.4], chemo, SolveOptions(grid_cells=16))
+    assert res.status == "converged"
+    rd = res.residuals
+    assert sorted(rd) == ["flux", "marginal", "simplex", "stationarity", "support"]
+    h_space = residuals(res.path, chemo, gamma=[0.6, 0.4])
+    assert h_space["stationarity"] == pytest.approx(rd["stationarity"], abs=1e-12)
+    assert h_space["marginal"] <= 2.0 * rd["marginal"] + 1e-12
+    assert h_space["support"] == rd["support"] == 0
+    assert rd["simplex"] == pytest.approx(
+        np.max(np.abs(res.path.rho.sum(axis=1) - 1.0)), abs=1e-12)
+
+
 @pytest.mark.parametrize("q0, strength, gamma", [
     ([[-1.0, 1.0], [1.5, -1.5]], 6.0, [0.15, 0.85]),
     ([[-1.0, 1.0], [1.0, -1.0]], 10.0, [0.05, 0.95]),
@@ -324,7 +366,7 @@ def test_occupation_rate_converges_on_strong_interactions(q0, strength, gamma):
     field = core.RateField.autochemotaxis(np.array(q0), strength=strength)
     res = varsolve.occupation_rate(gamma, field)
     assert res.status == "converged"
-    assert res.value == jtilde(res.path, field)
+    assert res.value == pytest.approx(jtilde(res.path, field), rel=1e-12)
 
 
 @pytest.mark.parametrize("field, gamma", [
@@ -423,6 +465,18 @@ def test_current_rate_zero_current_with_one_way_edges_converges():
     assert res.residuals["flux"] <= 1e-8
 
 
+def test_field_without_edges_solves_in_every_mode():
+    # no support edge leaves no flux variables, and an empty flux or
+    # current row group; the only feasible path costs nothing
+    zero = core.RateField.constant(np.zeros((2, 2)))
+    for res in (varsolve.occupation_rate([0.6, 0.4], zero, FAST),
+                varsolve.solve_rate([0.6, 0.4], np.zeros((2, 2)), zero, FAST),
+                varsolve.current_rate(np.zeros((2, 2)), zero, FAST)):
+        assert res.status == "converged"
+        assert res.value == 0.0
+        assert res.residuals["flux"] == 0.0
+
+
 def test_current_rate_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         varsolve.current_rate(np.array([[0.0, 1.0], [0.0, 0.0]]), unit_field(),
@@ -446,4 +500,4 @@ def test_occupation_rate_benchmark_field_not_above_penalty_solver():
     res = varsolve.occupation_rate([0.6, 0.4], chemo)
     assert res.status == "converged"
     assert res.value <= 0.21413896849097602
-    assert res.value == jtilde(res.path, chemo)
+    assert res.value == pytest.approx(jtilde(res.path, chemo), rel=1e-12)

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__, errors, ldp, mc, sim, varsolve
-from .config import FixedPointConfig, build_field, check_seed, load_config
+from .config import SECTIONS, build_field, check_seed, load_config
 from .mc import BallTarget
 
 
@@ -104,12 +104,6 @@ def _emit(out, fmt, primary_csv, pretty_lines):
     out.note(fmt)
 
 
-def _need(value, what):
-    if value is None:
-        raise errors.ConfigError(f"this command needs the {what!r} section", "config")
-    return value
-
-
 def _fmt(x):
     return repr(float(x))
 
@@ -124,8 +118,7 @@ def _cmd_validate(args, cfg, seed):
           f"edges: {len(field.support_edges())}")
     print(f"rate upper bound: {_fmt(field.rate_upper)}  "
           f"lower coefficient: {_fmt(field.rate_lower_coeff)}")
-    present = [s for s in ("simulate", "target", "solver", "mc", "fixed_point")
-               if getattr(cfg, s) is not None]
+    present = [s for s in SECTIONS if s in cfg.raw]
     if present:
         print("sections: " + ", ".join(present))
     return 0
@@ -134,17 +127,13 @@ def _cmd_validate(args, cfg, seed):
 def _cmd_simulate(args, cfg, seed):
     out = _Outputs(args, "simulate", cfg, seed)
     field = build_field(cfg.field)
-    sc = _need(cfg.simulate, "simulate")
-    batch = sim.batch_simulate(field, sc.x0, sc.horizon, sc.n_paths, seed,
-                               sampler=sc.sampler)
+    sc = cfg.need("simulate")
+    batch = sim.batch_simulate(field, seed=seed, **sc)
     first = batch.first_trajectory
     out.write_csv("batch.csv", sim.write_batch_csv, batch)
     out.write_csv("trajectory.csv", sim.write_trajectory_csv, first)
     results = {
-        "n_paths": sc.n_paths,
-        "horizon": sc.horizon,
-        "sampler": sc.sampler,
-        "x0": sc.x0,
+        **sc,
         "mean_occupation": batch.mean_occupation.tolist(),
         "var_occupation": batch.var_occupation.tolist(),
         "mean_flux": batch.mean_flux.tolist(),
@@ -158,7 +147,7 @@ def _cmd_simulate(args, cfg, seed):
     out.finish()
     mean = ", ".join(_fmt(v) for v in batch.mean_occupation)
     _emit(out, args.format, "batch.csv", [
-        f"{sc.n_paths} paths to t={sc.horizon} ({sc.sampler})",
+        f"{sc['n_paths']} paths to t={sc['horizon']} ({sc['sampler']})",
         f"mean occupation: [{mean}]",
         f"first path jumps: {first.n_jumps}",
     ])
@@ -172,9 +161,8 @@ def _cmd_dv_rate(args, cfg, seed):
         raise errors.ConfigError(
             "dv-rate applies to constant fields; use 'rate' for interacting ones",
             "field.family")
-    target = _need(cfg.target, "target")
-    gamma = np.array(_need(target.gamma, "target.gamma"))
-    flux = ldp.as_flux(np.array(_need(target.flux, "target.flux")))
+    gamma = cfg.need("target.gamma")
+    flux = ldp.as_flux(cfg.need("target.flux"))
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
     if not np.isfinite(value):
         reason = varsolve.flux_infeasibility(field, flux, gamma) or "no finite cost"
@@ -199,8 +187,7 @@ _SOLVES = {
 def _cmd_solve(args, cfg, seed):
     name, keys = _SOLVES[args.command]
     field = build_field(cfg.field)
-    target = _need(cfg.target, "target")
-    values = [np.array(_need(getattr(target, key), f"target.{key}")) for key in keys]
+    values = [cfg.need(f"target.{key}") for key in keys]
     opts = cfg.solve_options()
     out = _Outputs(args, args.command, cfg, seed)
     # looked up per run, so wrappers set on the module are seen
@@ -226,10 +213,10 @@ def _cmd_solve(args, cfg, seed):
 def _cmd_fixed_point(args, cfg, seed):
     out = _Outputs(args, "fixed-point", cfg, seed)
     field = build_field(cfg.field)
-    fpc = cfg.fixed_point or FixedPointConfig()
-    if fpc.n_starts > 1:
-        results = ldp.fixed_point_multistart(field, n_starts=fpc.n_starts, seed=seed,
-                                             tol=fpc.tol, max_iter=fpc.max_iter)
+    fp = dict(cfg.sections["fixed_point"])
+    n_starts = fp.pop("n_starts")
+    if n_starts > 1:
+        results = ldp.fixed_point_multistart(field, n_starts=n_starts, seed=seed, **fp)
         payload = [{"pi": r.pi.tolist(), "converged": r.converged,
                     "iterations": r.iterations, "gap": r.gap,
                     "residual": r.residual} for r in results]
@@ -244,7 +231,7 @@ def _cmd_fixed_point(args, cfg, seed):
             lines.append(f"  [{i}] pi = [{pi}]  converged={r.converged} "
                          f"iterations={r.iterations}")
     else:
-        r = ldp.fixed_point_pi_star(field, tol=fpc.tol, max_iter=fpc.max_iter)
+        r = ldp.fixed_point_pi_star(field, **fp)
         out.write_json("results.json", {"pi": r.pi.tolist(), "converged": r.converged,
                                         "iterations": r.iterations, "gap": r.gap,
                                         "residual": r.residual})
@@ -264,15 +251,14 @@ def _cmd_fixed_point(args, cfg, seed):
 def _cmd_mc_ldp(args, cfg, seed):
     out = _Outputs(args, "mc-ldp", cfg, seed)
     field = build_field(cfg.field)
-    mcc = _need(cfg.mc, "mc")
-    target = BallTarget(np.array(mcc.center), mcc.radius)
-    points = mc.decay_curve(field, mcc.x0, target, mcc.times, mcc.n_paths,
+    mcc = cfg.need("mc")
+    target = BallTarget(mcc["center"], mcc["radius"])
+    points = mc.decay_curve(field, mcc["x0"], target, mcc["times"], mcc["n_paths"],
                             seed=seed)
-    if mcc.rate is not None:
-        rate, rate_source = mcc.rate, "config"
+    if "rate" in mcc:
+        rate, rate_source = mcc["rate"], "config"
     else:
-        res = varsolve.occupation_rate(np.array(mcc.center), field,
-                                       cfg.solve_options())
+        res = varsolve.occupation_rate(mcc["center"], field, cfg.solve_options())
         rate, rate_source = res.value, "solved at ball center"
     comparison = mc.compare_to_rate(points, rate)
     out.write_csv("decay.csv", mc.write_decay_csv, points)

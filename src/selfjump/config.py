@@ -1,11 +1,12 @@
 """YAML run configuration: parsing, validation, and field construction.
 
-A run file is a mapping with a required ``field`` section and optional
-``simulate``, ``target``, ``solver``, ``mc``, ``fixed_point`` sections plus a
-top-level ``seed``.  Validation is eager and every complaint carries the
-dotted path of the offending key, so a typo in a nested matrix points at
-``field.q0`` rather than at a stack trace.  Parsed values stay plain Python
-lists; arrays are built only when the field object is constructed.
+A run file is a mapping with a required ``field`` section, the optional
+sections of ``SECTIONS`` and a top-level ``seed``.  Validation is eager and
+every complaint carries the dotted path of the offending key, so a typo in a
+nested matrix points at ``field.q0`` rather than at a stack trace.  Field
+parameters stay plain Python lists until ``build_field``; every other
+section parses to a dict of the values the library takes, which the CLI
+passes on by keyword.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import errors
+from . import errors, sim
 from .core import FAMILIES, RateField, as_simplex
 from .varsolve import SolveOptions
-
-SAMPLERS = ("thinning", "exact-affine")
 
 
 def _require_map(value, loc):
@@ -35,7 +34,7 @@ def _no_extras(section, allowed, loc):
         raise errors.ConfigError(f"unknown key {extra[0]!r}", loc)
 
 
-def _number(value, loc):
+def _number(value, loc, d=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise errors.ConfigError(f"expected a number, got {value!r}", loc)
     try:
@@ -47,17 +46,25 @@ def _number(value, loc):
     return value
 
 
-def _integer(value, loc, minimum=None):
+def _integer(value, loc):
     if isinstance(value, bool) or not isinstance(value, int):
         raise errors.ConfigError(f"expected an integer, got {value!r}", loc)
-    if minimum is not None and value < minimum:
-        raise errors.ConfigError(f"must be >= {minimum}, got {value}", loc)
     return value
+
+
+def _at_least(minimum, parse=_integer):
+    """A parser(value, loc, d) of the values of ``parse`` that are >= minimum."""
+    def parser(value, loc, d=None):
+        value = parse(value, loc)
+        if value < minimum:
+            raise errors.ConfigError(f"must be >= {minimum}, got {value}", loc)
+        return value
+    return parser
 
 
 def check_seed(value, loc):
     """A seed: an integer in [0, 2**64), the range path streams are keyed by."""
-    value = _integer(value, loc, minimum=0)
+    value = _at_least(0)(value, loc)
     if value >= 1 << 64:
         raise errors.ConfigError(f"must be < 2**64, got {value}", loc)
     return value
@@ -82,15 +89,14 @@ def _matrix(value, loc):
 
 
 def _simplex(value, loc, d):
-    """A probability vector with d entries (nonnegative, summing to 1)."""
+    """A probability vector with d entries (nonnegative, summing to 1), as an array."""
     w = _vector(value, loc)
     if len(w) != d:
         raise errors.ConfigError(f"has {len(w)} entries, field has {d}", loc)
     try:
-        as_simplex(w)
+        return as_simplex(w)
     except ValueError as exc:
         raise errors.ConfigError(str(exc), loc) from exc
-    return w
 
 
 def _square(value, loc):
@@ -153,179 +159,137 @@ def build_field(fc):
         raise errors.ConfigError(str(exc), "field") from exc
 
 
-@dataclass(frozen=True)
-class SimulateConfig:
-    x0: int
-    horizon: float
-    n_paths: int = 1
-    sampler: str = "thinning"
+def _state(value, loc, d):
+    value = _at_least(1)(value, loc)
+    if value > d:
+        raise errors.ConfigError(f"x0 must be a state label in 1..{d}, got {value}", loc)
+    return value
 
 
-def _parse_simulate(section, d, loc="simulate"):
-    section = _require_map(section, loc)
-    _no_extras(section, ("x0", "horizon", "n_paths", "sampler"), loc)
-    for key in ("x0", "horizon"):
-        if key not in section:
-            raise errors.ConfigError(f"missing {key!r}", loc)
-    x0 = _integer(section["x0"], f"{loc}.x0", minimum=1)
-    if x0 > d:
-        raise errors.ConfigError(f"x0 must be a state label in 1..{d}, got {x0}",
-                                 f"{loc}.x0")
-    horizon = _number(section["horizon"], f"{loc}.horizon")
-    if horizon <= 0:
-        raise errors.ConfigError("horizon must be positive", f"{loc}.horizon")
-    n_paths = _integer(section.get("n_paths", 1), f"{loc}.n_paths", minimum=1)
-    sampler = section.get("sampler", "thinning")
-    if sampler not in SAMPLERS:
-        raise errors.ConfigError(
-            f"sampler must be one of {', '.join(SAMPLERS)}, got {sampler!r}",
-            f"{loc}.sampler")
-    return SimulateConfig(x0=x0, horizon=horizon, n_paths=n_paths, sampler=sampler)
+def _positive(value, loc, d):
+    value = _number(value, loc)
+    if value <= 0:
+        raise errors.ConfigError(f"{loc.rpartition('.')[2]} must be positive", loc)
+    return value
 
 
-@dataclass(frozen=True)
-class TargetConfig:
-    gamma: list | None = None
-    flux: list | None = None
-    current: list | None = None
-
-
-def _parse_target(section, d, loc="target"):
-    section = _require_map(section, loc)
-    _no_extras(section, ("gamma", "flux", "current"), loc)
-    kw = {}
-    if "gamma" in section:
-        kw["gamma"] = _simplex(section["gamma"], f"{loc}.gamma", d)
-    for key in ("flux", "current"):
-        if key in section:
-            m = _square(section[key], f"{loc}.{key}")
-            if len(m) != d:
-                raise errors.ConfigError(f"{key} is {len(m)}x{len(m)}, field has {d}",
-                                         f"{loc}.{key}")
-            kw[key] = m
-    off = ~np.eye(d, dtype=bool)
-    if "flux" in kw and np.any(np.array(kw["flux"])[off] < 0):
-        raise errors.ConfigError("flux entries must be nonnegative", f"{loc}.flux")
-    if "current" in kw:
-        cur = np.array(kw["current"])
-        if np.max(np.abs(cur + cur.T)) > 1e-12:
-            raise errors.ConfigError("current must be antisymmetric", f"{loc}.current")
-    return TargetConfig(**kw)
-
-
-def _parse_solver(section, loc="solver"):
-    section = _require_map(section, loc)
-    _no_extras(section, ("grid_horizon", "grid_cells", "n_starts"), loc)
-    kw = {}
-    if "grid_horizon" in section:
-        kw["grid_horizon"] = _number(section["grid_horizon"], f"{loc}.grid_horizon")
-        if kw["grid_horizon"] < 1.0:
-            raise errors.ConfigError(f"must be >= 1, got {kw['grid_horizon']}",
-                                     f"{loc}.grid_horizon")
-    if "grid_cells" in section:
-        kw["grid_cells"] = _integer(section["grid_cells"], f"{loc}.grid_cells", minimum=2)
-    if "n_starts" in section:
-        kw["n_starts"] = _integer(section["n_starts"], f"{loc}.n_starts", minimum=1)
-    return kw
-
-
-@dataclass(frozen=True)
-class McConfig:
-    x0: int
-    times: list
-    n_paths: int
-    center: list
-    radius: float
-    rate: float | None = None
-
-
-def _parse_mc(section, d, loc="mc"):
-    section = _require_map(section, loc)
-    _no_extras(section, ("x0", "times", "n_paths", "center", "radius", "rate"), loc)
-    for key in ("x0", "times", "n_paths", "center", "radius"):
-        if key not in section:
-            raise errors.ConfigError(f"missing {key!r}", loc)
-    x0 = _integer(section["x0"], f"{loc}.x0", minimum=1)
-    if x0 > d:
-        raise errors.ConfigError(f"x0 must be a state label in 1..{d}, got {x0}",
-                                 f"{loc}.x0")
-    times = _vector(section["times"], f"{loc}.times")
+def _times(value, loc, d):
+    times = _vector(value, loc)
     if min(times) <= 0:
-        raise errors.ConfigError("times must be positive", f"{loc}.times")
-    center = _simplex(section["center"], f"{loc}.center", d)
-    radius = _number(section["radius"], f"{loc}.radius")
+        raise errors.ConfigError("times must be positive", loc)
+    return times
+
+
+def _radius(value, loc, d):
+    radius = _number(value, loc)
     if not 0.0 < radius <= 2.0:
-        raise errors.ConfigError(f"radius must lie in (0, 2], got {radius}",
-                                 f"{loc}.radius")
-    rate = None
-    if "rate" in section:
-        rate = _number(section["rate"], f"{loc}.rate")
-    return McConfig(x0=x0, times=times, n_paths=_integer(section["n_paths"],
-                    f"{loc}.n_paths", minimum=1), center=center, radius=radius,
-                    rate=rate)
+        raise errors.ConfigError(f"radius must lie in (0, 2], got {radius}", loc)
+    return radius
 
 
-@dataclass(frozen=True)
-class FixedPointConfig:
-    tol: float = 1e-10
-    max_iter: int = 500
-    n_starts: int = 1
+def _sampler(value, loc, d):
+    if not isinstance(value, str) or value not in sim._SAMPLERS:
+        raise errors.ConfigError(
+            f"sampler must be one of {', '.join(sim._SAMPLERS)}, got {value!r}", loc)
+    return value
 
 
-def _parse_fixed_point(section, loc="fixed_point"):
-    section = _require_map(section, loc)
-    _no_extras(section, ("tol", "max_iter", "n_starts"), loc)
-    kw = {}
-    if "tol" in section:
-        kw["tol"] = _number(section["tol"], f"{loc}.tol")
-        if kw["tol"] <= 0:
-            raise errors.ConfigError("tol must be positive", f"{loc}.tol")
-    if "max_iter" in section:
-        kw["max_iter"] = _integer(section["max_iter"], f"{loc}.max_iter", minimum=1)
-    if "n_starts" in section:
-        kw["n_starts"] = _integer(section["n_starts"], f"{loc}.n_starts", minimum=1)
-    return FixedPointConfig(**kw)
+def _edge_matrix(value, loc, d):
+    m = np.array(_square(value, loc))
+    if len(m) != d:
+        raise errors.ConfigError(
+            f"{loc.rpartition('.')[2]} is {len(m)}x{len(m)}, field has {d}", loc)
+    return m
+
+
+def _flux(value, loc, d):
+    flux = _edge_matrix(value, loc, d)
+    if np.any(flux[~np.eye(d, dtype=bool)] < 0):
+        raise errors.ConfigError("flux entries must be nonnegative", loc)
+    return flux
+
+
+def _current(value, loc, d):
+    current = _edge_matrix(value, loc, d)
+    if np.max(np.abs(current + current.T)) > 1e-12:
+        raise errors.ConfigError("current must be antisymmetric", loc)
+    return current
+
+
+REQUIRED = object()
+
+# section -> {key: (parser(value, loc, d), default)}.  A key with default
+# REQUIRED must be given; one with default None is left out when absent, so
+# the callee's own default applies.  The values are what the library takes:
+# simulate is batch_simulate's keywords, solver SolveOptions' fields and
+# fixed_point the keywords of ldp's fixed-point searches.
+SECTIONS = {
+    "simulate": {"x0": (_state, REQUIRED), "horizon": (_positive, REQUIRED),
+                 "n_paths": (_at_least(1), 1), "sampler": (_sampler, "thinning")},
+    "target": {"gamma": (_simplex, None), "flux": (_flux, None),
+               "current": (_current, None)},
+    "solver": {"grid_horizon": (_at_least(1, _number), None),
+               "grid_cells": (_at_least(2), None), "n_starts": (_at_least(1), None)},
+    "mc": {"x0": (_state, REQUIRED), "times": (_times, REQUIRED),
+           "n_paths": (_at_least(1), REQUIRED), "center": (_simplex, REQUIRED),
+           "radius": (_radius, REQUIRED), "rate": (_number, None)},
+    "fixed_point": {"tol": (_positive, None), "max_iter": (_at_least(1), None),
+                    "n_starts": (_at_least(1), 1)},
+}
+
+
+def _parse_section(name, section, d):
+    section = _require_map(section, name)
+    keys = SECTIONS[name]
+    _no_extras(section, keys, name)
+    parsed = {}
+    for key, (parse, default) in keys.items():
+        if key in section:
+            parsed[key] = parse(section[key], f"{name}.{key}", d)
+        elif default is REQUIRED:
+            raise errors.ConfigError(f"missing {key!r}", name)
+        elif default is not None:
+            parsed[key] = default
+    return parsed
 
 
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
     field: FieldConfig
-    seed: int = 0
-    simulate: SimulateConfig | None = None
-    target: TargetConfig | None = None
-    solver: dict | None = None
-    mc: McConfig | None = None
-    fixed_point: FixedPointConfig | None = None
+    seed: int
+    sections: dict  # SECTIONS name -> {key: parsed value}
+
+    def need(self, name):
+        """A section, or a 'section.key' value, that a command cannot run without."""
+        section, _, key = name.partition(".")
+        value = self.sections.get(section)
+        if key and value is not None:
+            value = value.get(key)
+        if value is None:
+            raise errors.ConfigError(f"this command needs the {name!r} section", "config")
+        return value
 
     def solve_options(self):
-        return SolveOptions(**(self.solver or {}))
-
-
-_SECTIONS = ("field", "seed", "simulate", "target", "solver", "mc", "fixed_point")
+        return SolveOptions(**self.sections["solver"])
 
 
 def parse_config(raw):
-    """Validate a loaded mapping into a RunConfig."""
+    """Validate a loaded mapping into a RunConfig.
+
+    A section without a REQUIRED key is parsed from its defaults when the
+    run file leaves it out.
+    """
     raw = _require_map(raw, "config")
-    _no_extras(raw, _SECTIONS, "config")
+    _no_extras(raw, ("field", "seed", *SECTIONS), "config")
     if "field" not in raw:
         raise errors.ConfigError("missing 'field' section", "config")
     fc = _parse_field(raw["field"])
-    d = fc.d
     seed = check_seed(raw.get("seed", 0), "config.seed")
-    kw = {}
-    if "simulate" in raw:
-        kw["simulate"] = _parse_simulate(raw["simulate"], d)
-    if "target" in raw:
-        kw["target"] = _parse_target(raw["target"], d)
-    if "solver" in raw:
-        kw["solver"] = _parse_solver(raw["solver"])
-    if "mc" in raw:
-        kw["mc"] = _parse_mc(raw["mc"], d)
-    if "fixed_point" in raw:
-        kw["fixed_point"] = _parse_fixed_point(raw["fixed_point"])
-    return RunConfig(raw=raw, field=fc, seed=seed, **kw)
+    sections = {name: _parse_section(name, raw.get(name, {}), fc.d)
+                for name, keys in SECTIONS.items()
+                if name in raw or REQUIRED not in [default for _, default in keys.values()]}
+    return RunConfig(raw, fc, seed, sections)
 
 
 def load_config(path):

@@ -74,15 +74,10 @@ def as_flux(flux):
 
 
 def is_irreducible(matrix):
-    """Structural irreducibility: the positivity pattern is strongly connected."""
-    m = np.asarray(matrix)
-    if m.dtype != bool:
-        a = m.astype(float).copy()
-        np.fill_diagonal(a, 0.0)
-        reach = a > 0
-    else:
-        reach = m.copy()
-        np.fill_diagonal(reach, False)
+    """Structural irreducibility of a rate matrix: its positive off-diagonal
+    entries form a strongly connected graph."""
+    reach = np.asarray(matrix, dtype=float) > 0
+    np.fill_diagonal(reach, False)
     d = reach.shape[0]
     closure = reach | np.eye(d, dtype=bool)
     for _ in range(d):  # boolean closure; d squarings are more than enough

@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import repeat
 
 import numpy as np
 
@@ -174,16 +175,12 @@ class Trajectory:
         if not 0.0 < t <= self.horizon:
             raise errors.OutOfRange(f"t={t} outside (0, {self.horizon}]")
 
-    def _states_and_bounds(self, t):
-        k = int(np.searchsorted(self.times, t, side="right"))
-        states = np.concatenate(([self.x0], self.targets[:k]))
-        bounds = np.concatenate(([0.0], self.times[:k], [t]))
-        return states, bounds
-
     def occupation_at(self, t):
         """Time-average of the visited states over (0, t]; sums to 1."""
         self._check_t(t)
-        states, bounds = self._states_and_bounds(t)
+        k = int(np.searchsorted(self.times, t, side="right"))
+        states = np.concatenate(([self.x0], self.targets[:k]))
+        bounds = np.concatenate(([0.0], self.times[:k], [t]))
         occ = np.zeros(self.d)
         np.add.at(occ, states - 1, np.diff(bounds))
         return occ / t
@@ -239,20 +236,23 @@ def _draw_chunk(rng, n, n_dest):
     """Yield n exponential clocks, then n acceptance uniforms, then n picks.
 
     One array at a time, so a caller can convert and drop each before the
-    next is drawn.
+    next is drawn.  With one destination (d = 2) no picks are drawn: every
+    pick would be 0, and drawing them consumes no bits of the stream.
     """
     yield rng.standard_exponential(n)
     yield rng.random(n)
-    yield rng.integers(0, n_dest, size=n)
+    if n_dest > 1:
+        yield rng.integers(0, n_dest, size=n)
 
 
 def _candidates(rng, n_dest, lam, c, horizon):
     """Yield a thinning path's candidates up to the horizon in list slices.
 
     Each slice is (times, thresholds u * c, destination picks) for at most
-    _SLICE consecutive candidates.  A chunk's times are the cumulative sum
-    of e / lam started from the previous chunk's last time: numpy's cumsum
-    adds in sequence, so they are the sums t += e / lam would give.
+    _SLICE consecutive candidates; the picks are all 0 when _draw_chunk
+    draws none.  A chunk's times are the cumulative sum of e / lam started
+    from the previous chunk's last time: numpy's cumsum adds in sequence, so
+    they are the sums t += e / lam would give.
     """
     size, refill = _chunk_sizes(lam, horizon)
     t = 0.0
@@ -264,11 +264,12 @@ def _candidates(rng, n_dest, lam, c, horizon):
         np.cumsum(cand, out=cand)
         uc = next(draws)
         uc *= c
-        pick = next(draws)
+        pick = next(draws, None)
         n = int(np.searchsorted(cand, horizon, side="right"))
         for lo in range(0, n, _SLICE):
             hi = min(lo + _SLICE, n)
-            yield cand[lo:hi].tolist(), uc[lo:hi].tolist(), pick[lo:hi].tolist()
+            picks = repeat(0) if pick is None else pick[lo:hi].tolist()
+            yield cand[lo:hi].tolist(), uc[lo:hi].tolist(), picks
         if n < size:
             return
         t = float(cand[-1])
@@ -494,13 +495,12 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     """Run ``paths`` in lockstep through their first draw chunks.
 
     One Philox generator is reset to each path's fresh stream in turn (keys
-    from ``_stream_keys``) to draw the chunks.  At d = 2 the destination is
-    the other state, and the scalar loop's pick draws consume no bits, so
-    no picks are drawn; otherwise they are stored in the narrowest unsigned
-    type that holds d - 1.  Step k handles every path's k-th candidate with
-    the scalar loop's float operations, so values match it bitwise.  A path
-    whose first chunk ends before the horizon is re-run whole by
-    ``simulate_thinning``.
+    from ``_stream_keys``) to draw the chunks.  ``_draw_chunk`` draws no
+    picks at d = 2, where the destination is the other state; otherwise they
+    are stored in the narrowest unsigned type that holds d - 1.  Step k
+    handles every path's k-th candidate with the scalar loop's float
+    operations, so values match it bitwise.  A path whose first chunk ends
+    before the horizon is re-run whole by ``simulate_thinning``.
     """
     d = field.d
     c = field.rate_upper
@@ -512,7 +512,6 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     cand = np.empty((n_draws, n))  # candidate times
     uc = np.empty((n_draws, n))  # acceptance thresholds u * c
     pick = None if d == 2 else np.empty((n_draws, n), dtype=np.min_scalar_type(d - 1))
-    draws = (cand, uc) if pick is None else (cand, uc, pick)
     keys = _stream_keys(seed, paths)
     bitgen = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bitgen)
@@ -520,8 +519,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     for b, key in enumerate(keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        # zip stops before the pick draw when there are no picks to store
-        for out, draw in zip(draws, _draw_chunk(rng, n_draws, d - 1)):
+        for out, draw in zip((cand, uc, pick), _draw_chunk(rng, n_draws, d - 1)):
             out[:, b] = draw
     np.divide(cand, lam, out=cand)
     np.cumsum(cand, axis=0, out=cand)  # the scalar loop's t += e / lam
@@ -600,9 +598,6 @@ class BatchResult:
     candidates (None for the exact-affine sampler).
     """
 
-    x0: int
-    horizon: float
-    seed: int
     path_indices: np.ndarray
     occupations: np.ndarray  # (n, d)
     fluxes: np.ndarray  # (n, d, d)
@@ -643,8 +638,8 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
         flux[i] = traj.flux_at(horizon)
         jumps += traj.n_jumps
         candidates += traj.candidates or 0
-    return BatchResult(int(x0), float(horizon), int(seed), indices, occ, flux, traj,
-                       jumps, None if traj.candidates is None else candidates)
+    return BatchResult(indices, occ, flux, traj, jumps,
+                       None if traj.candidates is None else candidates)
 
 
 def write_trajectory_csv(traj, fh):

@@ -393,7 +393,9 @@ def _minimize(field, mode, gamma, flux, current, opts):
     free = ~pinned
     free_rows = prob.AT[free]
 
-    # Each start ends in one candidate: feasible ones are scored by value,
+    # Each start ends in one candidate.  Feasible ones are ranked by
+    # value + y.r, the first-order cost at the nearest feasible point (y, the
+    # next round's multipliers, prices the slack r left in the rows), and
     # infeasible ones by scaled violation.  Multiplier rounds only tighten
     # feasibility, so a start's last round is its most accurate point.
     best = None
@@ -407,12 +409,13 @@ def _minimize(field, mode, gamma, flux, current, opts):
                          options={"maxiter": _INNER_MAXITER, "maxcor": 25,
                                   "ftol": 1e-14, "gtol": 1e-9}).x
             value, rd, r = prob.judge(u)
+            y = lam + mu * r
             if _violation(rd) <= 0.01:
                 break
-            lam = lam + mu * r
+            lam = y
             mu *= _PENALTY_FACTOR
         feas = _feasible(rd)
-        key = (not feas, value if feas else _violation(rd), si)
+        key = (not feas, value + float(y @ r) if feas else _violation(rd), si)
         if best is None or key < best[0]:
             best = (key, si, value, u, rd)
         if feas and value <= _EARLY_STOP:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import importlib
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from selfjump import cli, config, sim, varsolve
+from selfjump import cli, config, ldp, sim, varsolve
 
 UNIT_FIELD = {"family": "constant", "q0": [[-1.0, 1.0], [1.0, -1.0]]}
 FAST_SOLVER = {"n_starts": 2, "grid_cells": 16}
@@ -492,6 +493,24 @@ VALID_RUN = {
            "radius": 0.2, "rate": 0.1},
     "fixed_point": {"tol": 1e-9, "max_iter": 20, "n_starts": 2},
 }
+
+
+def test_valid_run_covers_every_section_key():
+    assert {name: sorted(VALID_RUN[name]) for name in config.SECTIONS} == \
+        {name: sorted(keys) for name, keys in config.SECTIONS.items()}
+
+
+@pytest.mark.parametrize("section, callee, kept", [
+    ("simulate", sim.batch_simulate, ()),
+    ("solver", varsolve.SolveOptions, ()),
+    ("fixed_point", ldp.fixed_point_multistart, ()),
+    ("fixed_point", ldp.fixed_point_pi_star, ("n_starts",)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_forwarded_section_keys_are_parameters_of_their_callee(section, callee, kept):
+    # the CLI passes these sections on by keyword (less the keys it keeps),
+    # so a renamed parameter fails here rather than in a run
+    params = inspect.signature(callee).parameters
+    assert sorted(set(config.SECTIONS[section]) - set(kept) - set(params)) == []
 
 @pytest.mark.parametrize("section, key, value", [
     ("solver", "penalty_init", 100.0), ("solver", "penalty_factor", 10.0),

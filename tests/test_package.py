@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import selfjump
+from selfjump import config
 
 SOURCES = sorted(Path(selfjump.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
@@ -103,3 +104,12 @@ def test_every_exported_name_is_used_outside_the_tests():
         read |= names_read(ast.parse(path.read_text()))
     assert len(USERS) > len(SOURCES)
     assert sorted(set(selfjump.__all__) - read) == []
+
+
+def test_readme_run_file_reference_names_every_key():
+    # the run-file reference in README must follow the parser's key tables
+    text = (REPO / "README.md").read_text()
+    reference = text.split("\n## Run-file reference\n", 1)[1].split("\n## ", 1)[0]
+    keys = [f"field.{key}" for key in config._FIELD_KEYS]
+    keys += [f"{name}.{key}" for name, table in config.SECTIONS.items() for key in table]
+    assert [key for key in keys if f"`{key}`" not in reference] == []

@@ -225,6 +225,22 @@ def test_solve_rate_constant_field_matches_static_rate():
     assert rd["support"] == 0
 
 
+def test_default_starts_return_the_level_2_5_rate_on_a_constant_field():
+    # the informed start is exact here; the equilibrium start ends a few 1e-8
+    # lower through slack left in its marginal rows and must not win
+    q0 = np.array([[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=7))
+    h = q0 * np.exp(0.5 * rng.standard_normal(q0.shape))
+    np.fill_diagonal(h, 0.0)
+    np.fill_diagonal(h, -h.sum(axis=1))
+    gamma = ldp.stationary_distribution(h)
+    flux = gamma[:, None] * h
+    np.fill_diagonal(flux, 0.0)
+    res = varsolve.solve_rate(gamma, flux, core.RateField.constant(q0))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(ldp.dv_rate(q0, gamma, flux), rel=1e-12)
+
+
 def test_solve_rate_gates():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     res = varsolve.solve_rate([0.5, 0.5], bad, unit_field(), FAST)

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
@@ -106,6 +107,11 @@ def _emit(out, fmt, primary_csv, pretty_lines):
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _record(result):
+    """A dataclass result as a JSON-ready dict of its fields."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 # -- commands ----------------------------------------------------------------
@@ -217,9 +223,7 @@ def _cmd_fixed_point(args, cfg, seed):
     n_starts = fp.pop("n_starts")
     if n_starts > 1:
         results = ldp.fixed_point_multistart(field, n_starts=n_starts, seed=seed, **fp)
-        payload = [{"pi": r.pi.tolist(), "converged": r.converged,
-                    "iterations": r.iterations, "gap": r.gap,
-                    "residual": r.residual} for r in results]
+        payload = [{**_record(r), "pi": r.pi.tolist()} for r in results]
         out.write_json("results.json", {"fixed_points": payload})
         out.write_text("value.csv", "index," + ",".join(
             f"pi_{k+1}" for k in range(field.d)) + ",converged\n" + "".join(
@@ -232,9 +236,7 @@ def _cmd_fixed_point(args, cfg, seed):
                          f"iterations={r.iterations}")
     else:
         r = ldp.fixed_point_pi_star(field, **fp)
-        out.write_json("results.json", {"pi": r.pi.tolist(), "converged": r.converged,
-                                        "iterations": r.iterations, "gap": r.gap,
-                                        "residual": r.residual})
+        out.write_json("results.json", {**_record(r), "pi": r.pi.tolist()})
         out.write_text("value.csv", ",".join(f"pi_{k+1}" for k in range(field.d))
                        + ",converged\n" + ",".join(_fmt(v) for v in r.pi)
                        + f",{int(r.converged)}\n")
@@ -263,9 +265,7 @@ def _cmd_mc_ldp(args, cfg, seed):
     comparison = mc.compare_to_rate(points, rate)
     out.write_csv("decay.csv", mc.write_decay_csv, points)
     out.write_json("results.json", {
-        "points": [{"t": p.t, "p_hat": p.p_hat, "ci_low": p.ci_low,
-                    "ci_high": p.ci_high, "n": p.n, "censored": p.censored,
-                    "neg_log_rate": p.neg_log_rate} for p in points],
+        "points": [_record(p) for p in points],
         "rate": rate,
         "rate_source": rate_source,
         "gaps": comparison.gaps,
@@ -287,13 +287,16 @@ def _cmd_mc_ldp(args, cfg, seed):
     return 0
 
 
+# command -> (handler, help)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "dv-rate": _cmd_dv_rate,
-    **dict.fromkeys(_SOLVES, _cmd_solve),
-    "fixed-point": _cmd_fixed_point,
-    "mc-ldp": _cmd_mc_ldp,
+    "validate": (_cmd_validate, "parse and check a run file"),
+    "simulate": (_cmd_simulate, "sample trajectories and occupation statistics"),
+    "dv-rate": (_cmd_dv_rate, "closed-form level-2.5 rate for a constant field"),
+    "rate": (_cmd_solve, "minimize the control cost at fixed occupation and flux"),
+    "occupation-rate": (_cmd_solve, "minimize the control cost at fixed occupation"),
+    "current-rate": (_cmd_solve, "minimize the control cost at fixed net current"),
+    "fixed-point": (_cmd_fixed_point, "self-consistent stationary distribution(s)"),
+    "mc-ldp": (_cmd_mc_ldp, "Monte Carlo decay curve against the variational rate"),
 }
 
 
@@ -303,17 +306,7 @@ def build_parser():
         description="Simulate self-interacting jump processes and evaluate "
                     "their large-deviation rate functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "validate": "parse and check a run file",
-        "simulate": "sample trajectories and occupation statistics",
-        "dv-rate": "closed-form level-2.5 rate for a constant field",
-        "rate": "minimize the control cost at fixed occupation and flux",
-        "occupation-rate": "minimize the control cost at fixed occupation",
-        "current-rate": "minimize the control cost at fixed net current",
-        "fixed-point": "self-consistent stationary distribution(s)",
-        "mc-ldp": "Monte Carlo decay curve against the variational rate",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="YAML run file")
         p.add_argument("--out", default="out", help="output root (default: out)")
@@ -331,12 +324,16 @@ def main(argv=None):
             check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         seed = cfg.seed if args.seed is None else args.seed
-        return _COMMANDS[args.command](args, cfg, seed)
+        return _COMMANDS[args.command][0](args, cfg, seed)
     except errors.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except errors.SelfJumpError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

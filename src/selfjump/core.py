@@ -39,10 +39,10 @@ def edge_pairs(d):
     return [(i, j) for i in range(d) for j in range(d) if i != j]
 
 
-def as_simplex(w, tol=SIMPLEX_TOL):
+def as_simplex(w):
     """Validate w as a probability vector; returns it as a float array.
 
-    Components must be nonnegative and sum to 1 within ``tol``.
+    Components must be nonnegative and sum to 1 within SIMPLEX_TOL.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 2:
@@ -50,8 +50,8 @@ def as_simplex(w, tol=SIMPLEX_TOL):
     if np.any(w < 0):
         raise ValueError(f"negative component in probability vector: {w}")
     s = float(w.sum())
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"components sum to {s!r}, not 1 within {tol:g}")
+    if abs(s - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"components sum to {s!r}, not 1 within {SIMPLEX_TOL:g}")
     return w
 
 
@@ -59,7 +59,7 @@ def uniform_simplex(d):
     return np.full(d, 1.0 / d)
 
 
-def validate_generator(m, tol=GENERATOR_TOL):
+def validate_generator(m):
     """Certify m as a rate matrix: off-diagonals >= 0, rows sum to zero.
 
     Returns the matrix as a float array; raises NegativeOffDiagonal or
@@ -70,14 +70,13 @@ def validate_generator(m, tol=GENERATOR_TOL):
         raise ValueError(f"expected a square matrix with d >= 2, got shape {m.shape}")
     off = m.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(off < -tol):
+    if np.any(off < -GENERATOR_TOL):
         i, j = np.unravel_index(np.argmin(off), off.shape)
         raise errors.NegativeOffDiagonal(
             f"entry ({i + 1},{j + 1}) = {m[i, j]!r} is negative"
         )
     rows = m.sum(axis=1)
-    bad = np.abs(rows) > tol
-    if np.any(bad):
+    if np.any(np.abs(rows) > GENERATOR_TOL):
         i = int(np.argmax(np.abs(rows)))
         raise errors.RowSumNonzero(f"row {i + 1} sums to {rows[i]!r}, not 0")
     return m

@@ -51,11 +51,11 @@ def scaled_ell(q, h):
     return out
 
 
-def flux_balanced(flux, tol=BALANCE_TOL):
-    """True when per-state outflow matches inflow within tol."""
+def flux_balanced(flux):
+    """True when per-state outflow matches inflow within BALANCE_TOL."""
     flux = as_flux(flux)
     gap = flux.sum(axis=1) - flux.sum(axis=0)
-    return bool(np.max(np.abs(gap)) <= tol)
+    return bool(np.max(np.abs(gap)) <= BALANCE_TOL)
 
 
 def as_flux(flux):
@@ -88,7 +88,7 @@ def is_irreducible(matrix):
     return bool(closure.all())
 
 
-def dv_rate(q0, gamma, flux, balance_tol=BALANCE_TOL):
+def dv_rate(q0, gamma, flux):
     """Level-2.5 rate of (gamma, flux) for the constant rate matrix q0.
 
     Returns +infinity when the flux is imbalanced or charges an edge where
@@ -102,7 +102,7 @@ def dv_rate(q0, gamma, flux, balance_tol=BALANCE_TOL):
     d = q0.shape[0]
     if gamma.size != d or flux.shape != (d, d):
         raise ValueError("dimension mismatch between q0, gamma, flux")
-    if not flux_balanced(flux, balance_tol):
+    if not flux_balanced(flux):
         return float("inf")
     off = q0.copy()
     np.fill_diagonal(off, 0.0)

@@ -79,10 +79,11 @@ class DecayPoint:
     neg_log_rate: float
 
 
-def wilson_interval(hits, n, z=Z_95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits, n):
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise errors.ZeroSamples("need at least one sample")
+    z = Z_95
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -598,7 +598,6 @@ class BatchResult:
     candidates (None for the exact-affine sampler).
     """
 
-    path_indices: np.ndarray
     occupations: np.ndarray  # (n, d)
     fluxes: np.ndarray  # (n, d, d)
     first_trajectory: Trajectory
@@ -614,14 +613,13 @@ class BatchResult:
         self.mean_flux = self.fluxes.mean(axis=0)
 
 
-def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
-                   path_offset=0):
+def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning"):
     """Simulate n_paths independent paths and collect terminal (L, R).
 
-    Path i uses the stream keyed by (seed, path_offset + i), so splitting a
-    batch across calls cannot change any path's outcome.  Paths run one at
-    a time: the samplers are Python loops, so threads only contend for the
-    interpreter lock.
+    Path i uses the stream keyed by (seed, i), so it is the sampler's path
+    ``path_index=i`` whatever the batch size.  Paths run one at a time: the
+    samplers are Python loops, so threads only contend for the interpreter
+    lock.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -629,16 +627,15 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning",
     d = field.d
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
-    indices = np.arange(path_offset, path_offset + n_paths, dtype=np.int64)
     jumps, candidates = 0, 0
     # the first path runs last, so no trajectory is held while the others run
     for i in reversed(range(n_paths)):
-        traj = run(field, x0, horizon, seed, path_index=int(indices[i]))
+        traj = run(field, x0, horizon, seed, path_index=i)
         occ[i] = traj.occupation_at(horizon)
         flux[i] = traj.flux_at(horizon)
         jumps += traj.n_jumps
         candidates += traj.candidates or 0
-    return BatchResult(indices, occ, flux, traj, jumps,
+    return BatchResult(occ, flux, traj, jumps,
                        None if traj.candidates is None else candidates)
 
 
@@ -659,7 +656,8 @@ def write_trajectory_csv(traj, fh):
 def write_batch_csv(result, fh):
     """Rows path,seed_index,L_1..L_d,R_edge1..R_edgea (canonical edge order).
 
-    Byte-identical to ``csv.writer`` output, like ``write_trajectory_csv``.
+    Path i's seed_index, the path index of its stream, is i.  Byte-identical
+    to ``csv.writer`` output, like ``write_trajectory_csv``.
     """
     d = result.occupations.shape[1]
     rows, cols = zip(*core.edge_pairs(d))
@@ -668,6 +666,5 @@ def write_batch_csv(result, fh):
     values = np.concatenate([result.occupations,
                              result.fluxes[:, list(rows), list(cols)]], axis=1)
     fh.write(",".join(header) + "\r\n")
-    fh.write("".join(f"{row},{pi}," + ",".join(map(repr, v)) + "\r\n"
-                     for row, (pi, v) in enumerate(zip(result.path_indices.tolist(),
-                                                       values.tolist()))))
+    fh.write("".join(f"{row},{row}," + ",".join(map(repr, v)) + "\r\n"
+                     for row, v in enumerate(values.tolist())))

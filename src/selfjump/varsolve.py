@@ -358,8 +358,14 @@ def _starts(prob, field, mode, gamma, flux):
 
 
 def _violation(rd):
-    """The largest residual in units of _TOL, or the support count if larger."""
-    gaps = (v for name, v in rd.items() if name != "support")
+    """The largest residual in units of _TOL, or the support count if larger.
+
+    A residual that is not finite (NaN, which Python's max would skip, or
+    infinity) is an unbounded violation.
+    """
+    gaps = [v for name, v in rd.items() if name != "support"]
+    if not np.isfinite(gaps).all():
+        return float("inf")
     return max(max(gaps) / _TOL, float(rd["support"]))
 
 

@@ -169,6 +169,18 @@ def test_out_naming_a_file_fails_before_sampling(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.endswith(": Not a directory\n")
 
 
+def test_out_of_memory_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(sim, "batch_simulate", no_memory)
+    doc = {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 1.46 TiB for an array\n"
+
+
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     doc = {"field": UNIT_FIELD, "seed": 5,
            "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2}}

@@ -1,5 +1,5 @@
-"""Static checks of the sources: no unused imports or error types, and an
-__all__ whose every name resolves and is used outside the tests."""
+"""Static checks of the sources: no unused imports or error types, and no
+public name that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -16,14 +16,9 @@ USERS = SOURCES + sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("bench/*.py
 
 
 def unused_imports(path):
-    """Names bound by module-level imports that the module never reads.
-
-    A name listed in the module's ``__all__`` counts as read: it is a
-    re-export.
-    """
+    """Names bound by module-level imports that the module never reads."""
     tree = ast.parse(path.read_text())
     bound = {}
-    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -31,23 +26,13 @@ def unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in read and name not in exported)
+    return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
-
-
-def test_all_names_resolve():
-    missing = [name for name in selfjump.__all__ if not hasattr(selfjump, name)]
-    assert missing == []
-    assert len(set(selfjump.__all__)) == len(selfjump.__all__)
 
 
 def test_every_error_type_is_named_outside_errors():
@@ -70,15 +55,11 @@ def names_read(tree):
     """Names a module reads, each outside the function or class defining it.
 
     A read is a loaded variable, an attribute, or a string constant (a name
-    looked up with getattr, as the CLI's solver table does); the strings of
-    an ``__all__`` list the names and read none of them.
+    looked up with getattr, as the CLI's solver table does).
     """
     read = set()
 
     def visit(node, defining):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defining = defining | {node.name}
         name = None
@@ -97,13 +78,30 @@ def names_read(tree):
     return read
 
 
-def test_every_exported_name_is_used_outside_the_tests():
+def public_names(path):
+    """Public module-level functions, classes and constants of a module, and
+    the public methods of its public classes."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [node.name] + [f.name for f in node.body
+                                    if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_is_used_outside_the_tests():
     # library surface that only tests reach belongs in the tests
     read = set()
     for path in USERS:
         read |= names_read(ast.parse(path.read_text()))
     assert len(USERS) > len(SOURCES)
-    assert sorted(set(selfjump.__all__) - read) == []
+    unread = [f"{path.name}:{name}" for path in SOURCES for name in public_names(path)
+              if name not in read]
+    assert unread == []
 
 
 def test_readme_run_file_reference_names_every_key():

@@ -196,13 +196,13 @@ def test_batch_determinism_and_order_independence():
     first0 = sim.simulate_thinning(f, 1, 20.0, seed=13, path_index=0)
     assert np.array_equal(b1.first_trajectory.times, first0.times)
     assert np.array_equal(b1.first_trajectory.targets, first0.targets)
-    # splitting the batch with path offsets agrees path-by-path
-    first = sim.batch_simulate(f, 1, 20.0, 4, seed=13)
-    rest = sim.batch_simulate(f, 1, 20.0, 4, seed=13, path_offset=4)
-    assert np.array_equal(np.vstack([first.occupations, rest.occupations]),
-                          b1.occupations)
-    assert np.array_equal(rest.first_trajectory.times,
-                          sim.simulate_thinning(f, 1, 20.0, seed=13, path_index=4).times)
+    # batch row i is the sampler's path i, whatever the batch size
+    for i in range(8):
+        traj = sim.simulate_thinning(f, 1, 20.0, seed=13, path_index=i)
+        assert np.array_equal(b1.occupations[i], traj.occupation_at(20.0))
+        assert np.array_equal(b1.fluxes[i], traj.flux_at(20.0))
+    head = sim.batch_simulate(f, 1, 20.0, 4, seed=13)
+    assert np.array_equal(head.occupations, b1.occupations[:4])
 
 
 def test_batch_single_path_summary():
@@ -532,9 +532,12 @@ def test_batch_totals_jumps_and_candidates():
 def test_writers_match_csv_writer_reference():
     f = core.RateField.constant(
         np.array([[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]]))
-    b = sim.batch_simulate(f, 2, 30.0, 5, seed=12, path_offset=3)
+    b = sim.batch_simulate(f, 2, 30.0, 5, seed=12)
     traj = b.first_trajectory
     assert traj.n_jumps > 10
+    for i in range(5):
+        path = sim.simulate_thinning(f, 2, 30.0, seed=12, path_index=i)
+        assert np.array_equal(b.occupations[i], path.occupation_at(30.0))
 
     ref = io.StringIO()
     w = csv.writer(ref)
@@ -551,8 +554,8 @@ def test_writers_match_csv_writer_reference():
     w = csv.writer(ref)
     w.writerow(["path", "seed_index", "L_1", "L_2", "L_3"]
                + [f"R_edge{e + 1}" for e in range(len(pairs))])
-    for row, (pi, L, R) in enumerate(zip(b.path_indices, b.occupations, b.fluxes)):
-        w.writerow([row, int(pi)] + [repr(float(v)) for v in L]
+    for row, (L, R) in enumerate(zip(b.occupations, b.fluxes)):
+        w.writerow([row, row] + [repr(float(v)) for v in L]
                    + [repr(float(R[i, j])) for i, j in pairs])
     got = io.StringIO()
     sim.write_batch_csv(b, got)

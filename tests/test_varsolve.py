@@ -517,3 +517,25 @@ def test_occupation_rate_benchmark_field_not_above_penalty_solver():
     assert res.status == "converged"
     assert res.value <= 0.21413896849097602
     assert res.value == pytest.approx(jtilde(res.path, chemo), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residuals_are_not_converged():
+    # at grid_horizon 800 the tail weight e^-800 underflows to 0, its
+    # 1/sqrt(w) scale is inf and the simplex and stationarity gaps are NaN
+    chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                          strength=1.0)
+    res = varsolve.occupation_rate([0.6, 0.4], chemo,
+                                   SolveOptions(grid_horizon=800, grid_cells=8))
+    assert not np.isfinite(res.residuals["simplex"])
+    assert res.status == "max_iter"
+
+
+@pytest.mark.xfail(strict=True, reason="the solver ends inf/max_iter on this strong "
+                                       "interaction at the default grid")
+def test_occupation_rate_converges_on_strength_10_at_default_grid():
+    field = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                          strength=10.0)
+    res = varsolve.occupation_rate([0.8, 0.2], field)
+    assert res.status == "converged"
+    assert np.isfinite(res.value)

@@ -19,7 +19,7 @@ import yaml
 
 from . import errors, sim
 from .core import FAMILIES, RateField, as_simplex
-from .varsolve import SolveOptions
+from .varsolve import SolveOptions, TimeGrid
 
 
 def _require_map(value, loc):
@@ -173,6 +173,16 @@ def _positive(value, loc, d):
     return value
 
 
+def _grid_horizon(value, loc, d):
+    """A solver horizon that TimeGrid accepts."""
+    value = _number(value, loc)
+    try:
+        TimeGrid.uniform(value, 2)
+    except ValueError as exc:
+        raise errors.ConfigError(str(exc), loc) from exc
+    return value
+
+
 def _times(value, loc, d):
     times = _vector(value, loc)
     if min(times) <= 0:
@@ -228,7 +238,7 @@ SECTIONS = {
                  "n_paths": (_at_least(1), 1), "sampler": (_sampler, "thinning")},
     "target": {"gamma": (_simplex, None), "flux": (_flux, None),
                "current": (_current, None)},
-    "solver": {"grid_horizon": (_at_least(1, _number), None),
+    "solver": {"grid_horizon": (_grid_horizon, None),
                "grid_cells": (_at_least(2), None), "n_starts": (_at_least(1), None)},
     "mc": {"x0": (_state, REQUIRED), "times": (_times, REQUIRED),
            "n_paths": (_at_least(1), REQUIRED), "center": (_simplex, REQUIRED),

@@ -23,9 +23,12 @@ over lam, continued from the previous chunk's last time, and acceptance
 thresholds are the uniforms times rate_upper.  numpy's cumsum adds in
 sequence and every elementwise product or quotient is one IEEE operation,
 so these are the values a per-candidate ``t += e / lam`` and ``u * c``
-would give.  The acceptance test and the anchor update then run in Python
-with their float operations in a fixed order, so seeded paths stay
-bit-identical.  Chunks hold at most 2**18 draws.
+would give.  Chunks hold at most 2**18 draws.  The acceptance test and the
+anchor update run in a loop generated once per state count d
+(``_thinning_kernel``): the anchor occupation is d local floats and the new
+state's rate row is one written-out expression per entry, so no Python loop
+over d runs per jump.  Its float operations are those of a loop over the
+states, in a fixed order, so seeded paths stay bit-identical.
 
 ``lockstep_thinning`` runs the thinning sampler on many paths at once, one
 candidate step per numpy operation over a block of paths, and reads their
@@ -276,6 +279,61 @@ def _candidates(rng, n_dest, lam, c, horizon):
         size = refill
 
 
+@functools.lru_cache(maxsize=8)
+def _thinning_kernel(d):
+    """The thinning accept loop for d states, generated as straight-line code.
+
+    The returned ``loop(slices, x, anchor, cols, dest, add_time, add_dst)``
+    runs the candidate slices of ``_candidates`` from state x, with the
+    anchor occupation in d local floats a0..a{d-1}, and returns the number
+    of candidates it read.  ``cols[x][z]`` is the row Q(delta_z)[x, :], so
+    ``cols[x][x]`` is the current state's row at its point mass.  An
+    accepted jump at time t scales every a_z by a = s / t and adds 1 - a to
+    the state being left; the new state's row Q(anchor)[x, :] is then
+    written out as ``[a0 * c0[k] + a1 * c1[k] + ... for each k]``.  These
+    are the float operations of a loop over the states, in the same order,
+    with no interpreted loop over d.  Neither ``sum()`` (compensated on
+    some Python versions) nor a comprehension (a function call on others)
+    appears.  Only d enters the source.
+    """
+    states = range(d)
+    anchor = "".join(f"a{z}, " for z in states)
+    scale = "".join(f"\n                a{z} *= a" for z in states)
+    add = "".join(f"\n                {'el' if z else ''}if x == {z}:"
+                  f"\n                    a{z} += b" for z in range(d - 1))
+    row = ",".join("\n                    "
+                   + " + ".join(f"a{z} * c{z}[{k}]" for z in states) for k in states)
+    source = f"""\
+def loop(slices, x, anchor, cols, dest, add_time, add_dst):
+    {anchor}= anchor
+    s = 0.0
+    row = rd = cols[x][x]
+    dx = dest[x]
+    n = 0
+    for cand, thresholds, picks in slices:
+        n += len(cand)
+        for t, uc, k in zip(cand, thresholds, picks):
+            j = dx[k]
+            a = s / t
+            b = 1.0 - a
+            if uc <= a * row[j] + b * rd[j]:{scale}{add}
+                else:
+                    a{d - 1} += b
+                s = t
+                add_time(t)
+                add_dst(j)
+                x = j
+                {"".join(f"c{z}, " for z in states)}= cols[x]
+                row = [{row}]
+                rd = cols[x][x]
+                dx = dest[x]
+    return n
+"""
+    namespace = {}
+    exec(compile(source, f"<thinning kernel, d = {d}>", "exec"), namespace)
+    return namespace["loop"]
+
+
 def simulate_thinning(field, x0, horizon, seed, path_index=0):
     """Exact trajectory on (0, horizon] by candidate thinning.
 
@@ -295,43 +353,14 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     n_cand = 0
     if lam > 0.0:
         x = x0 - 1
-        s_anchor = 0.0
         anchor = [0.0] * d
-        anchor[x] = 1.0
-        vlist = field.vertices.tolist()
-        row_anchor = vlist[x][x][:]  # at time 0 the occupation is delta_x0
-        row_dirac = vlist[x][x]
+        anchor[x] = 1.0  # at time 0 the occupation is delta_x0
         # dest[x][k]: the k-th destination out of state x
         dest = [[k if k < y else k + 1 for k in range(d - 1)] for y in range(d)]
-        dest_x = dest[x]
-        states = range(d)
-        add_time = times.append
-        add_dst = dsts.append
-        for cand, thresholds, picks in _candidates(path_stream(seed, path_index),
-                                                   d - 1, lam, c, horizon):
-            n_cand += len(cand)
-            for t, uc, k in zip(cand, thresholds, picks):
-                j = dest_x[k]
-                a = s_anchor / t
-                if uc <= a * row_anchor[j] + (1.0 - a) * row_dirac[j]:
-                    b = 1.0 - a
-                    for z in states:
-                        anchor[z] *= a
-                    anchor[x] += b
-                    s_anchor = t
-                    add_time(t)
-                    add_dst(j)
-                    x = j
-                    arow = [0.0] * d
-                    for z in states:
-                        az = anchor[z]
-                        if az != 0.0:
-                            vz = vlist[z][x]
-                            for jj in states:
-                                arow[jj] += az * vz[jj]
-                    row_anchor = arow
-                    row_dirac = vlist[x][x]
-                    dest_x = dest[x]
+        n_cand = _thinning_kernel(d)(
+            _candidates(path_stream(seed, path_index), d - 1, lam, c, horizon),
+            x, anchor, field.vertices.transpose(1, 0, 2).tolist(), dest,
+            times.append, dsts.append)
     targets = np.asarray(dsts, dtype=np.int64) + 1
     sources = np.concatenate(([x0], targets))[:-1]
     return Trajectory(x0, horizon, np.asarray(times, dtype=float), sources, targets, d,
@@ -447,8 +476,9 @@ _SAMPLERS = {"thinning": simulate_thinning, "exact-affine": simulate_exact_affin
 # rate 4 needs.
 _BLOCK_DRAWS = 3 << 15
 # A lockstep step costs some 40 us of numpy calls whatever the block size,
-# so below about 64 paths per block the scalar loop is faster.
-_MIN_BLOCK_PATHS = 64
+# so below about 112-128 paths per block (timed at d = 2) the scalar loop is
+# faster.
+_MIN_BLOCK_PATHS = 128
 
 
 def lockstep_thinning(field, x0, times, n_paths, seed):

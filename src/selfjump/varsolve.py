@@ -68,7 +68,7 @@ class TimeGrid:
 
     Block weights are the discounted lengths e^-s_k - e^-s_{k+1}, and the
     tail block carries the rest of the discount, e^-T_h; together they sum
-    to one.
+    to one.  T_h lies in [1, about 708.4], where e^-T_h is a normal float.
     """
 
     nodes: np.ndarray
@@ -82,6 +82,11 @@ class TimeGrid:
             raise ValueError("nodes must increase strictly from 0")
         if nodes[-1] < 1.0:
             raise ValueError(f"horizon {nodes[-1]} too small (need >= 1)")
+        if np.exp(-nodes[-1]) < np.finfo(float).tiny:
+            # a zero tail weight makes its 1/sqrt(w) scale infinite and the
+            # residuals NaN; a subnormal one has already lost precision
+            raise ValueError(f"horizon {nodes[-1]} too large: its tail weight e^-horizon "
+                             "is below the smallest normal float (need about <= 708.4)")
 
     @classmethod
     def uniform(cls, horizon=8.0, cells=64):

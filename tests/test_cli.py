@@ -473,6 +473,8 @@ NAN = float("nan")
     ({"field": dict(CHEMO_FIELD, strength=NAN)}, "field.strength"),
     ({"field": dict(CHEMO_FIELD, strength=-1.0)}, "field"),
     ({"field": dict(CHEMO_FIELD, family=["constant"])}, "field.family"),
+    # e^-800, the solver grid's tail weight, underflows to 0
+    ({"solver": {"grid_horizon": 800, "grid_cells": 8}}, "solver.grid_horizon"),
 ])
 def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     full = {"field": CHEMO_FIELD, **doc}

@@ -1,9 +1,11 @@
 import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
+from reference_sampler import ReferenceThinning, simulate_thinning_reference
 from scipy import stats
 
 from selfjump import core, errors, sim
@@ -473,6 +475,78 @@ def test_thinning_matches_golden_digests_with_refills(family_fields, monkeypatch
         traj = sim.simulate_thinning(family_fields[name], x0, 700.0, seed)
         assert traj.candidates > 64 + 256, (name, seed, x0)
         assert trajectory_digest(traj) == digest, (name, seed, x0)
+
+
+def random_vertex_field(d, seed, zero_share=0.0):
+    """Affine field with exponential vertex rates, a share of them set to 0.
+
+    Each state's own row Q(delta_x)[x, :] keeps its rates, so no state is
+    absorbing from the start.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.exponential(1.0, (d, d, d))
+    own = np.zeros_like(v, dtype=bool)
+    own[np.arange(d), np.arange(d)] = True
+    v[(rng.random(v.shape) < zero_share) & ~own] = 0.0
+    for q in v:
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+    return core.RateField.affine(v)
+
+
+def assert_matches_reference(field, x0, horizon, seed):
+    traj = sim.simulate_thinning(field, x0, horizon, seed)
+    times, targets, candidates = simulate_thinning_reference(field, x0, horizon, seed)
+    assert traj.times.tobytes() == times.tobytes(), (field.d, x0)
+    assert np.array_equal(traj.targets, targets), (field.d, x0)
+    assert traj.candidates == candidates, (field.d, x0)
+    return traj
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.5])
+@pytest.mark.parametrize("d, horizon", [(2, 200.0), (3, 100.0), (4, 60.0), (7, 20.0),
+                                        (24, 2.0)])
+def test_thinning_kernel_matches_reference_loop(d, horizon, zero_share):
+    field = random_vertex_field(d, seed=d + 100, zero_share=zero_share)
+    if zero_share:
+        assert (field.vertices == 0.0).any()
+    jumps = sum(assert_matches_reference(field, x0, horizon, seed=x0).n_jumps
+                for x0 in range(1, d + 1))
+    assert jumps > 20 * d
+
+
+def test_thinning_kernel_matches_reference_on_dead_field():
+    dead = core.RateField.constant(np.zeros((3, 3)))
+    for x0 in (1, 2, 3):
+        assert assert_matches_reference(dead, x0, 50.0, seed=x0).n_jumps == 0
+
+
+def test_thinning_kernel_matches_reference_across_draw_chunks():
+    traj = assert_matches_reference(chemo_field(), 2, 70000.0, seed=3)
+    assert traj.candidates > sim._chunk_sizes(4.0, 70000.0)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_thinning_kernel_rounds_like_reference_at_the_threshold(monkeypatch, d):
+    # every threshold is the reference loop's own bound or the next float
+    # above it, so a last-bit difference in the kernel's rates flips a decision
+    field = random_vertex_field(d, seed=d + 100, zero_share=0.5)
+    lam = (d - 1) * field.rate_upper
+    rng = np.random.default_rng(d)
+    ref = ReferenceThinning(field, 1)
+    cand = np.cumsum(rng.standard_exponential(4000) / lam).tolist()
+    picks = rng.integers(0, d - 1, size=len(cand)).tolist()
+    thresholds = []
+    for t, k, accept in zip(cand, picks, rng.random(len(cand)) < 0.5):
+        j, q = ref.bound(t, k)
+        thresholds.append(q if accept else math.nextafter(q, math.inf))
+        if accept:
+            ref.jump(t, j)
+    monkeypatch.setattr(sim, "_candidates", lambda *args: iter([(cand, thresholds, picks)]))
+    traj = sim.simulate_thinning(field, 1, cand[-1], seed=0)
+    assert len(ref.times) > 1000
+    assert traj.times.tolist() == ref.times
+    assert (traj.targets - 1).tolist() == ref.dsts
 
 
 def test_chunk_sizes_are_bounded():

@@ -43,6 +43,12 @@ def test_time_grid_validation():
         TimeGrid(np.array([0.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.4, 0.8]))
+    # e^-708 is a normal float, e^-709 a subnormal one
+    assert TimeGrid.uniform(708.0, 8).tail_weight >= np.finfo(float).tiny
+    with pytest.raises(ValueError, match="too large"):
+        TimeGrid.uniform(709.0, 8)
+    with pytest.raises(ValueError, match="too large"):
+        SolveOptions(grid_horizon=800, grid_cells=8).grid()
 
 
 def test_m_from_rho_constant_profile():
@@ -520,13 +526,16 @@ def test_occupation_rate_benchmark_field_not_above_penalty_solver():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_residuals_are_not_converged():
-    # at grid_horizon 800 the tail weight e^-800 underflows to 0, its
-    # 1/sqrt(w) scale is inf and the simplex and stationarity gaps are NaN
+def test_non_finite_residuals_are_not_converged(monkeypatch):
+    # TimeGrid refuses horizon 800; on a grid built past that check the tail
+    # weight e^-800 underflows to 0, its 1/sqrt(w) scale is inf and the
+    # simplex and stationarity gaps are NaN
+    grid = object.__new__(TimeGrid)
+    object.__setattr__(grid, "nodes", np.linspace(0.0, 800.0, 9))
+    monkeypatch.setattr(SolveOptions, "grid", lambda opts: grid)
     chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
                                           strength=1.0)
-    res = varsolve.occupation_rate([0.6, 0.4], chemo,
-                                   SolveOptions(grid_horizon=800, grid_cells=8))
+    res = varsolve.occupation_rate([0.6, 0.4], chemo, SolveOptions())
     assert not np.isfinite(res.residuals["simplex"])
     assert res.status == "max_iter"
 

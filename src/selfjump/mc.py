@@ -15,6 +15,7 @@ noise.
 from __future__ import annotations
 
 import csv
+from contextlib import closing
 from dataclasses import dataclass
 
 import math
@@ -104,9 +105,11 @@ def _decay_point(t, hits, n):
 
 def _count_hits(field, x0, times, target, seed, n_paths):
     hits = np.zeros(len(times), dtype=np.int64)
-    for occ in lockstep_thinning(field, x0, times, n_paths, seed):
-        for k in range(len(times)):
-            hits[k] += np.count_nonzero(target.hits(occ[k]))
+    # closed on the way out, error or not, so no sampling worker outlives the call
+    with closing(lockstep_thinning(field, x0, times, n_paths, seed)) as blocks:
+        for occ in blocks:
+            for k in range(len(times)):
+                hits[k] += np.count_nonzero(target.hits(occ[k]))
     return hits
 
 

@@ -39,6 +39,10 @@ so its values are bit-identical to ``simulate_thinning`` followed by
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
+``batch_simulate`` and ``lockstep_thinning`` use that: their paths and
+blocks run on every CPU in this process's affinity mask (``taskset``
+limits them), in worker processes forked for the call, and their results
+are placed by index, so the output does not depend on the worker count.
 Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
 ``SeedSequence(entropy=seed, spawn_key=(i,))`` generates, which is how
 ``path_stream`` builds it.  For a lockstep block, ``_stream_keys`` computes
@@ -51,10 +55,14 @@ a generator per path.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import sys
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -203,6 +211,14 @@ def _check_x0(field, x0):
     return int(x0)
 
 
+def _check_horizon(horizon):
+    """The horizon as a float; raises ValueError unless positive and finite."""
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    return horizon
+
+
 def _rate_rows(field, measure, x_idx):
     """Rows Q(measure)[x, :] and Q(delta_x)[x, :] as plain lists."""
     v = field.vertices
@@ -334,6 +350,21 @@ def loop(slices, x, anchor, cols, dest, add_time, add_dst):
     return namespace["loop"]
 
 
+@functools.lru_cache(maxsize=1)
+def _thinning_tables(field):
+    """The kernel and the tables ``simulate_thinning`` runs it with on field.
+
+    ``cols[x][z]`` is the row Q(delta_z)[x, :] (d**3 floats) and
+    ``dest[x][k]`` the k-th destination out of state x.  Cached for the last
+    field, so the paths of a batch or a block build them once, and worker
+    processes forked after a call share them.  Read-only, as the cache hands
+    them to every caller.
+    """
+    d = field.d
+    dest = [[k if k < y else k + 1 for k in range(d - 1)] for y in range(d)]
+    return _thinning_kernel(d), field.vertices.transpose(1, 0, 2).tolist(), dest
+
+
 def simulate_thinning(field, x0, horizon, seed, path_index=0):
     """Exact trajectory on (0, horizon] by candidate thinning.
 
@@ -343,9 +374,7 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     trajectory.
     """
     x0 = _check_x0(field, x0)
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = _check_horizon(horizon)
     d = field.d
     c = field.rate_upper
     lam = (d - 1) * c
@@ -355,12 +384,9 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
         x = x0 - 1
         anchor = [0.0] * d
         anchor[x] = 1.0  # at time 0 the occupation is delta_x0
-        # dest[x][k]: the k-th destination out of state x
-        dest = [[k if k < y else k + 1 for k in range(d - 1)] for y in range(d)]
-        n_cand = _thinning_kernel(d)(
-            _candidates(path_stream(seed, path_index), d - 1, lam, c, horizon),
-            x, anchor, field.vertices.transpose(1, 0, 2).tolist(), dest,
-            times.append, dsts.append)
+        loop, cols, dest = _thinning_tables(field)
+        n_cand = loop(_candidates(path_stream(seed, path_index), d - 1, lam, c, horizon),
+                      x, anchor, cols, dest, times.append, dsts.append)
     targets = np.asarray(dsts, dtype=np.int64) + 1
     sources = np.concatenate(([x0], targets))[:-1]
     return Trajectory(x0, horizon, np.asarray(times, dtype=float), sources, targets, d,
@@ -419,9 +445,7 @@ def _invert_hazard(a, b, s, target, horizon):
 def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
     """Exact trajectory by closed-form inversion of the affine exit hazard."""
     x0 = _check_x0(field, x0)
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    horizon = _check_horizon(horizon)
     d = field.d
     rng = path_stream(seed, path_index)
     times, srcs, dsts = [], [], []
@@ -470,10 +494,79 @@ def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
 _SAMPLERS = {"thinning": simulate_thinning, "exact-affine": simulate_exact_affine}
 
 
+def _cpus():
+    """CPUs the sampling may use: this process's affinity mask on Linux, else 1."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_job = None  # the job of a worker process, set as the worker starts
+
+
+def _adopt(job):
+    global _job
+    _job = job
+
+
+def _run_job(item):
+    return _job(item)
+
+
+@contextlib.contextmanager
+def _mapped(job, items):
+    """An iterator over ``job(item)`` for the items, in order.
+
+    With two or more items and two or more CPUs the items run in
+    min(cpus, items) worker processes; otherwise in this process, through
+    ``map``.  The workers are forked, so they inherit the job, the field and
+    the caches built before the call (``_thinning_tables``, the generated
+    kernel) without pickling them, and only the items and the results cross
+    a process boundary.  Two items per worker are in flight, sent before the
+    iterator is returned so that they run while the caller works, and one
+    more goes out as each result is taken; so memory stays bounded for any
+    number of items.  A job's exception reaches the caller with its type
+    and message, and a worker that dies raises ``BrokenProcessPool`` (where
+    ``multiprocessing.Pool`` would wait forever).  Leaving the block cancels
+    what has not started and joins every worker.
+
+    numpy's BLAS threads make this a threaded process, so Python 3.12 and
+    later emit a DeprecationWarning at each fork; it is hidden unless
+    warnings are turned on (``-W default``, or pytest's summary).
+    """
+    workers = min(_cpus(), len(items))
+    if workers < 2:
+        yield map(job, items)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(job,))
+    try:
+        items = iter(items)
+        pending = deque(pool.submit(_run_job, item) for item in islice(items, 2 * workers))
+        yield _in_order(pool, pending, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _in_order(pool, pending, items):
+    """The results of the pending futures in order, sending one more item per result."""
+    while pending:
+        done = pending.popleft()
+        for item in islice(items, 1):
+            pending.append(pool.submit(_run_job, item))
+        yield done.result()
+
+
 # Candidate draws one lockstep block holds.  A draw takes 16 bytes (a time
 # and a threshold) at d = 2 and 17 with its pick up to d = 256, so the draw
 # arrays hold about 1.6 MB: 391 paths of the 251 draws each that t = 40 at
-# rate 4 needs.
+# rate 4 needs.  A batch_simulate task holds paths of as many mean
+# candidates, some 60 ms of the scalar loop, so a batch worth less than two
+# tasks, for which a worker pool (about 15 ms to start) would not pay, runs
+# in the calling process.
 _BLOCK_DRAWS = 3 << 15
 # A lockstep step costs some 40 us of numpy calls whatever the block size,
 # so below about 112-128 paths per block (timed at d = 2) the scalar loop is
@@ -489,7 +582,9 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     bit-identical to
     ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
     for the block's b-th path i.  Paths too long for _MIN_BLOCK_PATHS of
-    them to fit in one block run one at a time.
+    them to fit in one block run one at a time.  Blocks run on every CPU
+    (``_mapped``) and are yielded in order; closing the generator stops
+    the workers.
     """
     x0 = _check_x0(field, x0)
     times = np.asarray(times, dtype=float)
@@ -503,12 +598,17 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     block = _BLOCK_DRAWS // max(1, n_draws)
     lockstep = block >= _MIN_BLOCK_PATHS
     block = max(block, _MIN_BLOCK_PATHS)
-    for lo in range(0, n_paths, block):
+    if not lockstep:
+        _thinning_tables(field)  # before the workers fork, so they share it
+
+    def run_block(lo):
         paths = range(lo, min(n_paths, lo + block))
         if lockstep:
-            yield _lockstep_block(field, x0, times, seed, paths, n_draws)
-        else:
-            yield _scalar_block(field, x0, times, seed, paths)
+            return _lockstep_block(field, x0, times, seed, paths, n_draws)
+        return _scalar_block(field, x0, times, seed, paths)
+
+    with _mapped(run_block, range(0, n_paths, block)) as results:
+        yield from results
 
 
 def _scalar_block(field, x0, times, seed, paths):
@@ -647,26 +747,41 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning"):
     """Simulate n_paths independent paths and collect terminal (L, R).
 
     Path i uses the stream keyed by (seed, i), so it is the sampler's path
-    ``path_index=i`` whatever the batch size.  Paths run one at a time: the
-    samplers are Python loops, so threads only contend for the interpreter
-    lock.
+    ``path_index=i`` whatever the batch size.  Paths 1..n_paths-1 run in
+    tasks of consecutive paths worth about _BLOCK_DRAWS mean candidates, on
+    every CPU (``_mapped``), while this process runs path 0, the one kept
+    whole; only the other paths' terminal records cross a process boundary.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     run = _SAMPLERS[sampler]
+    mean_candidates = (field.d - 1) * field.rate_upper * _check_horizon(horizon)
+    size = max(1, int(_BLOCK_DRAWS // max(1.0, mean_candidates)))
+    if sampler == "thinning":
+        _thinning_tables(field)  # before the workers fork, so they share it
+
+    def record(traj):
+        return (traj.occupation_at(horizon), traj.flux_at(horizon), traj.n_jumps,
+                traj.candidates)
+
+    def run_task(lo):
+        return [record(run(field, x0, horizon, seed, path_index=i))
+                for i in range(lo, min(n_paths, lo + size))]
+
     d = field.d
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
     jumps, candidates = 0, 0
-    # the first path runs last, so no trajectory is held while the others run
-    for i in reversed(range(n_paths)):
-        traj = run(field, x0, horizon, seed, path_index=i)
-        occ[i] = traj.occupation_at(horizon)
-        flux[i] = traj.flux_at(horizon)
-        jumps += traj.n_jumps
-        candidates += traj.candidates or 0
-    return BatchResult(occ, flux, traj, jumps,
-                       None if traj.candidates is None else candidates)
+    with _mapped(run_task, range(1, n_paths, size)) as rest:
+        first = run(field, x0, horizon, seed, path_index=0)
+        records = chain([record(first)], chain.from_iterable(rest))
+        for i, (occ_i, flux_i, jumps_i, cand_i) in enumerate(records):
+            occ[i] = occ_i
+            flux[i] = flux_i
+            jumps += jumps_i
+            candidates += cand_i or 0
+    return BatchResult(occ, flux, first, jumps,
+                       None if first.candidates is None else candidates)
 
 
 def write_trajectory_csv(traj, fh):

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -179,6 +180,25 @@ def test_out_of_memory_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err == "error: Unable to allocate 1.46 TiB for an array\n"
+
+
+def test_out_of_memory_in_a_sampling_worker_exits_1_in_one_line(tmp_path, capsys,
+                                                                monkeypatch):
+    simulate = sim._SAMPLERS["thinning"]
+
+    def no_memory_in_workers(field, x0, horizon, seed, path_index=0):
+        if path_index > 0:
+            raise MemoryError("Unable to allocate 1.46 TiB for an array")
+        return simulate(field, x0, horizon, seed, path_index=path_index)
+
+    monkeypatch.setitem(sim._SAMPLERS, "thinning", no_memory_in_workers)
+    monkeypatch.setattr(sim, "_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 5)  # one path per task
+    doc = {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 4}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1.46 TiB for an array\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_threads_flag_is_a_usage_error(tmp_path, capsys):
@@ -388,14 +408,15 @@ def test_mc_ldp_with_config_rate(tmp_path, capsys):
 SOLVER_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.special")
 
 # Runs in a fresh interpreter: which solver modules each stage leaves loaded,
-# and the occupation-rate value written by the last stage.
+# whether the import loads multiprocessing (which only sampling needs), and
+# the occupation-rate value written by the last stage.
 IMPORT_PROBE = """
 import contextlib, json, sys
 out, cfg = sys.argv[1], sys.argv[2]
 heavy = %r
 loaded = lambda: [m for m in heavy if m in sys.modules]
 from selfjump import cli
-report = {"import": loaded()}
+report = {"import": loaded(), "multiprocessing": "multiprocessing" in sys.modules}
 with contextlib.redirect_stdout(sys.stderr):
     codes = [cli.main([c, "--config", cfg, "--out", out])
              for c in ("validate", "simulate", "fixed-point", "mc-ldp")]
@@ -425,6 +446,7 @@ def test_sampling_commands_do_not_load_the_solver_modules(tmp_path, capsys):
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 5
     assert report["import"] == [] and report["sampling"] == []
+    assert report["multiprocessing"] is False
     assert report["solve"] == list(SOLVER_MODULES)
     # the lazily imported solver gives the in-process value bit for bit
     assert run(["occupation-rate", "--config", cfg, "--out", str(tmp_path / "here")]) == 0

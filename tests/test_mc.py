@@ -1,5 +1,6 @@
 import io
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -144,6 +145,28 @@ def test_decay_curve_hits_match_scalar_every_family(family_field, seed):
     expected = scalar_hits(family_field, 1, target, times, 150, seed)
     assert 0 < sum(expected) < 3 * 150
     assert lockstep_hits(family_field, 1, target, times, 150, seed) == expected
+
+
+def test_a_failing_hit_test_stops_the_sampling_workers(monkeypatch):
+    # one lockstep block of 3 paths at a time, over 3 worker processes
+    monkeypatch.setattr(sim, "_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    checked = []
+
+    class FailingTarget:
+        def hits(self, occupations):
+            checked.append(len(occupations))
+            if len(checked) > 2:
+                raise ValueError("hit test failed")
+            return np.zeros(len(occupations), dtype=bool)
+
+    field = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]), 1.0)
+    with pytest.raises(ValueError, match="hit test failed") as failure:
+        mc.decay_curve(field, 1, FailingTarget(), [4.0, 30.0], 40, seed=3)
+    assert checked == [3, 3, 3]
+    # the workers are gone while the traceback still holds the sampling frames
+    assert failure.tb is not None and multiprocessing.active_children() == []
 
 
 def test_ball_target_hits_agree_with_hit_row_by_row():

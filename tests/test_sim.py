@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -324,6 +326,169 @@ def test_samplers_reject_non_finite_horizons():
     for times in ([1.0, np.inf], [1.0, np.nan, 2.0]):
         with pytest.raises(ValueError):
             next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+
+
+def with_workers(monkeypatch, n, fn):
+    """fn() with sampling spread over n worker processes (1: in this process)."""
+    monkeypatch.setattr(sim, "_cpus", lambda: n)
+    try:
+        return fn()
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def logged_sampler(monkeypatch, log):
+    """Make the thinning sampler append 'path_index pid' lines to the file log."""
+    simulate = sim._SAMPLERS["thinning"]
+
+    def logged(field, x0, horizon, seed, path_index=0):
+        with open(log, "a") as fh:
+            fh.write(f"{path_index} {os.getpid()}\n")
+        return simulate(field, x0, horizon, seed, path_index=path_index)
+
+    monkeypatch.setitem(sim._SAMPLERS, "thinning", logged)
+
+
+@pytest.mark.parametrize("sampler", ["thinning", "exact-affine"])
+def test_batch_is_the_same_on_any_worker_count(monkeypatch, sampler):
+    # tasks of 2 paths (240 mean candidates) and a ragged last one
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 240)
+    f = chemo_field()
+    b1, b3 = (with_workers(monkeypatch, n, lambda: sim.batch_simulate(
+        f, 1, 30.0, 12, seed=6, sampler=sampler)) for n in (1, 3))
+    for name in ("occupations", "fluxes"):
+        assert getattr(b1, name).tobytes() == getattr(b3, name).tobytes()
+    assert (b1.jumps, b1.candidates) == (b3.jumps, b3.candidates)
+    for name in ("times", "sources", "targets"):
+        assert getattr(b1.first_trajectory, name).tobytes() == \
+            getattr(b3.first_trajectory, name).tobytes()
+
+
+def test_batch_runs_path_0_here_and_the_rest_in_workers(monkeypatch, tmp_path):
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 160)  # tasks of 2 paths to t = 20
+    logged_sampler(monkeypatch, tmp_path / "log")
+    with_workers(monkeypatch, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, seed=2))
+    runs = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+    pid = {int(i): int(p) for i, p in runs}
+    assert sorted(pid) == list(range(9)) and len(runs) == 9
+    assert pid[0] == os.getpid()
+    workers = {pid[i] for i in range(1, 9)}
+    assert os.getpid() not in workers and 1 <= len(workers) <= 3
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_cpu_or_a_small_batch_runs_every_path_here(monkeypatch, tmp_path, workers):
+    # 4 paths of 80 mean candidates are one task, far below _BLOCK_DRAWS
+    logged_sampler(monkeypatch, tmp_path / "log")
+    with_workers(monkeypatch, workers,
+                 lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 4, seed=2))
+    assert (tmp_path / "log").read_text().split() == \
+        [str(v) for i in range(4) for v in (i, os.getpid())]
+
+
+@pytest.mark.parametrize("case", ["ragged blocks", "scalar fallback", "chunk exhaustion"])
+def test_lockstep_is_the_same_on_any_worker_count(monkeypatch, case):
+    field, x0, times, n = chemo_field(), 2, [4.0, 30.0], 23
+    if case == "ragged blocks":
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+        monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    elif case == "scalar fallback":
+        # 419 draws per path fit one path in 700 draws, under the minimum of 4,
+        # so blocks of 4 run path by path
+        field, x0, times, n = unit_field(), 1, [100.0, 300.0], 10
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+        monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 4)
+    else:
+        # 64-draw first chunks run out before t = 64 on about half the paths,
+        # which the workers re-run whole
+        field, x0, times, n = unit_field(), 1, [20.0, 64.0], 30
+        monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: (64, 256))
+        monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+        monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    blocks = {w: with_workers(monkeypatch, w, lambda: list(
+        sim.lockstep_thinning(field, x0, times, n, seed=3))) for w in (1, 3)}
+    assert len(blocks[1]) >= 3
+    assert [b.tobytes() for b in blocks[1]] == [b.tobytes() for b in blocks[3]]
+    assert_lockstep_matches_scalar(field, x0, times, n, seed=3)
+
+
+def test_workers_run_a_bounded_number_of_items_ahead(monkeypatch):
+    pulled = []
+
+    class Items:
+        def __len__(self):
+            return 200
+
+        def __iter__(self):
+            for i in range(200):
+                pulled.append(i)
+                yield i
+
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    with sim._mapped(lambda i: -i, Items()) as results:
+        first = next(results)
+        ahead = len(pulled)
+        rest = list(results)
+    assert [first] + rest == [-i for i in range(200)]
+    assert ahead <= 5  # two items per worker in flight, one more per result taken
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_fails_the_call_instead_of_hanging(monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    parent = os.getpid()
+
+    def job(i):
+        if i == 3 and os.getpid() != parent:
+            os._exit(1)
+        return i
+
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    with pytest.raises(BrokenProcessPool):
+        with sim._mapped(job, range(6)) as results:
+            list(results)
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_the_lockstep_generator_stops_its_workers(monkeypatch):
+    monkeypatch.setattr(sim, "_cpus", lambda: 3)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    blocks = sim.lockstep_thinning(chemo_field(), 1, [4.0, 30.0], 40, seed=3)
+    next(blocks)
+    assert 1 <= len(multiprocessing.active_children()) <= 3
+    blocks.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
+    simulate = sim._SAMPLERS["thinning"]
+
+    def failing(field, x0, horizon, seed, path_index=0):
+        if path_index == 5:
+            raise errors.OutOfRange(f"path {path_index} failed in {os.getpid()}")
+        return simulate(field, x0, horizon, seed, path_index=path_index)
+
+    monkeypatch.setitem(sim._SAMPLERS, "thinning", failing)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 80)  # one path to t = 20 per task
+    with pytest.raises(errors.OutOfRange, match="path 5 failed in ") as exc:
+        with_workers(monkeypatch, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, 2))
+    assert str(os.getpid()) not in str(exc.value)
+
+    block = sim._lockstep_block
+
+    def failing_block(field, x0, times, seed, paths, n_draws):
+        if paths[0] > 0:
+            raise ValueError(f"block at {paths[0]}")
+        return block(field, x0, times, seed, paths, n_draws)
+
+    monkeypatch.setattr(sim, "_lockstep_block", failing_block)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
+    with pytest.raises(ValueError, match="^block at 3$"):
+        with_workers(monkeypatch, 3, lambda: list(
+            sim.lockstep_thinning(chemo_field(), 1, [4.0, 30.0], 30, seed=3)))
 
 
 KEY_SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)

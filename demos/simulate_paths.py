@@ -35,20 +35,19 @@ r = traj.flux_at(20.0)
 print(f"  flux 1->2: {r[0, 1]:.4f}   flux 2->1: {r[1, 0]:.4f}   "
       f"net current: {r[0, 1] - r[1, 0]:+.4f}")
 
-# both samplers are exact; a batch summary shows they agree statistically
-batch_thin = sim.batch_simulate(field, 1, 200.0, 400, seed=1)
-batch_aff = sim.batch_simulate(field, 1, 200.0, 400, seed=2,
-                               sampler="exact-affine")
-print("\nmean occupation at t=200 over 400 paths:")
-print(f"  thinning:     [{batch_thin.mean_occupation[0]:.4f}, "
-      f"{batch_thin.mean_occupation[1]:.4f}]")
-print(f"  exact-affine: [{batch_aff.mean_occupation[0]:.4f}, "
-      f"{batch_aff.mean_occupation[1]:.4f}]")
-
 # the long-run occupation concentrates on the self-consistent equilibrium
 fp = ldp.fixed_point_pi_star(field)
 print(f"\nfixed point pi* = [{fp.pi[0]:.6f}, {fp.pi[1]:.6f}] "
       f"(converged={fp.converged})")
+
+# a batch of independent paths: its mean occupation at t=200 lies near pi*
+batch = sim.batch_simulate(field, 1, 200.0, 400, seed=1)
+mean = batch.mean_occupation
+print(f"mean over 400 paths at t=200: L = [{mean[0]:.4f}, {mean[1]:.4f}], "
+      f"l1 distance to pi* = {np.abs(mean - fp.pi).sum():.4f}")
+print(f"  {batch.jumps} of {batch.candidates} thinning candidates accepted")
+
+# one much longer path ends closer still
 long_run = sim.simulate_thinning(field, 1, 3000.0, seed=3).occupation_at(3000.0)
 gap = np.abs(long_run - fp.pi).sum()
 print(f"one path at t=3000: L = [{long_run[0]:.4f}, {long_run[1]:.4f}], "

@@ -144,16 +144,14 @@ def _cmd_simulate(args, cfg, seed):
         "var_occupation": batch.var_occupation.tolist(),
         "mean_flux": batch.mean_flux.tolist(),
         "jumps": batch.jumps,
+        "candidates": batch.candidates,
+        "accept_ratio": batch.jumps / batch.candidates if batch.candidates else None,
     }
-    if batch.candidates is not None:
-        results["candidates"] = batch.candidates
-        results["accept_ratio"] = (batch.jumps / batch.candidates
-                                   if batch.candidates else None)
     out.write_json("results.json", results)
     out.finish()
     mean = ", ".join(_fmt(v) for v in batch.mean_occupation)
     _emit(out, args.format, "batch.csv", [
-        f"{sc['n_paths']} paths to t={sc['horizon']} ({sc['sampler']})",
+        f"{sc['n_paths']} paths to t={sc['horizon']}",
         f"mean occupation: [{mean}]",
         f"first path jumps: {first.n_jumps}",
     ])

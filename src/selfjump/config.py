@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import errors, sim
+from . import errors
 from .core import FAMILIES, RateField, as_simplex
 from .varsolve import SolveOptions, TimeGrid
 
@@ -197,13 +197,6 @@ def _radius(value, loc, d):
     return radius
 
 
-def _sampler(value, loc, d):
-    if not isinstance(value, str) or value not in sim._SAMPLERS:
-        raise errors.ConfigError(
-            f"sampler must be one of {', '.join(sim._SAMPLERS)}, got {value!r}", loc)
-    return value
-
-
 def _edge_matrix(value, loc, d):
     m = np.array(_square(value, loc))
     if len(m) != d:
@@ -235,7 +228,7 @@ REQUIRED = object()
 # fixed_point the keywords of ldp's fixed-point searches.
 SECTIONS = {
     "simulate": {"x0": (_state, REQUIRED), "horizon": (_positive, REQUIRED),
-                 "n_paths": (_at_least(1), 1), "sampler": (_sampler, "thinning")},
+                 "n_paths": (_at_least(1), 1)},
     "target": {"gamma": (_simplex, None), "flux": (_flux, None),
                "current": (_current, None)},
     "solver": {"grid_horizon": (_grid_horizon, None),

@@ -8,14 +8,12 @@ state) is a sufficient anchor:
 
     L_t = (s * L_s + (t - s) * delta_x) / t        for t in (s, next jump].
 
-Two exact samplers are provided.  ``simulate_thinning`` superposes all d-1
-candidate channels out of the current state into one Poisson stream of rate
-(d - 1) * rate_upper and accepts a candidate x -> j at time t with
-probability Q_xj(L_t-) / rate_upper.  ``simulate_exact_affine`` uses the
-closed form of the exit hazard between jumps,
-rate_at_dirac + (s / t) * (rate_at_anchor - rate_at_dirac), whose integral is
-inverted to machine precision; it is the independent oracle for thinning.
-Every field is affine in the occupation measure, so both work for any field.
+The sampler is ``simulate_thinning``, exact for every field (Lewis and
+Shedler's thinning, Naval Res. Logist. Q. 26, 1979).  It superposes all
+d - 1 candidate channels out of the current state into one Poisson stream
+of rate (d - 1) * rate_upper and accepts a candidate x -> j at time t with
+probability Q_xj(L_t-) / rate_upper; rate_upper bounds every off-diagonal
+rate at every occupation measure.
 
 The thinning loop reads its candidates from numpy arrays, one draw chunk at
 a time: candidate times are the cumulative sum of the exponential clocks
@@ -67,10 +65,6 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import core, errors
-
-_NEWTON_MAX = 64
-_ROOT_TOL = 1e-12
-
 
 _MASK32 = 0xFFFFFFFF
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the multipliers of SeedSequence's mix
@@ -166,8 +160,7 @@ class Trajectory:
     """One simulated path: initial state, horizon, and the jump events.
 
     ``times`` is increasing; ``sources``/``targets`` hold 1-based labels.
-    ``candidates`` counts the thinning candidates at or before the horizon;
-    it is None for the exact-affine sampler, which draws none.
+    ``candidates`` counts the thinning candidates at or before the horizon.
     """
 
     x0: int
@@ -176,7 +169,7 @@ class Trajectory:
     sources: np.ndarray
     targets: np.ndarray
     d: int
-    candidates: int | None = None
+    candidates: int
 
     @property
     def n_jumps(self):
@@ -217,16 +210,6 @@ def _check_horizon(horizon):
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     return horizon
-
-
-def _rate_rows(field, measure, x_idx):
-    """Rows Q(measure)[x, :] and Q(delta_x)[x, :] as plain lists."""
-    v = field.vertices
-    row_anchor = (measure @ v[:, x_idx, :]).tolist()
-    row_dirac = v[x_idx, x_idx, :].tolist()
-    row_anchor[x_idx] = 0.0
-    row_dirac[x_idx] = 0.0
-    return row_anchor, row_dirac
 
 
 # Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
@@ -393,105 +376,8 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
                       candidates=n_cand)
 
 
-def _integrated_hazard(b, a, s, t):
-    # integral over (s, t] of b + (s/tau)(a - b) dtau
-    if s == 0.0:
-        return b * t
-    return b * (t - s) + s * (a - b) * math.log(t / s)
-
-
-def _invert_hazard(a, b, s, target, horizon):
-    """Smallest t in (s, horizon] with integrated hazard = target, else None.
-
-    a is the exit rate at the anchor measure, b at the current-state point
-    mass; the hazard b + (s/t)(a - b) is nonnegative and its integral is
-    strictly increasing wherever positive.  Newton from the constant-rate
-    guess, safeguarded by bisection after 64 iterations.
-    """
-    if _integrated_hazard(b, a, s, horizon) < target:
-        return None
-    if s == 0.0:
-        return target / b  # b > 0 here, else the horizon test failed
-    if b == 0.0:
-        return s * math.exp(target / (s * a))
-    lo, hi = s, horizon
-    t = min(max(s + target / max(a, b), lo), hi)
-    for _ in range(_NEWTON_MAX):
-        g = _integrated_hazard(b, a, s, t) - target
-        if g > 0.0:
-            hi = t
-        else:
-            lo = t
-        lam = b + (s / t) * (a - b)
-        if lam > 0.0:
-            step = g / lam
-            t_new = t - step
-            if abs(step) <= _ROOT_TOL * max(1.0, t):
-                return t_new
-        else:
-            t_new = 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    while hi - lo > _ROOT_TOL * max(1.0, hi):
-        t = 0.5 * (lo + hi)
-        if _integrated_hazard(b, a, s, t) >= target:
-            hi = t
-        else:
-            lo = t
-    return 0.5 * (lo + hi)
-
-
-def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
-    """Exact trajectory by closed-form inversion of the affine exit hazard."""
-    x0 = _check_x0(field, x0)
-    horizon = _check_horizon(horizon)
-    d = field.d
-    rng = path_stream(seed, path_index)
-    times, srcs, dsts = [], [], []
-    x = x0 - 1
-    s_anchor = 0.0
-    anchor = np.zeros(d)
-    anchor[x] = 1.0
-    row_anchor, row_dirac = _rate_rows(field, anchor, x)
-    a_tot = sum(row_anchor)
-    b_tot = sum(row_dirac)
-    while True:
-        if a_tot <= 0.0 and b_tot <= 0.0:
-            break
-        target = rng.standard_exponential()
-        t = _invert_hazard(a_tot, b_tot, s_anchor, target, horizon)
-        if t is None:
-            break
-        frac = s_anchor / t
-        rates = [b + frac * (ra - b) for ra, b in zip(row_anchor, row_dirac)]
-        rates[x] = 0.0
-        total = sum(rates)
-        v = rng.random() * total
-        j = -1
-        acc = 0.0
-        for jj in range(d):
-            if rates[jj] > 0.0:
-                acc += rates[jj]
-                j = jj
-                if v <= acc:
-                    break
-        anchor *= frac
-        anchor[x] += 1.0 - frac
-        s_anchor = t
-        times.append(t)
-        srcs.append(x + 1)
-        dsts.append(j + 1)
-        x = j
-        row_anchor, row_dirac = _rate_rows(field, anchor, x)
-        a_tot = sum(row_anchor)
-        b_tot = sum(row_dirac)
-    return Trajectory(x0, horizon, np.asarray(times, dtype=float),
-                      np.asarray(srcs, dtype=np.int64),
-                      np.asarray(dsts, dtype=np.int64), d)
-
-
-_SAMPLERS = {"thinning": simulate_thinning, "exact-affine": simulate_exact_affine}
+# looked up per call, so wrappers set here (bench/tracing.py) are seen
+_SAMPLERS = {"thinning": simulate_thinning}
 
 
 def _cpus():
@@ -563,10 +449,10 @@ def _in_order(pool, pending, items):
 # Candidate draws one lockstep block holds.  A draw takes 16 bytes (a time
 # and a threshold) at d = 2 and 17 with its pick up to d = 256, so the draw
 # arrays hold about 1.6 MB: 391 paths of the 251 draws each that t = 40 at
-# rate 4 needs.  A batch_simulate task holds paths of as many mean
-# candidates, some 60 ms of the scalar loop, so a batch worth less than two
-# tasks, for which a worker pool (about 15 ms to start) would not pay, runs
-# in the calling process.
+# rate 4 needs.  A batch_simulate task, or a lockstep_thinning item of paths
+# run one at a time, holds paths of about as many candidates, some 60 ms of
+# the scalar loop, so a run worth less than two items, for which a worker
+# pool (about 15 ms to start) would not pay, runs in the calling process.
 _BLOCK_DRAWS = 3 << 15
 # A lockstep step costs some 40 us of numpy calls whatever the block size,
 # so below about 112-128 paths per block (timed at d = 2) the scalar loop is
@@ -582,7 +468,8 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     bit-identical to
     ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
     for the block's b-th path i.  Paths too long for _MIN_BLOCK_PATHS of
-    them to fit in one block run one at a time.  Blocks run on every CPU
+    them to fit in one block run one at a time, in blocks of as many paths
+    as _BLOCK_DRAWS draws hold (at least one).  Blocks run on every CPU
     (``_mapped``) and are yielded in order; closing the generator stops
     the workers.
     """
@@ -597,8 +484,8 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
     block = _BLOCK_DRAWS // max(1, n_draws)
     lockstep = block >= _MIN_BLOCK_PATHS
-    block = max(block, _MIN_BLOCK_PATHS)
     if not lockstep:
+        block = max(1, block)
         _thinning_tables(field)  # before the workers fork, so they share it
 
     def run_block(lo):
@@ -725,14 +612,14 @@ class BatchResult:
     Summary moments use ddof=0, so a single path reports its own values with
     zero variance.  ``first_trajectory`` is the batch's first path in full.
     ``jumps`` and ``candidates`` total the paths' jumps and thinning
-    candidates (None for the exact-affine sampler).
+    candidates.
     """
 
     occupations: np.ndarray  # (n, d)
     fluxes: np.ndarray  # (n, d, d)
     first_trajectory: Trajectory
     jumps: int
-    candidates: int | None
+    candidates: int
     mean_occupation: np.ndarray = dataclass_field(init=False)
     var_occupation: np.ndarray = dataclass_field(init=False)
     mean_flux: np.ndarray = dataclass_field(init=False)
@@ -743,8 +630,8 @@ class BatchResult:
         self.mean_flux = self.fluxes.mean(axis=0)
 
 
-def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning"):
-    """Simulate n_paths independent paths and collect terminal (L, R).
+def batch_simulate(field, x0, horizon, n_paths, seed):
+    """Simulate n_paths independent thinning paths and collect terminal (L, R).
 
     Path i uses the stream keyed by (seed, i), so it is the sampler's path
     ``path_index=i`` whatever the batch size.  Paths 1..n_paths-1 run in
@@ -754,11 +641,10 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning"):
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    run = _SAMPLERS[sampler]
+    run = _SAMPLERS["thinning"]
     mean_candidates = (field.d - 1) * field.rate_upper * _check_horizon(horizon)
     size = max(1, int(_BLOCK_DRAWS // max(1.0, mean_candidates)))
-    if sampler == "thinning":
-        _thinning_tables(field)  # before the workers fork, so they share it
+    _thinning_tables(field)  # before the workers fork, so they share it
 
     def record(traj):
         return (traj.occupation_at(horizon), traj.flux_at(horizon), traj.n_jumps,
@@ -779,9 +665,8 @@ def batch_simulate(field, x0, horizon, n_paths, seed, sampler="thinning"):
             occ[i] = occ_i
             flux[i] = flux_i
             jumps += jumps_i
-            candidates += cand_i or 0
-    return BatchResult(occ, flux, first, jumps,
-                       None if first.candidates is None else candidates)
+            candidates += cand_i
+    return BatchResult(occ, flux, first, jumps, candidates)
 
 
 def write_trajectory_csv(traj, fh):

@@ -11,6 +11,7 @@ from scipy import stats
 
 from control_paths import (ell, jtilde, m_evolution_defect, random_feasible_path,
                            reweighting_cost)
+from reference_sampler import simulate_exact_affine
 from selfjump import core, errors, ldp, mc, sim, varsolve
 
 
@@ -165,7 +166,7 @@ def test_samplers_are_exact():
 
     thin = collect(sim.simulate_thinning, 101, 10_000)
     p_exp = stats.kstest(thin, "expon").pvalue
-    affine = collect(sim.simulate_exact_affine, 202, 10_000)
+    affine = collect(simulate_exact_affine, 202, 10_000)
     p_two = stats.ks_2samp(thin, affine).pvalue
     print(f"thinning vs Exponential(1): KS p={p_exp:.3f}; "
           f"thinning vs exact-affine: KS p={p_two:.3f} (reject below 0.01)")

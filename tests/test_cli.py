@@ -302,22 +302,19 @@ def test_simulate_csv_format_streams_batch(tmp_path, capsys):
 
 
 def test_simulate_results_count_jumps_and_candidates(tmp_path, capsys):
-    for sampler in ("thinning", "exact-affine"):
-        doc = {"field": UNIT_FIELD, "seed": 6,
-               "simulate": {"x0": 1, "horizon": 12.0, "n_paths": 5, "sampler": sampler}}
-        cfg = write_cfg(tmp_path, doc, name=f"{sampler}.yaml")
-        out_root = tmp_path / sampler
-        assert run(["simulate", "--config", cfg, "--out", str(out_root)]) == 0
-        res = json.loads((only_run_dir(out_root, "simulate") / "results.json").read_text())
-        field = config.build_field(config.load_config(cfg).field)
-        paths = [sim._SAMPLERS[sampler](field, 1, 12.0, 6, path_index=i) for i in range(5)]
-        assert res["jumps"] == sum(p.n_jumps for p in paths)
-        if sampler == "thinning":
-            assert res["candidates"] == sum(p.candidates for p in paths)
-            assert res["accept_ratio"] == res["jumps"] / res["candidates"]
-            assert 0.0 < res["accept_ratio"] <= 1.0
-        else:
-            assert "candidates" not in res and "accept_ratio" not in res
+    doc = {"field": UNIT_FIELD, "seed": 6,
+           "simulate": {"x0": 1, "horizon": 12.0, "n_paths": 5}}
+    cfg = write_cfg(tmp_path, doc)
+    out_root = tmp_path / "out"
+    assert run(["simulate", "--config", cfg, "--out", str(out_root)]) == 0
+    res = json.loads((only_run_dir(out_root, "simulate") / "results.json").read_text())
+    field = config.build_field(config.load_config(cfg).field)
+    paths = [sim.simulate_thinning(field, 1, 12.0, 6, path_index=i) for i in range(5)]
+    assert res["jumps"] == sum(p.n_jumps for p in paths)
+    assert res["candidates"] == sum(p.candidates for p in paths)
+    assert res["accept_ratio"] == res["jumps"] / res["candidates"]
+    assert 0.0 < res["accept_ratio"] <= 1.0
+    assert "sampler" not in res
 
 
 def test_rate_matches_library_exactly(tmp_path, capsys):
@@ -521,7 +518,7 @@ def test_run_file_fields_match_their_classmethods(family_params, family_fields):
 VALID_RUN = {
     "field": CHEMO_FIELD,
     "seed": 3,
-    "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2, "sampler": "thinning"},
+    "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 2},
     "target": {"gamma": [0.6, 0.4], "flux": [[0.0, 0.5], [0.5, 0.0]],
                "current": [[0.0, 0.0], [0.0, 0.0]]},
     "solver": {"grid_horizon": 8.0, "grid_cells": 8, "n_starts": 1},
@@ -554,7 +551,7 @@ def test_forwarded_section_keys_are_parameters_of_their_callee(section, callee, 
     ("solver", "tol_marginal", 1e-5), ("solver", "tol_stationarity", 1e-5),
     ("solver", "tol_flux", 1e-5), ("solver", "balance_tol", 1e-10),
     ("solver", "rho_floor", 1e-6), ("solver", "early_stop_value", 1e-8),
-    ("mc", "sampler", "thinning"),
+    ("mc", "sampler", "thinning"), ("simulate", "sampler", "thinning"),
 ])
 def test_removed_knobs_exit_2(tmp_path, capsys, section, key, value):
     full = copy.deepcopy(VALID_RUN)

@@ -1,7 +1,9 @@
-"""Static checks of the sources: no unused imports or error types, and no
-public name that only the tests use."""
+"""Static checks of the sources: no unused imports or error types, no
+public name that only the tests use, and no private name that nothing in
+the package, the demos or the benchmark reads."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -78,36 +80,52 @@ def names_read(tree):
     return read
 
 
-def public_names(path):
-    """Public module-level functions, classes and constants of a module, and
-    the public methods of its public classes."""
+def module_names(path):
+    """Module-level functions, classes and constants of a module, and the
+    methods of its public classes."""
     names = []
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            names += [node.name] + [f.name for f in node.body
-                                    if isinstance(f, ast.FunctionDef)]
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+            for target in node.targets:
+                targets = target.elts if isinstance(target, ast.Tuple) else [target]
+                names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
 
 
-def test_every_public_name_is_used_outside_the_tests():
-    # library surface that only tests reach belongs in the tests
+def unread_names(private):
+    """path:name of each private (or each public) name of ``module_names``
+    that no user reads; dunder names are left out."""
     read = set()
     for path in USERS:
         read |= names_read(ast.parse(path.read_text()))
     assert len(USERS) > len(SOURCES)
-    unread = [f"{path.name}:{name}" for path in SOURCES for name in public_names(path)
-              if name not in read]
-    assert unread == []
+    return [f"{path.name}:{name}" for path in SOURCES for name in module_names(path)
+            if name.startswith("_") == private and not name.startswith("__")
+            and name not in read]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # library surface that only tests reach belongs in the tests
+    assert unread_names(private=False) == []
+
+
+def test_every_private_name_is_read_by_the_package():
+    # a helper, class or constant that only tests read belongs in the tests
+    assert unread_names(private=True) == []
 
 
 def test_readme_run_file_reference_names_every_key():
-    # the run-file reference in README must follow the parser's key tables
+    # the run-file reference in README must follow the parser's key tables,
+    # both ways: every key is documented and every documented key exists
     text = (REPO / "README.md").read_text()
     reference = text.split("\n## Run-file reference\n", 1)[1].split("\n## ", 1)[0]
-    keys = [f"field.{key}" for key in config._FIELD_KEYS]
+    keys = ["field.family"] + [f"field.{key}" for key in config._FIELD_KEYS]
     keys += [f"{name}.{key}" for name, table in config.SECTIONS.items() for key in table]
     assert [key for key in keys if f"`{key}`" not in reference] == []
+    sections = "|".join(["field", *config.SECTIONS])
+    named = re.findall(rf"`((?:{sections})\.\w+)`", reference)
+    assert sorted(set(named) - set(keys)) == []

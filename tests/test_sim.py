@@ -7,7 +7,8 @@ import os
 
 import numpy as np
 import pytest
-from reference_sampler import ReferenceThinning, simulate_thinning_reference
+from reference_sampler import (ReferenceThinning, simulate_exact_affine,
+                               simulate_thinning_reference)
 from scipy import stats
 
 from selfjump import core, errors, sim
@@ -31,7 +32,8 @@ def hand_trajectory(times, sources, targets, x0=1, horizon=4.0, d=2):
     return sim.Trajectory(x0=x0, horizon=horizon,
                           times=np.asarray(times, dtype=float),
                           sources=np.asarray(sources, dtype=np.int64),
-                          targets=np.asarray(targets, dtype=np.int64), d=d)
+                          targets=np.asarray(targets, dtype=np.int64), d=d,
+                          candidates=len(times))
 
 
 def test_occupation_at_hand_cases():
@@ -89,14 +91,14 @@ def test_invalid_x0():
     with pytest.raises(errors.InvalidState):
         sim.simulate_thinning(unit_field(), 0, 1.0, seed=0)
     with pytest.raises(errors.InvalidState):
-        sim.simulate_exact_affine(unit_field(), 3, 1.0, seed=0)
+        simulate_exact_affine(unit_field(), 3, 1.0, seed=0)
 
 
 def test_exact_affine_runs_on_every_family(family_fields):
     # every field has vertices, so the oracle sampler accepts each family
     for name, f in family_fields.items():
         for i in range(5):
-            traj = sim.simulate_exact_affine(f, 1, 20.0, seed=4, path_index=i)
+            traj = simulate_exact_affine(f, 1, 20.0, seed=4, path_index=i)
             assert traj.n_jumps > 0, name
             assert 0.0 < traj.times[0] and traj.times[-1] <= 20.0
             assert np.all(np.diff(traj.times) > 0.0)
@@ -171,7 +173,7 @@ def test_two_samplers_agree_constant_field():
     for i in range(60):
         h1.extend(holding_times(sim.simulate_thinning(
             unit_field(), 1, 60.0, seed=3, path_index=i)).tolist())
-        h2.extend(holding_times(sim.simulate_exact_affine(
+        h2.extend(holding_times(simulate_exact_affine(
             unit_field(), 1, 60.0, seed=1003, path_index=i)).tolist())
     p = stats.ks_2samp(np.asarray(h1), np.asarray(h2)).pvalue
     assert p >= 0.01
@@ -183,7 +185,7 @@ def test_two_samplers_agree_self_interacting():
     n = 1000
     a = np.array([sim.simulate_thinning(f, 1, 100.0, seed=21, path_index=i)
                   .occupation_at(100.0)[0] for i in range(n)])
-    b = np.array([sim.simulate_exact_affine(f, 1, 100.0, seed=22, path_index=i)
+    b = np.array([simulate_exact_affine(f, 1, 100.0, seed=22, path_index=i)
                   .occupation_at(100.0)[0] for i in range(n)])
     se = np.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
     assert abs(a.mean() - b.mean()) <= 3.0 * se
@@ -317,7 +319,7 @@ def test_lockstep_input_gates():
 
 def test_samplers_reject_non_finite_horizons():
     # an infinite horizon would never run out of candidates
-    for run in (sim.simulate_thinning, sim.simulate_exact_affine):
+    for run in (sim.simulate_thinning, simulate_exact_affine):
         for horizon in (np.inf, np.nan):
             with pytest.raises(ValueError):
                 run(unit_field(), 1, horizon, seed=0)
@@ -349,13 +351,12 @@ def logged_sampler(monkeypatch, log):
     monkeypatch.setitem(sim._SAMPLERS, "thinning", logged)
 
 
-@pytest.mark.parametrize("sampler", ["thinning", "exact-affine"])
-def test_batch_is_the_same_on_any_worker_count(monkeypatch, sampler):
+def test_batch_is_the_same_on_any_worker_count(monkeypatch):
     # tasks of 2 paths (240 mean candidates) and a ragged last one
     monkeypatch.setattr(sim, "_BLOCK_DRAWS", 240)
     f = chemo_field()
     b1, b3 = (with_workers(monkeypatch, n, lambda: sim.batch_simulate(
-        f, 1, 30.0, 12, seed=6, sampler=sampler)) for n in (1, 3))
+        f, 1, 30.0, 12, seed=6)) for n in (1, 3))
     for name in ("occupations", "fluxes"):
         assert getattr(b1, name).tobytes() == getattr(b3, name).tobytes()
     assert (b1.jumps, b1.candidates) == (b3.jumps, b3.candidates)
@@ -386,7 +387,8 @@ def test_one_cpu_or_a_small_batch_runs_every_path_here(monkeypatch, tmp_path, wo
         [str(v) for i in range(4) for v in (i, os.getpid())]
 
 
-@pytest.mark.parametrize("case", ["ragged blocks", "scalar fallback", "chunk exhaustion"])
+@pytest.mark.parametrize("case", ["ragged blocks", "scalar fallback", "small scalar fallback",
+                                  "chunk exhaustion"])
 def test_lockstep_is_the_same_on_any_worker_count(monkeypatch, case):
     field, x0, times, n = chemo_field(), 2, [4.0, 30.0], 23
     if case == "ragged blocks":
@@ -394,10 +396,14 @@ def test_lockstep_is_the_same_on_any_worker_count(monkeypatch, case):
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     elif case == "scalar fallback":
         # 419 draws per path fit one path in 700 draws, under the minimum of 4,
-        # so blocks of 4 run path by path
+        # so blocks of 1 run path by path
         field, x0, times, n = unit_field(), 1, [100.0, 300.0], 10
         monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 4)
+    elif case == "small scalar fallback":
+        # 1856 draws per path to t = 400 put 52 paths in a block, under
+        # _MIN_BLOCK_PATHS = 128, so 120 paths run one at a time in 3 blocks
+        field, x0, times, n = chemo_field(), 1, [100.0, 400.0], 120
     else:
         # 64-draw first chunks run out before t = 64 on about half the paths,
         # which the workers re-run whole
@@ -759,11 +765,6 @@ def test_batch_totals_jumps_and_candidates():
     paths = [sim.simulate_thinning(f, 1, 20.0, seed=4, path_index=i) for i in range(5)]
     assert b.jumps == sum(p.n_jumps for p in paths)
     assert b.candidates == sum(p.candidates for p in paths)
-    affine = sim.batch_simulate(f, 1, 20.0, 3, seed=4, sampler="exact-affine")
-    assert affine.first_trajectory.candidates is None
-    assert affine.candidates is None
-    assert affine.jumps == sum(sim.simulate_exact_affine(f, 1, 20.0, seed=4, path_index=i)
-                               .n_jumps for i in range(3))
     zero = sim.simulate_thinning(core.RateField.constant(np.zeros((2, 2))), 1, 5.0, seed=0)
     assert zero.candidates == 0 and zero.sources.size == 0
 

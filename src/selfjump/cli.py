@@ -67,7 +67,10 @@ class _Outputs:
         self.names.append(name)
 
     def write_json(self, name, obj):
-        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        """Write obj as RFC 8259 JSON, which has no NaN or Infinity: they become null."""
+        obj = json.loads(json.dumps(obj), parse_constant=lambda constant: None)
+        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+                        + "\n")
 
     def write_csv(self, name, writer_fn, *args):
         buf = StringIO()
@@ -166,7 +169,7 @@ def _cmd_dv_rate(args, cfg, seed):
             "dv-rate applies to constant fields; use 'rate' for interacting ones",
             "field.family")
     gamma = cfg.need("target.gamma")
-    flux = ldp.as_flux(cfg.need("target.flux"))
+    flux = cfg.need("target.flux")
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
     if not np.isfinite(value):
         reason = varsolve.flux_infeasibility(field, flux, gamma) or "no finite cost"

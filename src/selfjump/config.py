@@ -3,8 +3,11 @@
 A run file is a mapping with a required ``field`` section, the optional
 sections of ``SECTIONS`` and a top-level ``seed``.  Validation is eager and
 every complaint carries the dotted path of the offending key, so a typo in a
-nested matrix points at ``field.q0`` rather than at a stack trace.  Field
-parameters stay plain Python lists until ``build_field``; every other
+nested matrix points at ``field.q0`` rather than at a stack trace.  The
+rules are the library's; config adds locations.  It checks only types, list
+shapes, sizes against d, required and unknown keys and the fixed-point
+bounds, and ``_checked`` applies the library's rule on each other key.
+Field parameters stay plain Python lists until ``build_field``; every other
 section parses to a dict of the values the library takes, which the CLI
 passes on by keyword.
 """
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from . import errors
+from . import errors, ldp, mc, sim
 from .core import FAMILIES, RateField, as_simplex
-from .varsolve import SolveOptions, TimeGrid
+from .varsolve import SolveOptions, as_current
 
 
 def _require_map(value, loc):
@@ -46,31 +49,39 @@ def _number(value, loc, d=None):
     return value
 
 
-def _integer(value, loc):
+def _integer(value, loc, d=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise errors.ConfigError(f"expected an integer, got {value!r}", loc)
     return value
 
 
-def _at_least(minimum, parse=_integer):
-    """A parser(value, loc, d) of the values of ``parse`` that are >= minimum."""
+def _at_least(minimum):
+    """A parser(value, loc, d) of the integers that are >= minimum."""
     def parser(value, loc, d=None):
-        value = parse(value, loc)
+        value = _integer(value, loc)
         if value < minimum:
             raise errors.ConfigError(f"must be >= {minimum}, got {value}", loc)
         return value
     return parser
 
 
-def check_seed(value, loc):
-    """A seed: an integer in [0, 2**64), the range path streams are keyed by."""
-    value = _at_least(0)(value, loc)
-    if value >= 1 << 64:
-        raise errors.ConfigError(f"must be < 2**64, got {value}", loc)
-    return value
+def _checked(parse, rule):
+    """A parser(value, loc, d): ``parse(value, loc, d)`` reads the value, and the
+    library's ``rule`` checks and returns it, its InvalidInput reported at loc."""
+    def parser(value, loc, d=None):
+        value = parse(value, loc, d)
+        try:
+            return rule(value)
+        except errors.InvalidInput as exc:
+            raise errors.ConfigError(str(exc), loc) from exc
+    return parser
 
 
-def _vector(value, loc):
+# a seed, as the --seed flag or the run file's seed key gives it
+check_seed = _checked(_integer, sim.check_seed)
+
+
+def _vector(value, loc, d=None):
     if not isinstance(value, list) or not value:
         raise errors.ConfigError("expected a nonempty list of numbers", loc)
     return [_number(v, f"{loc}[{i}]") for i, v in enumerate(value)]
@@ -88,15 +99,11 @@ def _matrix(value, loc):
     return rows
 
 
-def _simplex(value, loc, d):
-    """A probability vector with d entries (nonnegative, summing to 1), as an array."""
+def _d_vector(value, loc, d):
     w = _vector(value, loc)
     if len(w) != d:
         raise errors.ConfigError(f"has {len(w)} entries, field has {d}", loc)
-    try:
-        return as_simplex(w)
-    except ValueError as exc:
-        raise errors.ConfigError(str(exc), loc) from exc
+    return w
 
 
 def _square(value, loc):
@@ -110,7 +117,10 @@ def _square(value, loc):
 def _matrices(value, loc):
     if not isinstance(value, list) or not value:
         raise errors.ConfigError("expected a list of matrices", loc)
-    return [_square(m, f"{loc}[{i}]") for i, m in enumerate(value)]
+    matrices = [_square(m, f"{loc}[{i}]") for i, m in enumerate(value)]
+    if len({len(m) for m in matrices}) > 1:
+        raise errors.ConfigError("the matrices differ in size", loc)
+    return matrices
 
 
 # the parser of every field parameter a family in FAMILIES names
@@ -149,21 +159,19 @@ def _parse_field(section, loc="field"):
 def build_field(fc):
     """Construct the RateField described by a FieldConfig.
 
-    Invalid generators (negative off-diagonal rates, bad sizes, congestion
-    factors that can turn negative) surface as ConfigError at field level.
+    The field's own rules surface as ConfigError at field level.  Rates that
+    overflow break those rules, so numpy's overflow warning is not shown.
     """
     try:
-        return getattr(RateField, fc.family)(
-            **{key: np.array(value) for key, value in fc.params.items()})
-    except (errors.SelfJumpError, ValueError) as exc:
+        with np.errstate(over="ignore"):
+            return getattr(RateField, fc.family)(
+                **{key: np.array(value) for key, value in fc.params.items()})
+    except errors.InvalidInput as exc:
         raise errors.ConfigError(str(exc), "field") from exc
 
 
 def _state(value, loc, d):
-    value = _at_least(1)(value, loc)
-    if value > d:
-        raise errors.ConfigError(f"x0 must be a state label in 1..{d}, got {value}", loc)
-    return value
+    return _checked(_integer, lambda x0: sim.check_x0(x0, d))(value, loc)
 
 
 def _positive(value, loc, d):
@@ -173,28 +181,9 @@ def _positive(value, loc, d):
     return value
 
 
-def _grid_horizon(value, loc, d):
-    """A solver horizon that TimeGrid accepts."""
-    value = _number(value, loc)
-    try:
-        TimeGrid.uniform(value, 2)
-    except ValueError as exc:
-        raise errors.ConfigError(str(exc), loc) from exc
-    return value
-
-
-def _times(value, loc, d):
-    times = _vector(value, loc)
-    if min(times) <= 0:
-        raise errors.ConfigError("times must be positive", loc)
-    return times
-
-
-def _radius(value, loc, d):
-    radius = _number(value, loc)
-    if not 0.0 < radius <= 2.0:
-        raise errors.ConfigError(f"radius must lie in (0, 2], got {radius}", loc)
-    return radius
+def _solver(key, parse):
+    """A parser of SolveOptions field ``key``, checked with the others at their defaults."""
+    return _checked(parse, lambda value: getattr(SolveOptions(**{key: value}), key))
 
 
 def _edge_matrix(value, loc, d):
@@ -205,18 +194,8 @@ def _edge_matrix(value, loc, d):
     return m
 
 
-def _flux(value, loc, d):
-    flux = _edge_matrix(value, loc, d)
-    if np.any(flux[~np.eye(d, dtype=bool)] < 0):
-        raise errors.ConfigError("flux entries must be nonnegative", loc)
-    return flux
-
-
-def _current(value, loc, d):
-    current = _edge_matrix(value, loc, d)
-    if np.max(np.abs(current + current.T)) > 1e-12:
-        raise errors.ConfigError("current must be antisymmetric", loc)
-    return current
+_simplex = _checked(_d_vector, as_simplex)
+_n_paths = _checked(_integer, sim.check_n_paths)
 
 
 REQUIRED = object()
@@ -227,15 +206,21 @@ REQUIRED = object()
 # simulate is batch_simulate's keywords, solver SolveOptions' fields and
 # fixed_point the keywords of ldp's fixed-point searches.
 SECTIONS = {
-    "simulate": {"x0": (_state, REQUIRED), "horizon": (_positive, REQUIRED),
-                 "n_paths": (_at_least(1), 1)},
-    "target": {"gamma": (_simplex, None), "flux": (_flux, None),
-               "current": (_current, None)},
-    "solver": {"grid_horizon": (_grid_horizon, None),
-               "grid_cells": (_at_least(2), None), "n_starts": (_at_least(1), None)},
-    "mc": {"x0": (_state, REQUIRED), "times": (_times, REQUIRED),
-           "n_paths": (_at_least(1), REQUIRED), "center": (_simplex, REQUIRED),
-           "radius": (_radius, REQUIRED), "rate": (_number, None)},
+    "simulate": {"x0": (_state, REQUIRED),
+                 "horizon": (_checked(_number, sim.check_horizon), REQUIRED),
+                 "n_paths": (_n_paths, 1)},
+    "target": {"gamma": (_simplex, None),
+               "flux": (_checked(_edge_matrix, ldp.as_flux), None),
+               "current": (_checked(_edge_matrix, as_current), None)},
+    "solver": {"grid_horizon": (_solver("grid_horizon", _number), None),
+               "grid_cells": (_solver("grid_cells", _integer), None),
+               "n_starts": (_solver("n_starts", _integer), None)},
+    # decay_curve sorts the times it is given
+    "mc": {"x0": (_state, REQUIRED),
+           "times": (_checked(_vector, lambda t: sim.check_times(sorted(t))), REQUIRED),
+           "n_paths": (_n_paths, REQUIRED), "center": (_simplex, REQUIRED),
+           "radius": (_checked(_number, mc.check_radius), REQUIRED),
+           "rate": (_number, None)},
     "fixed_point": {"tol": (_positive, None), "max_iter": (_at_least(1), None),
                     "n_starts": (_at_least(1), 1)},
 }

@@ -46,12 +46,12 @@ def as_simplex(w):
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 2:
-        raise ValueError(f"expected a 1-d vector with d >= 2, got shape {w.shape}")
+        raise errors.InvalidInput(f"expected a 1-d vector with d >= 2, got shape {w.shape}")
     if np.any(w < 0):
-        raise ValueError(f"negative component in probability vector: {w}")
+        raise errors.InvalidInput(f"negative component in probability vector: {w}")
     s = float(w.sum())
-    if abs(s - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"components sum to {s!r}, not 1 within {SIMPLEX_TOL:g}")
+    if not abs(s - 1.0) <= SIMPLEX_TOL:
+        raise errors.InvalidInput(f"components sum to {s!r}, not 1 within {SIMPLEX_TOL:g}")
     return w
 
 
@@ -60,25 +60,28 @@ def uniform_simplex(d):
 
 
 def validate_generator(m):
-    """Certify m as a rate matrix: off-diagonals >= 0, rows sum to zero.
+    """Certify m as a rate matrix: finite, off-diagonals >= 0, rows sum to zero.
 
-    Returns the matrix as a float array; raises NegativeOffDiagonal or
-    RowSumNonzero otherwise.
+    Returns the matrix as a float array; raises InvalidInput otherwise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValueError(f"expected a square matrix with d >= 2, got shape {m.shape}")
+        raise errors.InvalidInput(
+            f"expected a square matrix with d >= 2, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise errors.InvalidInput(f"entry ({i + 1},{j + 1}) = {m[i, j]} is not finite")
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < -GENERATOR_TOL):
         i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise errors.NegativeOffDiagonal(
+        raise errors.InvalidInput(
             f"entry ({i + 1},{j + 1}) = {m[i, j]!r} is negative"
         )
     rows = m.sum(axis=1)
     if np.any(np.abs(rows) > GENERATOR_TOL):
         i = int(np.argmax(np.abs(rows)))
-        raise errors.RowSumNonzero(f"row {i + 1} sums to {rows[i]!r}, not 0")
+        raise errors.InvalidInput(f"row {i + 1} sums to {rows[i]!r}, not 0")
     return m
 
 
@@ -90,14 +93,16 @@ class RateField:
     ``support`` is the set of edges some vertex charges; rates vanish
     identically off it.  ``rate_upper``, the largest vertex rate, bounds
     every rate over the simplex and ``rate_lower_coeff`` k satisfies
-    Q_xy(gamma) >= k * min_z gamma(z) on the support.
+    Q_xy(gamma) >= k * min_z gamma(z) on the support.  The vertices and
+    (d - 1) * rate_upper, thinning's candidate rate, must be finite.
     """
 
     def __init__(self, family, vertices):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 3 or vertices.shape[0] != vertices.shape[1] or \
                 vertices.shape[1] != vertices.shape[2]:
-            raise ValueError(f"expected d matrices of shape (d, d), got {vertices.shape}")
+            raise errors.InvalidInput(
+                f"expected d matrices of shape (d, d), got {vertices.shape}")
         for q in vertices:
             validate_generator(q)
         support = np.any(vertices > 0.0, axis=0)
@@ -106,12 +111,12 @@ class RateField:
         self.d = vertices.shape[0]
         self.vertices = vertices
         self.support = support  # boolean (d, d) mask, False on the diagonal
-        if support.any():
-            self.rate_upper = float(np.max(vertices[:, support]))
-            self.rate_lower_coeff = float(vertices.sum(axis=0)[support].min())
-        else:
-            self.rate_upper = 0.0
-            self.rate_lower_coeff = 0.0
+        self.rate_upper = float(np.max(vertices[:, support], initial=0.0))
+        if not np.isfinite((self.d - 1) * self.rate_upper):
+            raise errors.InvalidInput(f"(d - 1) * rate_upper overflows at rate_upper = "
+                                      f"{self.rate_upper!r}, d = {self.d}")
+        self.rate_lower_coeff = \
+            float(vertices.sum(axis=0)[support].min()) if support.any() else 0.0
 
     # -- construction -----------------------------------------------------
 
@@ -132,7 +137,7 @@ class RateField:
         """Attraction to visited states: Q_ij(gamma) = Q0_ij * (gamma(j) * strength + 1)."""
         q0 = validate_generator(q0)
         if strength < 0:
-            raise ValueError(f"strength must be >= 0, got {strength}")
+            raise errors.InvalidInput(f"strength must be >= 0, got {strength}")
         d = q0.shape[0]
         vertices = np.empty((d, d, d))
         for z in range(d):
@@ -155,16 +160,16 @@ class RateField:
         alpha = np.asarray(alpha, dtype=float)
         beta = np.asarray(beta, dtype=float)
         if alpha.shape != (d,) or beta.shape != (d,):
-            raise ValueError("alpha and beta must be length-d vectors")
+            raise errors.InvalidInput("alpha and beta must be length-d vectors")
         if np.any(alpha < 0) or np.any(beta < 0):
-            raise ValueError("alpha and beta must be nonnegative")
+            raise errors.InvalidInput("alpha and beta must be nonnegative")
         off = q0.copy()
         np.fill_diagonal(off, 0.0)
         live = off > 0
         margin = 1.0 - (alpha[:, None] + beta[None, :])
         if np.any(margin[live] <= 0):
             i, j = np.argwhere(live & (margin <= 0))[0]
-            raise errors.NegativeRate(
+            raise errors.InvalidInput(
                 f"alpha[{i + 1}] + beta[{j + 1}] >= 1 leaves no positive margin on edge "
                 f"({i + 1},{j + 1})"
             )
@@ -182,16 +187,11 @@ class RateField:
     def catalytic(cls, generators):
         """Mixture of generators Q(gamma) = sum_k gamma(k) * Q^(k); diagonals are rebuilt."""
         vertices = np.array(generators, dtype=float)  # a copy: diagonals are rewritten
-        if vertices.ndim != 3 or vertices.shape[0] != vertices.shape[1] or \
-                vertices.shape[1] != vertices.shape[2]:
-            raise ValueError(f"expected d generator matrices of shape (d, d), "
-                             f"got {vertices.shape}")
-        for z, q in enumerate(vertices):
-            np.fill_diagonal(q, 0.0)
-            if np.any(q < 0):
-                raise errors.NegativeOffDiagonal(f"generator {z + 1} has a negative rate")
-            np.fill_diagonal(q, -q.sum(axis=1))
-        return cls("catalytic", vertices)
+        if vertices.ndim == 3 and vertices.shape[1] == vertices.shape[2]:
+            for q in vertices:
+                np.fill_diagonal(q, 0.0)
+                np.fill_diagonal(q, -q.sum(axis=1))
+        return cls("catalytic", vertices)  # which checks the shape and the signs
 
     # -- evaluation --------------------------------------------------------
 
@@ -209,7 +209,8 @@ class RateField:
         """
         gamma = as_simplex(gamma)
         if gamma.size != self.d:
-            raise ValueError(f"gamma has dimension {gamma.size}, field has d={self.d}")
+            raise errors.InvalidInput(
+                f"gamma has dimension {gamma.size}, field has d={self.d}")
         q = np.einsum("z,zij->ij", gamma, self.vertices)
         np.fill_diagonal(q, 0.0)
         off = np.clip(q, 0.0, None)

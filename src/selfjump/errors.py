@@ -1,44 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each argument rule lives in the library function that takes it and raises
+InvalidInput.  The rules are the library's; config adds locations.
+"""
 
 
 class SelfJumpError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-class NegativeOffDiagonal(SelfJumpError):
-    """A rate matrix has a negative off-diagonal entry."""
-
-
-class RowSumNonzero(SelfJumpError):
-    """A rate matrix has a row whose entries do not sum to zero."""
-
-
-class NegativeRate(SelfJumpError):
-    """A rate field produced a negative jump rate."""
-
-
-class InvalidState(SelfJumpError):
-    """State label outside 1..d."""
-
-
-class OutOfRange(SelfJumpError):
-    """Query time outside the trajectory's (0, horizon] window."""
-
-
-class NegativeInput(SelfJumpError):
-    """Argument must be nonnegative."""
+class InvalidInput(SelfJumpError, ValueError):
+    """An argument breaks a rule of the function it was passed to."""
 
 
 class Reducible(SelfJumpError):
     """Rate matrix is not irreducible."""
-
-
-class WrongDimension(SelfJumpError):
-    """Operation is only defined for a specific state-space size."""
-
-
-class ZeroSamples(SelfJumpError):
-    """At least one Monte Carlo sample is required."""
 
 
 class ConfigError(SelfJumpError):

@@ -21,6 +21,7 @@ that never evaluate a cost do not load scipy.special.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def scaled_ell(q, h):
     qa = np.asarray(q, dtype=float)
     ha = np.asarray(h, dtype=float)
     if np.any(qa < 0) or np.any(ha < 0):
-        raise errors.NegativeInput("scaled_ell needs q >= 0 and h >= 0")
+        raise errors.InvalidInput("scaled_ell needs q >= 0 and h >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = xlogy(ha, ha) - xlogy(ha, qa) + qa - ha
     scalar = np.isscalar(q) and np.isscalar(h)
@@ -65,11 +66,11 @@ def as_flux(flux):
     """
     flux = np.asarray(flux, dtype=float)
     if flux.ndim != 2 or flux.shape[0] != flux.shape[1]:
-        raise ValueError(f"flux must be a square matrix, got shape {flux.shape}")
+        raise errors.InvalidInput(f"flux must be a square matrix, got shape {flux.shape}")
     off = flux.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(off < 0):
-        raise errors.NegativeInput("flux entries must be nonnegative")
+    if not np.all(off >= 0):
+        raise errors.InvalidInput("flux entries must be nonnegative")
     return off
 
 
@@ -88,20 +89,26 @@ def is_irreducible(matrix):
     return bool(closure.all())
 
 
+def _irreducible(q):
+    """q certified as an irreducible rate matrix, as a float array."""
+    q = validate_generator(q)
+    if not is_irreducible(q):
+        raise errors.Reducible("rate matrix is not irreducible")
+    return q
+
+
 def dv_rate(q0, gamma, flux):
     """Level-2.5 rate of (gamma, flux) for the constant rate matrix q0.
 
     Returns +infinity when the flux is imbalanced or charges an edge where
     q0 vanishes.  q0 must be irreducible.
     """
-    q0 = validate_generator(q0)
-    if not is_irreducible(q0):
-        raise errors.Reducible("q0 is not irreducible")
+    q0 = _irreducible(q0)
     gamma = as_simplex(gamma)
     flux = as_flux(flux)
     d = q0.shape[0]
     if gamma.size != d or flux.shape != (d, d):
-        raise ValueError("dimension mismatch between q0, gamma, flux")
+        raise errors.InvalidInput("dimension mismatch between q0, gamma, flux")
     if not flux_balanced(flux):
         return float("inf")
     off = q0.copy()
@@ -121,9 +128,7 @@ def stationary_distribution(q):
     replaced by the normalization row); the residual max |(pi q)_y| must come
     out below 1e-10 and the solution strictly positive.
     """
-    q = validate_generator(q)
-    if not is_irreducible(q):
-        raise errors.Reducible("rate matrix is not irreducible")
+    q = _irreducible(q)
     d = q.shape[0]
     a = q.T.copy()
     a[-1, :] = 1.0
@@ -185,11 +190,11 @@ def fixed_point_multistart(field, n_starts=8, seed=0, tol=1e-10, max_iter=500):
 
     Returns the list of converged results whose fixed points differ by more
     than 100 * tol in l1; exposes starting-point sensitivity when the field
-    admits several self-consistent equilibria.
+    admits several self-consistent equilibria.  Each start is drawn as its run begins.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-    starts = [uniform_simplex(field.d)]
-    starts += [rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)]
+    starts = chain([uniform_simplex(field.d)],
+                   (rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)))
     found = []
     for s in starts:
         res = fixed_point_pi_star(field, tol=tol, max_iter=max_iter, start=s)
@@ -221,11 +226,9 @@ def dv_occupation_rate_2state(q0, gamma):
     Minimizing the level-2.5 rate over balanced fluxes (a single scalar for
     two states) gives (sqrt(gamma_1 q_12) - sqrt(gamma_2 q_21))^2.
     """
-    q0 = validate_generator(q0)
+    q0 = _irreducible(q0)
     if q0.shape != (2, 2):
-        raise errors.WrongDimension(f"defined for d = 2 only, got shape {q0.shape}")
-    if not is_irreducible(q0):
-        raise errors.Reducible("q0 is not irreducible")
+        raise errors.InvalidInput(f"defined for d = 2 only, got shape {q0.shape}")
     gamma = as_simplex(gamma)
     a = gamma[0] * q0[0, 1]
     b = gamma[1] * q0[1, 0]

@@ -28,6 +28,13 @@ from .sim import lockstep_thinning
 Z_95 = 1.959963984540054
 
 
+def check_radius(radius):
+    """The radius of an l1 ball of occupation measures as a float, in (0, 2]."""
+    if not 0.0 < radius <= 2.0:
+        raise errors.InvalidInput(f"radius must lie in (0, 2], got {radius}")
+    return float(radius)
+
+
 @dataclass(frozen=True)
 class BallTarget:
     """An l1 ball of occupation measures: L hits it when |L - center|_1 <= radius."""
@@ -37,8 +44,7 @@ class BallTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_simplex(self.center))
-        if not 0.0 < self.radius <= 2.0:
-            raise errors.OutOfRange(f"radius must lie in (0, 2], got {self.radius}")
+        check_radius(self.radius)
 
     def hit(self, occupation):
         return bool(self.hits(np.asarray(occupation, dtype=float)[None])[0])
@@ -47,18 +53,20 @@ class BallTarget:
         """``hit`` for each row of occupations (n, d).
 
         Rows are checked as ``as_simplex`` checks a vector: a negative entry
-        or a sum more than SIMPLEX_TOL from 1 raises ValueError.
+        or a sum more than SIMPLEX_TOL from 1 raises InvalidInput.
         """
         occ = np.asarray(occupations, dtype=float)
         d = self.center.size
         if occ.ndim != 2 or occ.shape[1] != d:
-            raise ValueError(f"expected occupation rows of length {d}, got shape {occ.shape}")
+            raise errors.InvalidInput(
+                f"expected occupation rows of length {d}, got shape {occ.shape}")
         if np.any(occ < 0):
-            raise ValueError("negative component in an occupation row")
+            raise errors.InvalidInput("negative component in an occupation row")
         sums = occ.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+        if not np.all(np.abs(sums - 1.0) <= SIMPLEX_TOL):
             bad = sums[np.argmax(np.abs(sums - 1.0))]
-            raise ValueError(f"occupation row sums to {bad!r}, not 1 within {SIMPLEX_TOL:g}")
+            raise errors.InvalidInput(
+                f"occupation row sums to {bad!r}, not 1 within {SIMPLEX_TOL:g}")
         return np.abs(occ - self.center).sum(axis=1) <= self.radius
 
 
@@ -83,7 +91,7 @@ class DecayPoint:
 def wilson_interval(hits, n):
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
-        raise errors.ZeroSamples("need at least one sample")
+        raise errors.InvalidInput("need at least one sample")
     z = Z_95
     p = hits / n
     denom = 1.0 + z * z / n
@@ -121,12 +129,7 @@ def decay_curve(field, x0, target, times, n_paths, seed=0):
     consistently with n_paths.  Blocks of paths advance in lockstep
     (``sim.lockstep_thinning``) with the same values as path-by-path runs.
     """
-    n_paths = int(n_paths)
-    if n_paths <= 0:
-        raise errors.ZeroSamples("need at least one path")
     times = sorted(float(t) for t in times)
-    if not times or times[0] <= 0.0 or not all(map(math.isfinite, times)):
-        raise errors.OutOfRange("times must be positive and finite")
     hits = _count_hits(field, x0, times, target, seed, n_paths)
     return [_decay_point(t, int(h), n_paths) for t, h in zip(times, hits)]
 

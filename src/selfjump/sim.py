@@ -115,12 +115,13 @@ def _seed_pool(seed):
     return pool
 
 
-def _check_seed(seed):
-    """The seed as an int; raises ValueError outside [0, 2**64)."""
-    seed = int(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
+def check_seed(seed):
+    """The seed as an int in [0, 2**64), the range path streams are keyed by."""
+    if seed < 0:
+        raise errors.InvalidInput(f"must be >= 0, got {seed}")
+    if seed >= 1 << 64:
+        raise errors.InvalidInput(f"must be < 2**64, got {seed}")
+    return int(seed)
 
 
 def _stream_keys(seed, indices):
@@ -133,9 +134,9 @@ def _stream_keys(seed, indices):
     """
     idx = np.asarray(indices).reshape(-1)
     if idx.min(initial=0) < 0:
-        raise ValueError("path indices must be nonnegative")
+        raise errors.InvalidInput("path indices must be nonnegative")
     idx = idx.astype(np.uint64)
-    pool = _seed_pool(_check_seed(seed))
+    pool = _seed_pool(check_seed(seed))
     # one row per path and one column per pool word; hashmix calls 16-19
     # mix in the low index word, 20-23 the high one
     m = _MIXING
@@ -151,7 +152,7 @@ def _stream_keys(seed, indices):
 
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
-    seq = np.random.SeedSequence(_check_seed(seed), spawn_key=(int(path_index),))
+    seq = np.random.SeedSequence(check_seed(seed), spawn_key=(int(path_index),))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -177,7 +178,7 @@ class Trajectory:
 
     def _check_t(self, t):
         if not 0.0 < t <= self.horizon:
-            raise errors.OutOfRange(f"t={t} outside (0, {self.horizon}]")
+            raise errors.InvalidInput(f"t={t} outside (0, {self.horizon}]")
 
     def occupation_at(self, t):
         """Time-average of the visited states over (0, t]; sums to 1."""
@@ -198,18 +199,34 @@ class Trajectory:
         return counts / t
 
 
-def _check_x0(field, x0):
-    if not isinstance(x0, (int, np.integer)) or not 1 <= int(x0) <= field.d:
-        raise errors.InvalidState(f"initial state {x0!r} outside 1..{field.d}")
+def check_x0(x0, d):
+    """The initial state as an int, a state label in 1..d."""
+    if not isinstance(x0, (int, np.integer)) or not 1 <= int(x0) <= d:
+        raise errors.InvalidInput(f"x0 must be a state label in 1..{d}, got {x0!r}")
     return int(x0)
 
 
-def _check_horizon(horizon):
-    """The horizon as a float; raises ValueError unless positive and finite."""
-    horizon = float(horizon)
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    return horizon
+def check_horizon(horizon):
+    """The horizon as a float, positive and finite."""
+    if not 0.0 < float(horizon) < math.inf:
+        raise errors.InvalidInput(f"horizon must be positive and finite, got {horizon}")
+    return float(horizon)
+
+
+def check_times(times):
+    """Read-out times as a float array: nonempty, nondecreasing, positive, finite."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not times[0] > 0.0 \
+            or not np.isfinite(times).all() or np.any(np.diff(times) < 0.0):
+        raise errors.InvalidInput("times must be nonempty, sorted, positive and finite")
+    return times
+
+
+def check_n_paths(n_paths):
+    """The number of paths as an int, at least 1."""
+    if n_paths < 1:
+        raise errors.InvalidInput(f"n_paths must be >= 1, got {n_paths}")
+    return int(n_paths)
 
 
 # Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
@@ -356,8 +373,8 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     Q(L_t-) / rate_upper.  A field with rate_upper = 0 yields the jump-free
     trajectory.
     """
-    x0 = _check_x0(field, x0)
-    horizon = _check_horizon(horizon)
+    x0 = check_x0(x0, field.d)
+    horizon = check_horizon(horizon)
     d = field.d
     c = field.rate_upper
     lam = (d - 1) * c
@@ -473,13 +490,9 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     (``_mapped``) and are yielded in order; closing the generator stops
     the workers.
     """
-    x0 = _check_x0(field, x0)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not times[0] > 0.0 \
-            or not np.isfinite(times).all() or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be a nonempty nondecreasing list of positive "
-                         "finite values")
-    n_paths = int(n_paths)
+    x0 = check_x0(x0, field.d)
+    times = check_times(times)
+    n_paths = check_n_paths(n_paths)
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
     block = _BLOCK_DRAWS // max(1, n_draws)
@@ -639,10 +652,10 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
     every CPU (``_mapped``), while this process runs path 0, the one kept
     whole; only the other paths' terminal records cross a process boundary.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    horizon = check_horizon(horizon)
+    n_paths = check_n_paths(n_paths)
     run = _SAMPLERS["thinning"]
-    mean_candidates = (field.d - 1) * field.rate_upper * _check_horizon(horizon)
+    mean_candidates = (field.d - 1) * field.rate_upper * horizon
     size = max(1, int(_BLOCK_DRAWS // max(1.0, mean_candidates)))
     _thinning_tables(field)  # before the workers fork, so they share it
 

@@ -77,16 +77,16 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
-            raise ValueError("need at least two cells")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must increase strictly from 0")
+            raise errors.InvalidInput("need at least two cells")
+        if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0):
+            raise errors.InvalidInput("nodes must increase strictly from 0")
         if nodes[-1] < 1.0:
-            raise ValueError(f"horizon {nodes[-1]} too small (need >= 1)")
+            raise errors.InvalidInput(f"horizon {nodes[-1]} too small (need >= 1)")
         if np.exp(-nodes[-1]) < np.finfo(float).tiny:
             # a zero tail weight makes its 1/sqrt(w) scale infinite and the
             # residuals NaN; a subnormal one has already lost precision
-            raise ValueError(f"horizon {nodes[-1]} too large: its tail weight e^-horizon "
-                             "is below the smallest normal float (need about <= 708.4)")
+            raise errors.InvalidInput(f"horizon {nodes[-1]} too large: its tail weight "
+                                      "e^-horizon underflows (need about <= 708.4)")
 
     @classmethod
     def uniform(cls, horizon=8.0, cells=64):
@@ -138,12 +138,19 @@ class SolveOptions:
     grid_horizon and grid_cells set the TimeGrid; n_starts (at most two
     deterministic starts exist) bounds how many starts are tried.  The
     augmented-Lagrangian schedule and the tolerances behind status=converged
-    are fixed module constants.
+    are fixed module constants.  The fields are checked on construction.
     """
 
     grid_horizon: float = 8.0
     grid_cells: int = 64
     n_starts: int = 2
+
+    def __post_init__(self):
+        TimeGrid.uniform(self.grid_horizon, 2)
+        if self.grid_cells < 2:
+            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.grid_cells}")
+        if self.n_starts < 1:
+            raise errors.InvalidInput(f"n_starts must be >= 1, got {self.n_starts}")
 
     def grid(self):
         return TimeGrid.uniform(self.grid_horizon, self.grid_cells)
@@ -410,7 +417,7 @@ def _minimize(field, mode, gamma, flux, current, opts):
     # infeasible ones by scaled violation.  Multiplier rounds only tighten
     # feasibility, so a start's last round is its most accurate point.
     best = None
-    starts = islice(_starts(prob, field, mode, gamma, flux), opts.n_starts)
+    starts = islice(_starts(prob, field, mode, gamma, flux), min(opts.n_starts, 2))
     for si, u in enumerate(starts):
         lam = lsqr(free_rows, -prob.cost_u(u)[1][free], atol=1e-14, btol=1e-14)[0]
         mu = _PENALTY_INIT
@@ -465,7 +472,7 @@ def solve_rate(gamma, flux, field, opts=None):
     gamma = as_simplex(gamma)
     flux = as_flux(flux)
     if gamma.size != field.d or flux.shape != (field.d, field.d):
-        raise ValueError("dimension mismatch with the field")
+        raise errors.InvalidInput("dimension mismatch with the field")
     reason = flux_infeasibility(field, flux, gamma)
     if reason is not None:
         return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
@@ -477,8 +484,17 @@ def occupation_rate(gamma, field, opts=None):
     opts = opts or SolveOptions()
     gamma = as_simplex(gamma)
     if gamma.size != field.d:
-        raise ValueError("dimension mismatch with the field")
+        raise errors.InvalidInput("dimension mismatch with the field")
     return _minimize(field, "occupation", gamma, None, None, opts)
+
+
+def as_current(current):
+    """Validate a net current: a square antisymmetric matrix, as a float array."""
+    current = np.asarray(current, dtype=float)
+    if current.ndim != 2 or current.shape != current.T.shape \
+            or not np.max(np.abs(current + current.T)) <= 1e-12:
+        raise errors.InvalidInput("current must be an antisymmetric square matrix")
+    return current
 
 
 def current_rate(current, field, opts=None):
@@ -491,11 +507,9 @@ def current_rate(current, field, opts=None):
     forces the zero current.
     """
     opts = opts or SolveOptions()
-    current = np.asarray(current, dtype=float)
+    current = as_current(current)
     if current.shape != (field.d, field.d):
-        raise ValueError("dimension mismatch with the field")
-    if np.max(np.abs(current + current.T)) > 1e-12:
-        raise ValueError("current must be antisymmetric")
+        raise errors.InvalidInput("dimension mismatch with the field")
     if np.max(np.abs(current.sum(axis=1))) > BALANCE_TOL:
         return RateResult(float("inf"), None, {}, "infeasible",
                           detail="current is not divergence-free")

@@ -21,7 +21,7 @@ def ell(x):
 
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
-        raise errors.NegativeInput(f"ell needs x >= 0, got {x}")
+        raise errors.InvalidInput(f"ell needs x >= 0, got {x}")
     out = xlogy(arr, arr) - arr + 1.0
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)

@@ -156,8 +156,8 @@ def simulate_exact_affine(field, x0, horizon, seed, path_index=0):
     and the horizon as ``sim.simulate_thinning`` does.  Its ``candidates``
     is 0, as it draws no thinning candidates.
     """
-    x0 = sim._check_x0(field, x0)
-    horizon = sim._check_horizon(horizon)
+    x0 = sim.check_x0(x0, field.d)
+    horizon = sim.check_horizon(horizon)
     d = field.d
     rng = sim.path_stream(seed, path_index)
     times, srcs, dsts = [], [], []

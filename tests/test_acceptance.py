@@ -250,7 +250,7 @@ def test_structural_invariants_battery():
             bad[i, j] = -bad[i, j] - 0.1  # negative off-diagonal
         try:
             core.validate_generator(bad)
-        except (errors.NegativeOffDiagonal, errors.RowSumNonzero):
+        except errors.InvalidInput:
             pass
         else:
             raise AssertionError("corrupted generator was accepted")

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import importlib
 import inspect
 import io
@@ -18,7 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from selfjump import cli, config, ldp, sim, varsolve
+from selfjump import cli, config, core, errors, ldp, mc, sim, varsolve
 
 UNIT_FIELD = {"family": "constant", "q0": [[-1.0, 1.0], [1.0, -1.0]]}
 FAST_SOLVER = {"n_starts": 2, "grid_cells": 16}
@@ -470,6 +471,13 @@ def test_rate_rerun_is_byte_identical(tmp_path, capsys):
 CHEMO_FIELD = {"family": "autochemotaxis", "q0": [[-2.0, 2.0], [1.0, -1.0]],
                "strength": 1.0}
 NAN = float("nan")
+# rates that overflow: a vertex entry of strength + 1 times 2, and a d = 3
+# field with finite vertices whose candidate rate (d - 1) * rate_upper is inf
+OVERFLOWING_FIELDS = [
+    dict(CHEMO_FIELD, strength=1.0e308),
+    {"family": "constant",
+     "q0": [[-1.7e308, 1.7e308, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]},
+]
 
 
 @pytest.mark.parametrize("doc, location", [
@@ -494,6 +502,8 @@ NAN = float("nan")
     ({"field": dict(CHEMO_FIELD, family=["constant"])}, "field.family"),
     # e^-800, the solver grid's tail weight, underflows to 0
     ({"solver": {"grid_horizon": 800, "grid_cells": 8}}, "solver.grid_horizon"),
+    ({"field": OVERFLOWING_FIELDS[0]}, "field"),
+    ({"field": OVERFLOWING_FIELDS[1]}, "field"),
 ])
 def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     full = {"field": CHEMO_FIELD, **doc}
@@ -502,6 +512,110 @@ def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {location}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", OVERFLOWING_FIELDS, ids=["vertex", "candidate-rate"])
+def test_simulate_on_overflowing_rates_exits_2_in_one_line(tmp_path, field):
+    # in a fresh process, so numpy's overflow warnings would reach stderr
+    cfg = write_cfg(tmp_path, {"field": field, "simulate": {"x0": 1, "horizon": 5.0}})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "selfjump.cli", "simulate", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("config error: field: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_input_error_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
+    # a rule the run file does not restate still ends in one line, not a traceback
+    def reject(*args, **kwargs):
+        raise errors.InvalidInput("n_paths must be >= 1, got 0")
+
+    monkeypatch.setattr(sim, "batch_simulate", reject)
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0}})
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: n_paths must be >= 1, got 0"]
+
+
+def test_results_json_is_strict_json(tmp_path, capsys, monkeypatch):
+    # RFC 8259 has no Infinity or NaN, so a solve that ends at +inf writes null
+    solve = varsolve.occupation_rate
+    monkeypatch.setattr(varsolve, "occupation_rate", lambda *args: dataclasses.replace(
+        solve(*args), value=math.inf))
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD, "target": {"gamma": [0.6, 0.4]},
+                               "solver": dict(FAST_SOLVER)})
+    out_root = tmp_path / "out"
+    assert run(["occupation-rate", "--config", cfg, "--out", str(out_root)]) == 0
+    rd = only_run_dir(out_root, "occupation-rate")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert json.loads((rd / "results.json").read_text(), parse_constant=reject)["value"] \
+        is None
+    assert (rd / "value.csv").read_text().splitlines()[1].startswith("inf,")
+
+
+MC_RUN = {"x0": 1, "times": [1.0, 2.0], "n_paths": 5, "center": [0.5, 0.5], "radius": 0.2}
+BALL = mc.BallTarget([0.5, 0.5], 0.2)
+NEGATIVE_FLUX = [[0.0, -1.0], [1.0, 0.0]]
+SYMMETRIC_CURRENT = [[0.0, 1.0], [1.0, 0.0]]
+
+
+# One row per input rule that a run-file key feeds to the library: the
+# library call that breaks it on the CHEMO_FIELD field, the run-file fragment
+# with the same bad value, and the key's location.
+@pytest.mark.parametrize("call, doc, location", [
+    pytest.param(lambda f: sim.simulate_thinning(f, 1, 1.0, -1), {"seed": -1},
+                 "config.seed", id="seed-negative"),
+    pytest.param(lambda f: sim.simulate_thinning(f, 1, 1.0, 2 ** 64), {"seed": 2 ** 64},
+                 "config.seed", id="seed-64-bits"),
+    pytest.param(lambda f: sim.batch_simulate(f, 3, 1.0, 1, 0),
+                 {"simulate": {"x0": 3, "horizon": 1.0}}, "simulate.x0", id="x0"),
+    pytest.param(lambda f: mc.decay_curve(f, 0, BALL, [1.0], 5),
+                 {"mc": dict(MC_RUN, x0=0)}, "mc.x0", id="mc-x0"),
+    pytest.param(lambda f: sim.batch_simulate(f, 1, 0.0, 1, 0),
+                 {"simulate": {"x0": 1, "horizon": 0.0}}, "simulate.horizon", id="horizon"),
+    pytest.param(lambda f: mc.decay_curve(f, 1, BALL, [2.0, 0.0], 5),
+                 {"mc": dict(MC_RUN, times=[2.0, 0.0])}, "mc.times", id="times"),
+    pytest.param(lambda f: sim.batch_simulate(f, 1, 1.0, 0, 0),
+                 {"simulate": {"x0": 1, "horizon": 1.0, "n_paths": 0}}, "simulate.n_paths",
+                 id="n_paths"),
+    pytest.param(lambda f: mc.decay_curve(f, 1, BALL, [1.0], 0),
+                 {"mc": dict(MC_RUN, n_paths=0)}, "mc.n_paths", id="mc-n_paths"),
+    pytest.param(lambda f: mc.BallTarget([0.5, 0.5], 2.5),
+                 {"mc": dict(MC_RUN, radius=2.5)}, "mc.radius", id="radius"),
+    pytest.param(lambda f: mc.BallTarget([0.7, 0.7], 0.2),
+                 {"mc": dict(MC_RUN, center=[0.7, 0.7])}, "mc.center", id="center"),
+    pytest.param(lambda f: varsolve.occupation_rate([1.2, -0.2], f),
+                 {"target": {"gamma": [1.2, -0.2]}}, "target.gamma", id="gamma"),
+    pytest.param(lambda f: varsolve.solve_rate([0.5, 0.5], NEGATIVE_FLUX, f),
+                 {"target": {"flux": NEGATIVE_FLUX}}, "target.flux", id="flux"),
+    pytest.param(lambda f: varsolve.current_rate(SYMMETRIC_CURRENT, f),
+                 {"target": {"current": SYMMETRIC_CURRENT}}, "target.current", id="current"),
+    pytest.param(lambda f: varsolve.SolveOptions(grid_horizon=800.0),
+                 {"solver": {"grid_horizon": 800.0}}, "solver.grid_horizon",
+                 id="grid_horizon"),
+    pytest.param(lambda f: varsolve.SolveOptions(grid_cells=1),
+                 {"solver": {"grid_cells": 1}}, "solver.grid_cells", id="grid_cells"),
+    pytest.param(lambda f: varsolve.SolveOptions(n_starts=0),
+                 {"solver": {"n_starts": 0}}, "solver.n_starts", id="n_starts"),
+    pytest.param(lambda f: core.RateField.autochemotaxis(np.array(CHEMO_FIELD["q0"]),
+                                                         1.0e308),
+                 {"field": OVERFLOWING_FIELDS[0]}, "field", id="vertex-overflow"),
+    pytest.param(lambda f: core.RateField.constant(np.array(OVERFLOWING_FIELDS[1]["q0"])),
+                 {"field": OVERFLOWING_FIELDS[1]}, "field", id="candidate-rate-overflow"),
+])
+def test_library_and_run_file_apply_one_rule(tmp_path, capsys, call, doc, location):
+    field = config.build_field(config.parse_config({"field": CHEMO_FIELD}).field)
+    with np.errstate(over="ignore"), pytest.raises(errors.InvalidInput) as exc:
+        call(field)
+    cfg = write_cfg(tmp_path, {"field": CHEMO_FIELD, **doc})
+    assert run(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {location}: {exc.value}\n"
 
 
 def test_run_file_fields_match_their_classmethods(family_params, family_fields):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfjump import core, errors
+from selfjump import core, errors, ldp, mc, varsolve
 
 
 def test_edge_pairs_row_major():
@@ -21,10 +21,42 @@ def test_as_simplex_accepts_and_rejects():
 
 def test_validate_generator():
     core.validate_generator(np.array([[-1.0, 1.0], [2.0, -2.0]]))
-    with pytest.raises(errors.NegativeOffDiagonal):
+    with pytest.raises(errors.InvalidInput, match="is negative"):
         core.validate_generator(np.array([[-1.0, -1.0], [2.0, 0.0]]))
-    with pytest.raises(errors.RowSumNonzero):
+    with pytest.raises(errors.InvalidInput, match="not 0"):
         core.validate_generator(np.array([[-1.0, 1.0], [2.0, -1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rates_are_rejected(bad):
+    # NaN passes both comparisons of the sign and row-sum rules
+    q = np.array([[-1.0, 1.0], [bad, -1.0]])
+    with pytest.raises(errors.InvalidInput, match="not finite"):
+        core.validate_generator(q)
+    with pytest.raises(errors.InvalidInput, match="not finite"):
+        core.RateField.affine(np.stack([q, q]))
+
+
+def test_nan_breaks_the_vector_and_flux_rules():
+    # NaN fails every comparison, so a rule written as "reject when x > tol"
+    # lets it through
+    with pytest.raises(errors.InvalidInput, match="sum to"):
+        core.as_simplex([np.nan, np.nan])
+    with pytest.raises(errors.InvalidInput, match="sums to"):
+        mc.BallTarget([0.5, 0.5], 0.2).hits([[0.5, 0.5], [np.nan, 0.5]])
+    with pytest.raises(errors.InvalidInput, match="nonnegative"):
+        ldp.as_flux([[0.0, np.nan], [1.0, 0.0]])
+    with pytest.raises(errors.InvalidInput, match="antisymmetric"):
+        varsolve.as_current([[0.0, np.nan], [np.nan, 0.0]])
+
+
+def test_overflowing_candidate_rate_is_rejected():
+    # finite vertices, but thinning's candidate rate (d - 1) * rate_upper is inf
+    q0 = np.array([[-1.7e308, 1.7e308, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    with pytest.raises(errors.InvalidInput, match="rate_upper overflows"):
+        core.RateField.constant(q0)
+    q0[0, :2] = [-5e307, 5e307]
+    assert core.RateField.constant(q0).rate_upper == 5e307
 
 
 # -- frozen family examples --------------------------------------------------
@@ -47,7 +79,7 @@ def test_congestion_frozen_example():
     q = f.evaluate(np.array([1.0, 0.0]))
     assert q[0, 1] == pytest.approx(1.4)
     bad_alpha = np.array([0.9, 0.2])
-    with pytest.raises(errors.NegativeRate):
+    with pytest.raises(errors.InvalidInput, match="no positive margin"):
         core.RateField.congestion(q0, alpha=bad_alpha, beta=np.array([0.2, 0.4]))
 
 
@@ -72,7 +104,7 @@ def test_affine_vertex_generators_validated():
     core.RateField.affine(good)
     bad = good.copy()
     bad[0, 0, 1] = -1.0
-    with pytest.raises(errors.NegativeOffDiagonal):
+    with pytest.raises(errors.InvalidInput, match="is negative"):
         core.RateField.affine(bad)
 
 

@@ -12,7 +12,7 @@ def test_ell_values():
     assert ell(1.0) == 0.0
     assert ell(0.0) == 1.0
     assert ell(2.0) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-15)
-    with pytest.raises(errors.NegativeInput):
+    with pytest.raises(errors.InvalidInput, match="ell needs"):
         ell(-0.5)
 
 
@@ -63,7 +63,7 @@ def test_flux_validation_and_balance():
     assert f[0, 0] == 0.0  # diagonal carries no flux
     assert ldp.flux_balanced(f)
     assert not ldp.flux_balanced([[0.0, 0.5], [0.1, 0.0]])
-    with pytest.raises(errors.NegativeInput):
+    with pytest.raises(errors.InvalidInput, match="nonnegative"):
         ldp.as_flux([[0.0, -0.1], [0.1, 0.0]])
 
 
@@ -158,6 +158,31 @@ def test_fixed_point_multistart_dedupes():
     assert results[0].converged
 
 
+def test_fixed_point_multistart_draws_each_start_as_its_run_begins(monkeypatch):
+    # n_starts has no upper bound, so starts drawn up front would size memory
+    # before any run
+    f = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]), strength=1.0)
+    draws, draws_before_run = [], []
+    default_rng, search = np.random.default_rng, ldp.fixed_point_pi_star
+
+    class SpyRng:
+        def __init__(self, *args):
+            self.rng = default_rng(*args)
+
+        def dirichlet(self, alpha):
+            draws.append(alpha)
+            return self.rng.dirichlet(alpha)
+
+    def spy_search(field, **kwargs):
+        draws_before_run.append(len(draws))
+        return search(field, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", SpyRng)
+    monkeypatch.setattr(ldp, "fixed_point_pi_star", spy_search)
+    ldp.fixed_point_multistart(f, n_starts=4, seed=3, max_iter=5)
+    assert draws_before_run == [0, 1, 2, 3]
+
+
 def test_equilibrium_flux_balanced_to_float_precision():
     q0 = np.array([[-2.0, 2.0], [1.0, -1.0]])
     f = core.RateField.autochemotaxis(q0, strength=1.0)
@@ -179,7 +204,7 @@ def test_occupation_rate_2state_closed_form():
     assert v == pytest.approx((math.sqrt(a) - math.sqrt(b)) ** 2, abs=1e-14)
     assert v == pytest.approx(scan.min(), abs=1e-8)
     ring = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
-    with pytest.raises(errors.WrongDimension):
+    with pytest.raises(errors.InvalidInput, match="d = 2 only"):
         ldp.dv_occupation_rate_2state(ring, np.array([0.3, 0.3, 0.4]))
 
 

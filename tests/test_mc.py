@@ -36,16 +36,16 @@ def test_wilson_interval_brackets_p_hat():
 
 
 def test_wilson_interval_zero_samples():
-    with pytest.raises(errors.ZeroSamples):
+    with pytest.raises(errors.InvalidInput, match="at least one sample"):
         mc.wilson_interval(0, 0)
 
 
 def test_ball_target_validation():
     with pytest.raises(ValueError):
         mc.BallTarget(np.array([0.5, 0.6]), 0.1)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.InvalidInput, match="radius"):
         mc.BallTarget(np.array([0.5, 0.5]), 0.0)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.InvalidInput, match="radius"):
         mc.BallTarget(np.array([0.5, 0.5]), 2.5)
 
 
@@ -195,9 +195,9 @@ def test_ball_target_hits_rejects_off_simplex_rows():
 def test_decay_curve_input_gates():
     field = unit_field()
     target = mc.BallTarget(np.array([0.6, 0.4]), 0.15)
-    with pytest.raises(errors.ZeroSamples):
+    with pytest.raises(errors.InvalidInput, match="n_paths"):
         mc.decay_curve(field, 1, target, [1.0], 0)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.InvalidInput, match="times"):
         mc.decay_curve(field, 1, target, [0.0, 1.0], 10)
 
 
@@ -205,7 +205,7 @@ def test_decay_curve_rejects_non_finite_times():
     # a path simulated to t = inf would never end
     target = mc.BallTarget(np.array([0.6, 0.4]), 0.15)
     for times in ([float("inf")], [1.0, float("nan")]):
-        with pytest.raises(errors.OutOfRange):
+        with pytest.raises(errors.InvalidInput, match="times"):
             mc.decay_curve(unit_field(), 1, target, times, 10)
 
 

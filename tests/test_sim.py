@@ -42,9 +42,9 @@ def test_occupation_at_hand_cases():
     one = hand_trajectory([1.0], [1], [2])
     assert np.allclose(one.occupation_at(2.0), [0.5, 0.5])
     assert np.allclose(one.occupation_at(1.0), [1.0, 0.0])
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.InvalidInput, match="outside"):
         one.occupation_at(0.0)
-    with pytest.raises(errors.OutOfRange):
+    with pytest.raises(errors.InvalidInput, match="outside"):
         one.occupation_at(5.0)
 
 
@@ -88,9 +88,9 @@ def test_zero_generator_no_events():
 
 
 def test_invalid_x0():
-    with pytest.raises(errors.InvalidState):
+    with pytest.raises(errors.InvalidInput, match="state label"):
         sim.simulate_thinning(unit_field(), 0, 1.0, seed=0)
-    with pytest.raises(errors.InvalidState):
+    with pytest.raises(errors.InvalidInput, match="state label"):
         simulate_exact_affine(unit_field(), 3, 1.0, seed=0)
 
 
@@ -310,7 +310,7 @@ def test_lockstep_zero_rate_field():
 
 
 def test_lockstep_input_gates():
-    with pytest.raises(errors.InvalidState):
+    with pytest.raises(errors.InvalidInput, match="state label"):
         next(sim.lockstep_thinning(unit_field(), 3, [1.0], 2, seed=0))
     for times in ([], [0.0, 1.0], [2.0, 1.0]):
         with pytest.raises(ValueError):
@@ -473,12 +473,12 @@ def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
 
     def failing(field, x0, horizon, seed, path_index=0):
         if path_index == 5:
-            raise errors.OutOfRange(f"path {path_index} failed in {os.getpid()}")
+            raise errors.InvalidInput(f"path {path_index} failed in {os.getpid()}")
         return simulate(field, x0, horizon, seed, path_index=path_index)
 
     monkeypatch.setitem(sim._SAMPLERS, "thinning", failing)
     monkeypatch.setattr(sim, "_BLOCK_DRAWS", 80)  # one path to t = 20 per task
-    with pytest.raises(errors.OutOfRange, match="path 5 failed in ") as exc:
+    with pytest.raises(errors.InvalidInput, match="path 5 failed in ") as exc:
         with_workers(monkeypatch, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, 2))
     assert str(os.getpid()) not in str(exc.value)
 

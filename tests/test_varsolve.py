@@ -418,6 +418,15 @@ def test_occupation_rate_two_state_closed_form():
     assert res.residuals["flux"] == 0.0
 
 
+def test_n_starts_beyond_the_two_starts_solves_as_two():
+    # n_starts has no upper bound; islice refuses a stop above sys.maxsize
+    field = core.RateField.constant(np.array([[-1.7, 1.7], [0.6, -0.6]]))
+    many, two = (varsolve.occupation_rate([0.3, 0.7], field,
+                                          SolveOptions(n_starts=n, grid_cells=8))
+                 for n in (10 ** 20, 2))
+    assert (many.value, many.best_start) == (two.value, two.best_start)
+
+
 def test_occupation_rate_refinement_does_not_increase():
     chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
                                           strength=1.0)

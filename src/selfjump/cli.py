@@ -171,8 +171,8 @@ def _cmd_dv_rate(args, cfg, seed):
     gamma = cfg.need("target.gamma")
     flux = cfg.need("target.flux")
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
-    if not np.isfinite(value):
-        reason = varsolve.flux_infeasibility(field, flux, gamma) or "no finite cost"
+    reason = ldp.flux_infeasibility(field.support, flux, gamma)
+    if reason is not None:
         print(f"infeasible: {reason}", file=sys.stderr)
         return 1
     out.write_json("results.json", {"value": value, "gamma": gamma.tolist(),

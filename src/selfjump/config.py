@@ -5,8 +5,8 @@ sections of ``SECTIONS`` and a top-level ``seed``.  Validation is eager and
 every complaint carries the dotted path of the offending key, so a typo in a
 nested matrix points at ``field.q0`` rather than at a stack trace.  The
 rules are the library's; config adds locations.  It checks only types, list
-shapes, sizes against d, required and unknown keys and the fixed-point
-bounds, and ``_checked`` applies the library's rule on each other key.
+shapes, sizes against d and required and unknown keys; ``_checked``
+applies the library's rule on each other key.
 Field parameters stay plain Python lists until ``build_field``; every other
 section parses to a dict of the values the library takes, which the CLI
 passes on by keyword.
@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
 
 from . import errors, ldp, mc, sim
-from .core import FAMILIES, RateField, as_simplex
+from .core import FAMILIES, RateField, as_simplex, check_count
 from .varsolve import SolveOptions, as_current
 
 
@@ -53,16 +54,6 @@ def _integer(value, loc, d=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise errors.ConfigError(f"expected an integer, got {value!r}", loc)
     return value
-
-
-def _at_least(minimum):
-    """A parser(value, loc, d) of the integers that are >= minimum."""
-    def parser(value, loc, d=None):
-        value = _integer(value, loc)
-        if value < minimum:
-            raise errors.ConfigError(f"must be >= {minimum}, got {value}", loc)
-        return value
-    return parser
 
 
 def _checked(parse, rule):
@@ -174,13 +165,6 @@ def _state(value, loc, d):
     return _checked(_integer, lambda x0: sim.check_x0(x0, d))(value, loc)
 
 
-def _positive(value, loc, d):
-    value = _number(value, loc)
-    if value <= 0:
-        raise errors.ConfigError(f"{loc.rpartition('.')[2]} must be positive", loc)
-    return value
-
-
 def _solver(key, parse):
     """A parser of SolveOptions field ``key``, checked with the others at their defaults."""
     return _checked(parse, lambda value: getattr(SolveOptions(**{key: value}), key))
@@ -195,7 +179,11 @@ def _edge_matrix(value, loc, d):
 
 
 _simplex = _checked(_d_vector, as_simplex)
-_n_paths = _checked(_integer, sim.check_n_paths)
+
+
+def _count(name):
+    """A parser of the count ``name``, checked by core.check_count."""
+    return _checked(_integer, partial(check_count, name))
 
 
 REQUIRED = object()
@@ -208,7 +196,7 @@ REQUIRED = object()
 SECTIONS = {
     "simulate": {"x0": (_state, REQUIRED),
                  "horizon": (_checked(_number, sim.check_horizon), REQUIRED),
-                 "n_paths": (_n_paths, 1)},
+                 "n_paths": (_count("n_paths"), 1)},
     "target": {"gamma": (_simplex, None),
                "flux": (_checked(_edge_matrix, ldp.as_flux), None),
                "current": (_checked(_edge_matrix, as_current), None)},
@@ -218,11 +206,12 @@ SECTIONS = {
     # decay_curve sorts the times it is given
     "mc": {"x0": (_state, REQUIRED),
            "times": (_checked(_vector, lambda t: sim.check_times(sorted(t))), REQUIRED),
-           "n_paths": (_n_paths, REQUIRED), "center": (_simplex, REQUIRED),
+           "n_paths": (_count("n_paths"), REQUIRED), "center": (_simplex, REQUIRED),
            "radius": (_checked(_number, mc.check_radius), REQUIRED),
            "rate": (_number, None)},
-    "fixed_point": {"tol": (_positive, None), "max_iter": (_at_least(1), None),
-                    "n_starts": (_at_least(1), 1)},
+    "fixed_point": {"tol": (_checked(_number, ldp.check_tol), None),
+                    "max_iter": (_count("max_iter"), None),
+                    "n_starts": (_count("n_starts"), 1)},
 }
 
 

@@ -40,19 +40,35 @@ def edge_pairs(d):
 
 
 def as_simplex(w):
-    """Validate w as a probability vector; returns it as a float array.
+    """Validate w as a probability vector, or each row of a stack of them
+    (last axis); returns it as a float array.
 
-    Components must be nonnegative and sum to 1 within SIMPLEX_TOL.
+    Components must be nonnegative and sum to 1 within SIMPLEX_TOL, which
+    NaN fails.  An error names the first bad row.  Callers that need
+    exactly one vector check the shape themselves.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 2:
+    if w.ndim == 0 or w.shape[-1] < 2:
         raise errors.InvalidInput(f"expected a 1-d vector with d >= 2, got shape {w.shape}")
-    if np.any(w < 0):
-        raise errors.InvalidInput(f"negative component in probability vector: {w}")
-    s = float(w.sum())
-    if not abs(s - 1.0) <= SIMPLEX_TOL:
-        raise errors.InvalidInput(f"components sum to {s!r}, not 1 within {SIMPLEX_TOL:g}")
+    rows = w.reshape(-1, w.shape[-1])
+    sums = rows.sum(axis=1)
+    bad = (rows < 0).any(axis=1) | ~(np.abs(sums - 1.0) <= SIMPLEX_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "probability vector" if w.ndim == 1 else f"row {i + 1}"
+        if np.any(rows[i] < 0):
+            raise errors.InvalidInput(f"negative component in {where}: {rows[i]}")
+        where = "components sum" if w.ndim == 1 else where + " sums"
+        raise errors.InvalidInput(
+            f"{where} to {float(sums[i])!r}, not 1 within {SIMPLEX_TOL:g}")
     return w
+
+
+def check_count(name, value):
+    """A count such as n_paths, n_starts or max_iter as an int, at least 1."""
+    if value < 1:
+        raise errors.InvalidInput(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def uniform_simplex(d):
@@ -208,9 +224,9 @@ class RateField:
         that vanishes off the support.
         """
         gamma = as_simplex(gamma)
-        if gamma.size != self.d:
+        if gamma.shape != (self.d,):
             raise errors.InvalidInput(
-                f"gamma has dimension {gamma.size}, field has d={self.d}")
+                f"gamma has shape {gamma.shape}, field has d={self.d}")
         q = np.einsum("z,zij->ij", gamma, self.vertices)
         np.fill_diagonal(q, 0.0)
         off = np.clip(q, 0.0, None)

@@ -10,6 +10,9 @@ whenever varsigma is flux balanced (per-state inflow equals outflow), and
 +infinity otherwise.  scaled_ell is the per-edge Poisson cost q * ell(h / q)
 with ell(r) = r log r - r + 1.
 
+flux_infeasibility, the one feasibility gate of a target flux, lives here
+with its tolerances BALANCE_TOL and SUPPORT_TOL; varsolve imports them.
+
 Also here: stationary distributions of rate matrices, the self-consistent
 equilibrium of an occupation-dependent field (pi with pi Q(pi) = 0), its
 equilibrium flux, and the closed-form two-state occupation rate.
@@ -26,9 +29,11 @@ from itertools import chain
 import numpy as np
 
 from . import errors
-from .core import as_simplex, uniform_simplex, validate_generator
+from .core import as_simplex, check_count, uniform_simplex, validate_generator
 
 BALANCE_TOL = 1e-10
+# flux up to this size on an edge no path can charge counts as zero
+SUPPORT_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 
@@ -97,28 +102,42 @@ def _irreducible(q):
     return q
 
 
+def flux_infeasibility(support, flux, gamma):
+    """Why no path realises this edge flux at occupation gamma, or None.
+
+    support is the boolean (d, d) mask of the edges the rates can charge.
+    Every path flux is balanced, charges only support edges, and leaves a
+    state only at the rate that state is occupied; flux of at most
+    SUPPORT_TOL on an edge those rules close counts as zero.
+    """
+    flux = as_flux(flux)
+    if not flux_balanced(flux):
+        return "flux balance violated"
+    if np.any(flux[~np.asarray(support)] > SUPPORT_TOL):
+        return "flux charges edges off the support"
+    if np.any(flux[np.asarray(gamma) == 0.0] > SUPPORT_TOL):
+        return "flux leaves a state with zero occupation"
+    return None
+
+
 def dv_rate(q0, gamma, flux):
     """Level-2.5 rate of (gamma, flux) for the constant rate matrix q0.
 
-    Returns +infinity when the flux is imbalanced or charges an edge where
-    q0 vanishes.  q0 must be irreducible.
+    +infinity exactly when flux_infeasibility gives a reason; otherwise the
+    cost over the edges where gamma_x q0_xy > 0.  q0 must be irreducible.
     """
     q0 = _irreducible(q0)
     gamma = as_simplex(gamma)
     flux = as_flux(flux)
     d = q0.shape[0]
-    if gamma.size != d or flux.shape != (d, d):
+    if gamma.shape != (d,) or flux.shape != (d, d):
         raise errors.InvalidInput("dimension mismatch between q0, gamma, flux")
-    if not flux_balanced(flux):
-        return float("inf")
     off = q0.copy()
     np.fill_diagonal(off, 0.0)
-    if np.any(flux[off == 0] > 0):
+    if flux_infeasibility(off > 0, flux, gamma) is not None:
         return float("inf")
     ref = gamma[:, None] * off
-    terms = scaled_ell(ref, flux)
-    np.fill_diagonal(terms, 0.0)
-    return float(terms.sum())
+    return float(scaled_ell(ref, np.where(ref > 0, flux, 0.0)).sum())
 
 
 def stationary_distribution(q):
@@ -154,14 +173,23 @@ class FixedPointResult:
     residual: float  # max |(pi Q(pi))_y|
 
 
+def check_tol(tol):
+    """A fixed-point tolerance as a float, positive and finite."""
+    if not 0.0 < tol < np.inf:
+        raise errors.InvalidInput(f"tol must be positive and finite, got {tol!r}")
+    return float(tol)
+
+
 def fixed_point_pi_star(field, tol=1e-10, max_iter=500, start=None):
     """Find pi with pi Q(pi) = 0 by damped Picard iteration.
 
     Iterates m <- stationary_distribution(Q(m)); when successive increments
-    reverse direction the update is damped by 0.5.  Non-convergence within
-    max_iter is reported through ``converged=False`` on the result, never by
-    raising; Reducible propagates.
+    reverse direction the update is damped by 0.5.  tol must pass check_tol
+    and max_iter check_count.  Non-convergence within max_iter is reported
+    through ``converged=False`` on the result, never by raising; Reducible
+    propagates.
     """
+    tol, max_iter = check_tol(tol), check_count("max_iter", max_iter)
     m = uniform_simplex(field.d) if start is None else as_simplex(start)
     damping = 1.0
     prev_inc = None
@@ -191,7 +219,9 @@ def fixed_point_multistart(field, n_starts=8, seed=0, tol=1e-10, max_iter=500):
     Returns the list of converged results whose fixed points differ by more
     than 100 * tol in l1; exposes starting-point sensitivity when the field
     admits several self-consistent equilibria.  Each start is drawn as its run begins.
+    n_starts must pass check_count; each run checks tol and max_iter.
     """
+    n_starts = check_count("n_starts", n_starts)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     starts = chain([uniform_simplex(field.d)],
                    (rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)))
@@ -227,9 +257,10 @@ def dv_occupation_rate_2state(q0, gamma):
     two states) gives (sqrt(gamma_1 q_12) - sqrt(gamma_2 q_21))^2.
     """
     q0 = _irreducible(q0)
-    if q0.shape != (2, 2):
-        raise errors.InvalidInput(f"defined for d = 2 only, got shape {q0.shape}")
     gamma = as_simplex(gamma)
+    if q0.shape != (2, 2) or gamma.shape != (2,):
+        raise errors.InvalidInput(
+            f"defined for d = 2 only, got shapes {q0.shape} and {gamma.shape}")
     a = gamma[0] * q0[0, 1]
     b = gamma[1] * q0[1, 0]
     return float((np.sqrt(a) - np.sqrt(b)) ** 2)

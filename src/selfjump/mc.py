@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import errors
-from .core import SIMPLEX_TOL, as_simplex
+from .core import as_simplex
 from .sim import lockstep_thinning
 
 Z_95 = 1.959963984540054
@@ -44,30 +44,22 @@ class BallTarget:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_simplex(self.center))
+        if self.center.ndim != 1:
+            raise errors.InvalidInput(f"center must be one vector, got shape "
+                                      f"{self.center.shape}")
         check_radius(self.radius)
 
     def hit(self, occupation):
         return bool(self.hits(np.asarray(occupation, dtype=float)[None])[0])
 
     def hits(self, occupations):
-        """``hit`` for each row of occupations (n, d).
-
-        Rows are checked as ``as_simplex`` checks a vector: a negative entry
-        or a sum more than SIMPLEX_TOL from 1 raises InvalidInput.
-        """
+        """``hit`` for each row of occupations (n, d); each row must pass as_simplex."""
         occ = np.asarray(occupations, dtype=float)
         d = self.center.size
         if occ.ndim != 2 or occ.shape[1] != d:
             raise errors.InvalidInput(
                 f"expected occupation rows of length {d}, got shape {occ.shape}")
-        if np.any(occ < 0):
-            raise errors.InvalidInput("negative component in an occupation row")
-        sums = occ.sum(axis=1)
-        if not np.all(np.abs(sums - 1.0) <= SIMPLEX_TOL):
-            bad = sums[np.argmax(np.abs(sums - 1.0))]
-            raise errors.InvalidInput(
-                f"occupation row sums to {bad!r}, not 1 within {SIMPLEX_TOL:g}")
-        return np.abs(occ - self.center).sum(axis=1) <= self.radius
+        return np.abs(as_simplex(occ) - self.center).sum(axis=1) <= self.radius
 
 
 @dataclass(frozen=True)

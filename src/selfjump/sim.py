@@ -222,13 +222,6 @@ def check_times(times):
     return times
 
 
-def check_n_paths(n_paths):
-    """The number of paths as an int, at least 1."""
-    if n_paths < 1:
-        raise errors.InvalidInput(f"n_paths must be >= 1, got {n_paths}")
-    return int(n_paths)
-
-
 # Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
 # about 6 MB.
 _MAX_CHUNK = 1 << 18
@@ -492,7 +485,7 @@ def lockstep_thinning(field, x0, times, n_paths, seed):
     """
     x0 = check_x0(x0, field.d)
     times = check_times(times)
-    n_paths = check_n_paths(n_paths)
+    n_paths = core.check_count("n_paths", n_paths)
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
     block = _BLOCK_DRAWS // max(1, n_draws)
@@ -653,7 +646,7 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
     whole; only the other paths' terminal records cross a process boundary.
     """
     horizon = check_horizon(horizon)
-    n_paths = check_n_paths(n_paths)
+    n_paths = core.check_count("n_paths", n_paths)
     run = _SAMPLERS["thinning"]
     mean_candidates = (field.d - 1) * field.rate_upper * horizon
     size = max(1, int(_BLOCK_DRAWS // max(1.0, mean_candidates)))

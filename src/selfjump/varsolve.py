@@ -40,6 +40,7 @@ the simplex are the same problem.
 For a constant field the cost is jointly convex in (rho, j) and the
 minimizer is the constant path rho = gamma, j = varsigma, whose value is the
 level-2.5 rate; that identity is the primary cross-check of the solver.
+The flux gate both apply, ldp.flux_infeasibility, and SUPPORT_TOL live in ldp.
 
 scipy's optimize and sparse modules are imported inside the functions that
 solve, so importing this module (and the CLI) does not load them.  The one
@@ -56,49 +57,40 @@ from itertools import islice
 import numpy as np
 
 from . import errors
-from .core import as_simplex, edge_pairs, uniform_simplex
-from .ldp import BALANCE_TOL, as_flux, flux_balanced, fixed_point_pi_star
-
-SUPPORT_TOL = 1e-12
+from .core import as_simplex, check_count, edge_pairs, uniform_simplex
+from .ldp import (BALANCE_TOL, SUPPORT_TOL, as_flux, fixed_point_pi_star,
+                  flux_infeasibility)
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Nodes 0 = s_0 < .. < s_K = T_h; cell k is [s_k, s_{k+1}), plus a tail.
+    """n_cells >= 2 equal cells [s_k, s_{k+1}) on [0, horizon], plus a tail.
 
     Block weights are the discounted lengths e^-s_k - e^-s_{k+1}, and the
-    tail block carries the rest of the discount, e^-T_h; together they sum
-    to one.  T_h lies in [1, about 708.4], where e^-T_h is a normal float.
+    tail block carries the rest of the discount, e^-horizon; together they
+    sum to one.  horizon lies in [1, about 708.4], where e^-horizon is a
+    normal float.
     """
 
-    nodes: np.ndarray
+    horizon: float = 8.0
+    n_cells: int = 64
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise errors.InvalidInput("need at least two cells")
-        if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0):
-            raise errors.InvalidInput("nodes must increase strictly from 0")
-        if nodes[-1] < 1.0:
-            raise errors.InvalidInput(f"horizon {nodes[-1]} too small (need >= 1)")
-        if np.exp(-nodes[-1]) < np.finfo(float).tiny:
+        horizon = float(self.horizon)
+        object.__setattr__(self, "horizon", horizon)
+        if not horizon >= 1.0:
+            raise errors.InvalidInput(f"horizon {horizon} too small (need >= 1)")
+        if np.exp(-horizon) < np.finfo(float).tiny:
             # a zero tail weight makes its 1/sqrt(w) scale infinite and the
             # residuals NaN; a subnormal one has already lost precision
-            raise errors.InvalidInput(f"horizon {nodes[-1]} too large: its tail weight "
+            raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
                                       "e^-horizon underflows (need about <= 708.4)")
-
-    @classmethod
-    def uniform(cls, horizon=8.0, cells=64):
-        return cls(np.linspace(0.0, float(horizon), int(cells) + 1))
+        if self.n_cells < 2:
+            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.n_cells}")
 
     @property
-    def n_cells(self):
-        return self.nodes.size - 1
-
-    @property
-    def horizon(self):
-        return float(self.nodes[-1])
+    def nodes(self):
+        return np.linspace(0.0, self.horizon, self.n_cells + 1)
 
     @property
     def cell_weights(self):
@@ -146,14 +138,11 @@ class SolveOptions:
     n_starts: int = 2
 
     def __post_init__(self):
-        TimeGrid.uniform(self.grid_horizon, 2)
-        if self.grid_cells < 2:
-            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.grid_cells}")
-        if self.n_starts < 1:
-            raise errors.InvalidInput(f"n_starts must be >= 1, got {self.n_starts}")
+        self.grid()
+        check_count("n_starts", self.n_starts)
 
     def grid(self):
-        return TimeGrid.uniform(self.grid_horizon, self.grid_cells)
+        return TimeGrid(self.grid_horizon, self.grid_cells)
 
 
 @dataclass
@@ -415,65 +404,54 @@ def _minimize(field, mode, gamma, flux, current, opts):
     # value + y.r, the first-order cost at the nearest feasible point (y, the
     # next round's multipliers, prices the slack r left in the rows), and
     # infeasible ones by scaled violation.  Multiplier rounds only tighten
-    # feasibility, so a start's last round is its most accurate point.
+    # feasibility, so a start's last round is its most accurate point.  A
+    # start whose first inner solve fails before one iteration (the log
+    # guard's slope can break the line search) counts as infeasible.
     best = None
     starts = islice(_starts(prob, field, mode, gamma, flux), min(opts.n_starts, 2))
     for si, u in enumerate(starts):
         lam = lsqr(free_rows, -prob.cost_u(u)[1][free], atol=1e-14, btol=1e-14)[0]
         mu = _PENALTY_INIT
-        for _ in range(_PENALTY_ROUNDS):
-            u = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
-                         method="L-BFGS-B", bounds=bounds,
-                         options={"maxiter": _INNER_MAXITER, "maxcor": 25,
-                                  "ftol": 1e-14, "gtol": 1e-9}).x
+        for k in range(_PENALTY_ROUNDS):
+            res = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
+                           method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": _INNER_MAXITER, "maxcor": 25,
+                                    "ftol": 1e-14, "gtol": 1e-9})
+            if k == 0:
+                stuck = res.nit == 0 and not res.success
+            u = res.x
+            del res  # it holds L-BFGS-B's history; free that before the next solve
             value, rd, r = prob.judge(u)
             y = lam + mu * r
             if _violation(rd) <= 0.01:
                 break
             lam = y
             mu *= _PENALTY_FACTOR
-        feas = _feasible(rd)
+        feas = _feasible(rd) and not stuck
         key = (not feas, value + float(y @ r) if feas else _violation(rd), si)
         if best is None or key < best[0]:
             best = (key, si, value, u, rd)
         if feas and value <= _EARLY_STOP:
             break
-    _, si, value, u, rd = best
-    status = "converged" if _feasible(rd) else "max_iter"
+    key, si, value, u, rd = best
+    status = "max_iter" if key[0] else "converged"
     return RateResult(value, prob.path_from(u), rd, status, best_start=si)
-
-
-def flux_infeasibility(field, flux, gamma):
-    """Why no path realises this edge flux at occupation gamma, or None.
-
-    Every path flux is balanced, charges only edges in the field's support,
-    and leaves a state only at the rate that state is occupied; these
-    analytic gates are shared by solve_rate and dv-rate.
-    """
-    if not flux_balanced(flux):
-        return "flux balance violated"
-    off_support = ~field.support & ~np.eye(field.d, dtype=bool)
-    if np.any(flux[off_support] > SUPPORT_TOL):
-        return "flux charges edges off the support"
-    if np.any(flux[np.asarray(gamma) == 0.0] > SUPPORT_TOL):
-        return "flux leaves a state with zero occupation"
-    return None
 
 
 def solve_rate(gamma, flux, field, opts=None):
     """Minimize the control cost at fixed occupation gamma and flux varsigma.
 
-    Analytic gates first: an imbalanced flux, flux on edges the field cannot
-    charge, or flux out of a state gamma does not occupy is infeasible with
-    value +infinity.  A gamma on a face of the simplex is solved exactly,
-    with its empty states pinned (see _minimize).
+    ldp.flux_infeasibility's gates first, as in dv-rate: an imbalanced flux,
+    flux on edges the field cannot charge, or flux out of a state gamma does
+    not occupy is infeasible with value +infinity.  A gamma on a face of the
+    simplex is solved exactly, with its empty states pinned (see _minimize).
     """
     opts = opts or SolveOptions()
     gamma = as_simplex(gamma)
     flux = as_flux(flux)
-    if gamma.size != field.d or flux.shape != (field.d, field.d):
+    if gamma.shape != (field.d,) or flux.shape != (field.d, field.d):
         raise errors.InvalidInput("dimension mismatch with the field")
-    reason = flux_infeasibility(field, flux, gamma)
+    reason = flux_infeasibility(field.support, flux, gamma)
     if reason is not None:
         return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
     return _minimize(field, "rate", gamma, flux, None, opts)
@@ -483,7 +461,7 @@ def occupation_rate(gamma, field, opts=None):
     """Minimize the control cost at fixed occupation gamma, flux free."""
     opts = opts or SolveOptions()
     gamma = as_simplex(gamma)
-    if gamma.size != field.d:
+    if gamma.shape != (field.d,):
         raise errors.InvalidInput("dimension mismatch with the field")
     return _minimize(field, "occupation", gamma, None, None, opts)
 

@@ -103,6 +103,51 @@ def test_dv_rate_flux_out_of_unoccupied_state_is_infeasible(tmp_path, capsys):
     assert "infeasible: flux leaves a state with zero occupation" in err
 
 
+ONE_WAY_Q0 = [[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]]
+INTERIOR = [0.3, 0.3, 0.4]
+FACE = [0.5, 0.5, 0.0]
+CYCLE_FLUX = [[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.1, 0.0, 0.0]]
+
+
+# gamma, flux and the reason both commands give, None when feasible
+@pytest.mark.parametrize("gamma, flux, reason", [
+    pytest.param(INTERIOR, CYCLE_FLUX, None, id="interior"),
+    pytest.param(FACE, [[0.0, 0.4, 0.0], [0.4, 0.0, 0.0], [0.0, 0.0, 0.0]], None,
+                 id="face"),
+    pytest.param(INTERIOR, [[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.2, 0.0, 0.0]],
+                 "flux balance violated", id="imbalanced"),
+    pytest.param(INTERIOR, [[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+                 "flux charges edges off the support", id="off-support"),
+    pytest.param(FACE, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]],
+                 "flux leaves a state with zero occupation", id="empty-state"),
+    # flux of at most 1e-12 on edges the field cannot charge counts as zero
+    pytest.param(INTERIOR, [[0.0, 0.3, 1e-13], [0.2, 0.0, 0.1], [0.1000000000001, 0.0, 0.0]],
+                 None, id="tiny-off-support"),
+])
+def test_dv_rate_and_rate_share_one_feasibility_gate(tmp_path, capsys, gamma, flux, reason):
+    q0 = np.array(ONE_WAY_Q0)
+    dv = ldp.dv_rate(q0, gamma, flux)
+    solved = varsolve.solve_rate(gamma, flux, core.RateField.constant(q0))
+    assert (dv == math.inf) == (solved.value == math.inf) == (reason is not None)
+    assert solved.detail == (reason or "")
+    cfg = write_cfg(tmp_path, {"field": {"family": "constant", "q0": ONE_WAY_Q0},
+                               "target": {"gamma": gamma, "flux": flux}})
+    values = []
+    for command in ("dv-rate", "rate"):
+        code = run([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--format", "csv"])
+        out, err = capsys.readouterr()
+        if reason is None:
+            assert code == 0
+            values.append(float(out.splitlines()[1].split(",")[0]))
+        else:
+            assert (code, err) == (1, f"infeasible: {reason}\n")
+    if reason is None:
+        assert solved.status == "converged"
+        assert values == [dv, solved.value]
+        assert solved.value == pytest.approx(dv, rel=1e-6)
+
+
 def test_dv_rate_rejects_interacting_field(tmp_path, capsys):
     doc = {"field": {"family": "autochemotaxis", "q0": [[-1.0, 1.0], [1.0, -1.0]],
                      "strength": 1.0},
@@ -603,6 +648,14 @@ SYMMETRIC_CURRENT = [[0.0, 1.0], [1.0, 0.0]]
                  {"solver": {"grid_cells": 1}}, "solver.grid_cells", id="grid_cells"),
     pytest.param(lambda f: varsolve.SolveOptions(n_starts=0),
                  {"solver": {"n_starts": 0}}, "solver.n_starts", id="n_starts"),
+    pytest.param(lambda f: ldp.fixed_point_pi_star(f, tol=-1.0),
+                 {"fixed_point": {"tol": -1.0}}, "fixed_point.tol", id="fixed_point-tol"),
+    pytest.param(lambda f: ldp.fixed_point_pi_star(f, max_iter=0),
+                 {"fixed_point": {"max_iter": 0}}, "fixed_point.max_iter",
+                 id="fixed_point-max_iter"),
+    pytest.param(lambda f: ldp.fixed_point_multistart(f, n_starts=0),
+                 {"fixed_point": {"n_starts": 0}}, "fixed_point.n_starts",
+                 id="fixed_point-n_starts"),
     pytest.param(lambda f: core.RateField.autochemotaxis(np.array(CHEMO_FIELD["q0"]),
                                                          1.0e308),
                  {"field": OVERFLOWING_FIELDS[0]}, "field", id="vertex-overflow"),

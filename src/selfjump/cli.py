@@ -1,11 +1,21 @@
 """Command line front end.
 
-Every command reads a YAML run file and writes its artifacts under
+Every command reads a YAML run file.  ``validate`` checks it and prints a
+summary; every other command writes its artifacts under
 out/<command>/<hash>/ where the hash digests the effective configuration, so
 reruns of the same run land in the same directory and different runs never
 collide.  Result files are written atomically and deterministically; the
 manifest (which records wall time) is the only file that varies between
 identical reruns.
+
+A command is a function of (cfg, seed, field) that returns (results,
+artifacts, primary, lines): the results.json object, its other artifacts as
+{name: text}, the name of the CSV that --format csv streams, and the pretty
+lines.  It writes and prints nothing.  ``_run`` checks --out and starts the
+manifest's clock before the field is built, runs the command, writes every
+artifact and then the manifest, and then prints the lines, or streams the
+primary CSV and notes the run directory on stderr.  A target with no finite
+cost raises ``_Infeasible``, which writes nothing.
 
 Exit codes: 0 success, 1 infeasible target or runtime failure, 2 bad usage
 or configuration.
@@ -21,6 +31,7 @@ import sys
 import time
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import partial
 from io import StringIO
 from pathlib import Path
 
@@ -32,23 +43,26 @@ from .config import SECTIONS, build_field, check_seed, load_config
 from .mc import BallTarget
 
 
-class _Outputs:
-    """Collects artifacts for one run directory and writes the manifest last.
+class _Infeasible(Exception):
+    """The target has no finite cost; main reports the reason and exits 1."""
 
-    Commands create it on entry, so the manifest's wall time covers the
-    computation; the directory itself appears with the first artifact.  An
-    --out that runs through a file fails here, before any computation.
+
+class _Outputs:
+    """The run directory of one command; ``write`` puts the manifest last.
+
+    Created before the field is built, so the manifest's wall time covers
+    the computation; the directory itself appears with the first artifact.
+    An --out that runs through a file fails here, before any computation.
     """
 
-    def __init__(self, args, command, cfg, seed):
-        self.effective = {"command": command, "seed": seed, "config": cfg.raw}
+    def __init__(self, args, cfg, seed):
+        self.effective = {"command": args.command, "seed": seed, "config": cfg.raw}
         digest = hashlib.sha256(
             json.dumps(self.effective, sort_keys=True).encode()).hexdigest()[:12]
-        self.run_dir = Path(args.out) / command / digest
+        self.run_dir = Path(args.out) / args.command / digest
         ancestor = next(p for p in (self.run_dir, *self.run_dir.parents) if p.exists())
         if not ancestor.is_dir():
             raise errors.SelfJumpError(f"cannot write {self.run_dir}: Not a directory")
-        self.names = []
         self.t0 = time.monotonic()
 
     def _write(self, name, text):
@@ -62,27 +76,13 @@ class _Outputs:
             raise errors.SelfJumpError(
                 f"cannot write {path}: {exc.strerror or exc}") from exc
 
-    def write_text(self, name, text):
-        self._write(name, text)
-        self.names.append(name)
-
-    def write_json(self, name, obj):
-        """Write obj as RFC 8259 JSON, which has no NaN or Infinity: they become null."""
-        obj = json.loads(json.dumps(obj), parse_constant=lambda constant: None)
-        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-                        + "\n")
-
-    def write_csv(self, name, writer_fn, *args):
-        buf = StringIO()
-        writer_fn(*args, buf)
-        self.write_text(name, buf.getvalue())
-
-    def finish(self):
+    def write(self, artifacts):
+        """Write each artifact (name -> text), then the manifest."""
+        for name, text in artifacts.items():
+            self._write(name, text)
         manifest = {
-            "command": self.effective["command"],
-            "config": self.effective["config"],
-            "seed": self.effective["seed"],
-            "outputs": sorted(self.names),
+            **self.effective,
+            "outputs": sorted(artifacts),
             "versions": {
                 "selfjump": __version__,
                 "numpy": np.__version__,
@@ -94,18 +94,18 @@ class _Outputs:
         }
         self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    def note(self, fmt):
-        stream = sys.stderr if fmt == "csv" else sys.stdout
-        print(f"wrote {self.run_dir}", file=stream)
+
+def _json(obj):
+    """obj as RFC 8259 JSON, which has no NaN or Infinity: they become null."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda constant: None)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(out, fmt, primary_csv, pretty_lines):
-    if fmt == "csv":
-        sys.stdout.write((out.run_dir / primary_csv).read_text())
-    else:
-        for line in pretty_lines:
-            print(line)
-    out.note(fmt)
+def _csv(writer_fn, *args):
+    """What ``writer_fn(*args, fh)`` writes, as a string."""
+    buf = StringIO()
+    writer_fn(*args, buf)
+    return buf.getvalue()
 
 
 def _fmt(x):
@@ -120,27 +120,24 @@ def _record(result):
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_validate(args, cfg, seed):
+def _validate(cfg):
+    """The pretty lines of ``validate``, which writes no run directory."""
     field = build_field(cfg.field)
-    print("config OK")
-    print(f"family: {field.family}  states: {field.d}  "
-          f"edges: {len(field.support_edges())}")
-    print(f"rate upper bound: {_fmt(field.rate_upper)}  "
-          f"lower coefficient: {_fmt(field.rate_lower_coeff)}")
+    lines = ["config OK",
+             f"family: {field.family}  states: {field.d}  "
+             f"edges: {len(field.support_edges())}",
+             f"rate upper bound: {_fmt(field.rate_upper)}  "
+             f"lower coefficient: {_fmt(field.rate_lower_coeff)}"]
     present = [s for s in SECTIONS if s in cfg.raw]
     if present:
-        print("sections: " + ", ".join(present))
-    return 0
+        lines.append("sections: " + ", ".join(present))
+    return lines
 
 
-def _cmd_simulate(args, cfg, seed):
-    out = _Outputs(args, "simulate", cfg, seed)
-    field = build_field(cfg.field)
+def _cmd_simulate(cfg, seed, field):
     sc = cfg.need("simulate")
     batch = sim.batch_simulate(field, seed=seed, **sc)
     first = batch.first_trajectory
-    out.write_csv("batch.csv", sim.write_batch_csv, batch)
-    out.write_csv("trajectory.csv", sim.write_trajectory_csv, first)
     results = {
         **sc,
         "mean_occupation": batch.mean_occupation.tolist(),
@@ -150,20 +147,17 @@ def _cmd_simulate(args, cfg, seed):
         "candidates": batch.candidates,
         "accept_ratio": batch.jumps / batch.candidates if batch.candidates else None,
     }
-    out.write_json("results.json", results)
-    out.finish()
+    artifacts = {"batch.csv": _csv(sim.write_batch_csv, batch),
+                 "trajectory.csv": _csv(sim.write_trajectory_csv, first)}
     mean = ", ".join(_fmt(v) for v in batch.mean_occupation)
-    _emit(out, args.format, "batch.csv", [
+    return results, artifacts, "batch.csv", [
         f"{sc['n_paths']} paths to t={sc['horizon']}",
         f"mean occupation: [{mean}]",
         f"first path jumps: {first.n_jumps}",
-    ])
-    return 0
+    ]
 
 
-def _cmd_dv_rate(args, cfg, seed):
-    out = _Outputs(args, "dv-rate", cfg, seed)
-    field = build_field(cfg.field)
+def _cmd_dv_rate(cfg, seed, field):
     if field.family != "constant":
         raise errors.ConfigError(
             "dv-rate applies to constant fields; use 'rate' for interacting ones",
@@ -173,87 +167,46 @@ def _cmd_dv_rate(args, cfg, seed):
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
     reason = ldp.flux_infeasibility(field.support, flux, gamma)
     if reason is not None:
-        print(f"infeasible: {reason}", file=sys.stderr)
-        return 1
-    out.write_json("results.json", {"value": value, "gamma": gamma.tolist(),
-                                    "flux": flux.tolist()})
-    out.write_text("value.csv", "value\n" + _fmt(value) + "\n")
-    out.finish()
-    _emit(out, args.format, "value.csv", [_fmt(value)])
-    return 0
+        raise _Infeasible(reason)
+    results = {"value": value, "gamma": gamma.tolist(), "flux": flux.tolist()}
+    return results, {"value.csv": "value\n" + _fmt(value) + "\n"}, "value.csv", [_fmt(value)]
 
 
-# solve command -> (varsolve function, the target keys it takes first)
-_SOLVES = {
-    "rate": ("solve_rate", ("gamma", "flux")),
-    "occupation-rate": ("occupation_rate", ("gamma",)),
-    "current-rate": ("current_rate", ("current",)),
-}
-
-
-def _cmd_solve(args, cfg, seed):
-    name, keys = _SOLVES[args.command]
-    field = build_field(cfg.field)
+def _cmd_solve(name, keys, cfg, seed, field):
+    """varsolve's solve ``name`` on the target ``keys``, the field and the solver options."""
     values = [cfg.need(f"target.{key}") for key in keys]
-    opts = cfg.solve_options()
-    out = _Outputs(args, args.command, cfg, seed)
     # looked up per run, so wrappers set on the module are seen
-    result = getattr(varsolve, name)(*values, field, opts)
+    result = getattr(varsolve, name)(*values, field, cfg.solve_options())
     if result.status == "infeasible":
-        print(f"infeasible: {result.detail}", file=sys.stderr)
-        return 1
-    out.write_json("results.json", varsolve.rate_result_to_dict(result))
-    out.write_csv("path.csv", varsolve.write_control_path_csv, result.path)
-    out.write_text("value.csv", "value,status\n"
-                   + _fmt(result.value) + "," + result.status + "\n")
-    out.finish()
+        raise _Infeasible(result.detail)
+    artifacts = {"path.csv": _csv(varsolve.write_control_path_csv, result.path),
+                 "value.csv": "value,status\n" + _fmt(result.value) + ","
+                              + result.status + "\n"}
     rd = result.residuals
-    _emit(out, args.format, "value.csv", [
+    return varsolve.rate_result_to_dict(result), artifacts, "value.csv", [
         f"value: {_fmt(result.value)}",
         f"status: {result.status}",
         f"residuals: marginal {rd['marginal']:.2e}  stationarity "
         f"{rd['stationarity']:.2e}  flux {rd['flux']:.2e}  simplex {rd['simplex']:.2e}",
-    ])
-    return 0
+    ]
 
 
-def _cmd_fixed_point(args, cfg, seed):
-    out = _Outputs(args, "fixed-point", cfg, seed)
-    field = build_field(cfg.field)
-    fp = dict(cfg.sections["fixed_point"])
-    n_starts = fp.pop("n_starts")
-    if n_starts > 1:
-        results = ldp.fixed_point_multistart(field, n_starts=n_starts, seed=seed, **fp)
-        payload = [{**_record(r), "pi": r.pi.tolist()} for r in results]
-        out.write_json("results.json", {"fixed_points": payload})
-        out.write_text("value.csv", "index," + ",".join(
-            f"pi_{k+1}" for k in range(field.d)) + ",converged\n" + "".join(
-            f"{i}," + ",".join(_fmt(v) for v in r.pi) + f",{int(r.converged)}\n"
-            for i, r in enumerate(results)))
-        lines = [f"{len(results)} distinct fixed point(s)"]
-        for i, r in enumerate(results):
-            pi = ", ".join(_fmt(v) for v in r.pi)
-            lines.append(f"  [{i}] pi = [{pi}]  converged={r.converged} "
-                         f"iterations={r.iterations}")
-    else:
-        r = ldp.fixed_point_pi_star(field, **fp)
-        out.write_json("results.json", {**_record(r), "pi": r.pi.tolist()})
-        out.write_text("value.csv", ",".join(f"pi_{k+1}" for k in range(field.d))
-                       + ",converged\n" + ",".join(_fmt(v) for v in r.pi)
-                       + f",{int(r.converged)}\n")
-        pi = ", ".join(_fmt(v) for v in r.pi)
-        lines = [f"pi = [{pi}]", f"converged: {r.converged}  "
-                 f"iterations: {r.iterations}  residual: {r.residual:.2e}"]
+def _cmd_fixed_point(cfg, seed, field):
+    found = ldp.fixed_point_multistart(field, seed=seed, **cfg.sections["fixed_point"])
+    value = "index," + ",".join(f"pi_{k + 1}" for k in range(field.d)) + ",converged\n"
+    lines = [f"{len(found)} distinct fixed point(s)"]
+    for i, r in enumerate(found):
+        pi = [_fmt(v) for v in r.pi]
+        value += f"{i}," + ",".join(pi) + f",{int(r.converged)}\n"
+        lines.append(f"  [{i}] pi = [{', '.join(pi)}]  converged={r.converged} "
+                     f"iterations={r.iterations}  residual={r.residual:.2e}")
         if not r.converged:
             lines.append("warning: not converged to tolerance; best iterate shown")
-    out.finish()
-    _emit(out, args.format, "value.csv", lines)
-    return 0
+    results = {"fixed_points": [{**_record(r), "pi": r.pi.tolist()} for r in found]}
+    return results, {"value.csv": value}, "value.csv", lines
 
 
-def _cmd_mc_ldp(args, cfg, seed):
-    out = _Outputs(args, "mc-ldp", cfg, seed)
-    field = build_field(cfg.field)
+def _cmd_mc_ldp(cfg, seed, field):
     mcc = cfg.need("mc")
     target = BallTarget(mcc["center"], mcc["radius"])
     points = mc.decay_curve(field, mcc["x0"], target, mcc["times"], mcc["n_paths"],
@@ -264,8 +217,7 @@ def _cmd_mc_ldp(args, cfg, seed):
         res = varsolve.occupation_rate(mcc["center"], field, cfg.solve_options())
         rate, rate_source = res.value, "solved at ball center"
     comparison = mc.compare_to_rate(points, rate)
-    out.write_csv("decay.csv", mc.write_decay_csv, points)
-    out.write_json("results.json", {
+    results = {
         "points": [_record(p) for p in points],
         "rate": rate,
         "rate_source": rate_source,
@@ -273,8 +225,7 @@ def _cmd_mc_ldp(args, cfg, seed):
         "trend": comparison.trend,
         "n_censored": comparison.n_censored,
         "inconclusive": comparison.inconclusive,
-    })
-    out.finish()
+    }
     lines = [f"{'t':>10} {'p_hat':>12} {'ci_low':>12} {'ci_high':>12} "
              f"{'censored':>9} {'-log(p)/t':>12}"]
     for p in points:
@@ -284,18 +235,35 @@ def _cmd_mc_ldp(args, cfg, seed):
     lines.append(f"reference rate: {_fmt(rate)} ({rate_source})")
     lines.append(f"trend: {comparison.trend}  censored: {comparison.n_censored}  "
                  f"inconclusive: {comparison.inconclusive}")
-    _emit(out, args.format, "decay.csv", lines)
+    return results, {"decay.csv": _csv(mc.write_decay_csv, points)}, "decay.csv", lines
+
+
+def _run(args, cfg, seed):
+    """Run a command into its run directory, then print its output."""
+    out = _Outputs(args, cfg, seed)
+    field = build_field(cfg.field)
+    results, artifacts, primary, lines = _COMMANDS[args.command][0](cfg, seed, field)
+    out.write({"results.json": _json(results), **artifacts})
+    if args.format == "csv":
+        sys.stdout.write((out.run_dir / primary).read_text())
+    else:
+        for line in lines:
+            print(line)
+    print(f"wrote {out.run_dir}", file=sys.stderr if args.format == "csv" else sys.stdout)
     return 0
 
 
-# command -> (handler, help)
+# command -> (handler, help); main runs validate, which writes no run directory
 _COMMANDS = {
-    "validate": (_cmd_validate, "parse and check a run file"),
+    "validate": (None, "parse and check a run file"),
     "simulate": (_cmd_simulate, "sample trajectories and occupation statistics"),
     "dv-rate": (_cmd_dv_rate, "closed-form level-2.5 rate for a constant field"),
-    "rate": (_cmd_solve, "minimize the control cost at fixed occupation and flux"),
-    "occupation-rate": (_cmd_solve, "minimize the control cost at fixed occupation"),
-    "current-rate": (_cmd_solve, "minimize the control cost at fixed net current"),
+    "rate": (partial(_cmd_solve, "solve_rate", ("gamma", "flux")),
+             "minimize the control cost at fixed occupation and flux"),
+    "occupation-rate": (partial(_cmd_solve, "occupation_rate", ("gamma",)),
+                        "minimize the control cost at fixed occupation"),
+    "current-rate": (partial(_cmd_solve, "current_rate", ("current",)),
+                     "minimize the control cost at fixed net current"),
     "fixed-point": (_cmd_fixed_point, "self-consistent stationary distribution(s)"),
     "mc-ldp": (_cmd_mc_ldp, "Monte Carlo decay curve against the variational rate"),
 }
@@ -324,8 +292,13 @@ def main(argv=None):
         if args.seed is not None:
             check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
-        seed = cfg.seed if args.seed is None else args.seed
-        return _COMMANDS[args.command][0](args, cfg, seed)
+        if args.command == "validate":
+            print("\n".join(_validate(cfg)))
+            return 0
+        return _run(args, cfg, cfg.seed if args.seed is None else args.seed)
+    except _Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 1
     except errors.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

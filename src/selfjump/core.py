@@ -78,7 +78,9 @@ def uniform_simplex(d):
 def validate_generator(m):
     """Certify m as a rate matrix: finite, off-diagonals >= 0, rows sum to zero.
 
-    Returns the matrix as a float array; raises InvalidInput otherwise.
+    Both hold within GENERATOR_TOL.  Returns the matrix as a float array,
+    with off-diagonal entries in [-GENERATOR_TOL, 0) set to 0; raises
+    InvalidInput otherwise.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
@@ -98,14 +100,15 @@ def validate_generator(m):
     if np.any(np.abs(rows) > GENERATOR_TOL):
         i = int(np.argmax(np.abs(rows)))
         raise errors.InvalidInput(f"row {i + 1} sums to {rows[i]!r}, not 0")
-    return m
+    return np.where(off < 0.0, 0.0, m)
 
 
 class RateField:
     """Occupation-dependent rate field gamma -> Q(gamma).
 
     Given by its vertex matrices ``vertices[z] = Q(delta_{z+1})``, each
-    validated as a rate matrix; the family classmethods below build them.
+    stored as ``validate_generator`` returns it, so its off-diagonal
+    entries are >= 0; the family classmethods below build them.
     ``support`` is the set of edges some vertex charges; rates vanish
     identically off it.  ``rate_upper``, the largest vertex rate, bounds
     every rate over the simplex and ``rate_lower_coeff`` k satisfies
@@ -119,8 +122,7 @@ class RateField:
                 vertices.shape[1] != vertices.shape[2]:
             raise errors.InvalidInput(
                 f"expected d matrices of shape (d, d), got {vertices.shape}")
-        for q in vertices:
-            validate_generator(q)
+        vertices = np.array([validate_generator(q) for q in vertices])
         support = np.any(vertices > 0.0, axis=0)
         np.fill_diagonal(support, False)
         self.family = family
@@ -218,10 +220,9 @@ class RateField:
     def evaluate(self, gamma):
         """Rate matrix Q(gamma); gamma must lie on the simplex.
 
-        Q(gamma) mixes validated vertices with weights gamma, so up to
-        rounding its off-diagonal entries lie in [-GENERATOR_TOL, rate_upper]
-        and are <= 0 off the support; clipped at 0, they give a rate matrix
-        that vanishes off the support.
+        Q(gamma) mixes the validated vertices, whose off-diagonal entries
+        are >= 0, with weights gamma >= 0, so its off-diagonal entries are
+        >= 0 and vanish off the support; the diagonal is rebuilt from them.
         """
         gamma = as_simplex(gamma)
         if gamma.shape != (self.d,):
@@ -229,10 +230,8 @@ class RateField:
                 f"gamma has shape {gamma.shape}, field has d={self.d}")
         q = np.einsum("z,zij->ij", gamma, self.vertices)
         np.fill_diagonal(q, 0.0)
-        off = np.clip(q, 0.0, None)
-        off[~self.support] = 0.0
-        np.fill_diagonal(off, -off.sum(axis=1))
-        return off
+        np.fill_diagonal(q, -q.sum(axis=1))
+        return q
 
     def __repr__(self):
         return (f"RateField(family={self.family!r}, d={self.d}, "

@@ -216,23 +216,28 @@ def fixed_point_pi_star(field, tol=1e-10, max_iter=500, start=None):
 def fixed_point_multistart(field, n_starts=8, seed=0, tol=1e-10, max_iter=500):
     """Run the equilibrium search from several starts; distinct limits are kept.
 
-    Returns the list of converged results whose fixed points differ by more
-    than 100 * tol in l1; exposes starting-point sensitivity when the field
-    admits several self-consistent equilibria.  Each start is drawn as its run begins.
-    n_starts must pass check_count; each run checks tol and max_iter.
+    The first start is uniform and the others are drawn as their runs
+    begin, so n_starts = 1 is ``fixed_point_pi_star`` from the uniform
+    start.  Returns the list of converged results whose fixed points differ
+    by more than 100 * tol in l1; exposes starting-point sensitivity when
+    the field admits several self-consistent equilibria.  When no start
+    converges, the list holds the best iterate (lowest gap) of all starts,
+    with ``converged=False``.  n_starts must pass check_count; each run
+    checks tol and max_iter.
     """
     n_starts = check_count("n_starts", n_starts)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     starts = chain([uniform_simplex(field.d)],
                    (rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)))
-    found = []
+    found, best = [], None
     for s in starts:
         res = fixed_point_pi_star(field, tol=tol, max_iter=max_iter, start=s)
         if not res.converged:
-            continue
-        if all(float(np.abs(res.pi - f.pi).sum()) > 100.0 * tol for f in found):
+            if best is None or res.gap < best.gap:
+                best = res
+        elif all(float(np.abs(res.pi - f.pi).sum()) > 100.0 * tol for f in found):
             found.append(res)
-    return found
+    return found or [best]
 
 
 def equilibrium_flux(field, pi):

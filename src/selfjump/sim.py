@@ -524,6 +524,13 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     handles every path's k-th candidate with the scalar loop's float
     operations, so values match it bitwise.  A path whose first chunk ends
     before the horizon is re-run whole by ``simulate_thinning``.
+
+    Read-outs are taken where holding intervals end: a jump at time t
+    after the path's last jump at s reads out every times[k] with
+    s <= times[k] < t before the jump is applied, and after the last step
+    every path reads out the times[k] >= s left.  So a jump exactly at
+    times[k] counts before that read-out, as ``Trajectory.occupation_at``
+    counts it.
     """
     d = field.d
     c = field.rate_upper
@@ -552,13 +559,6 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     uc[cand > horizon] = np.inf  # candidates past the horizon are never accepted
     n_steps = int((cand <= horizon).sum(axis=0).max(initial=0))
 
-    # read-out k of path b is taken before step n_before[k, b]: after every
-    # candidate at or before times[k], as Trajectory.occupation_at counts them
-    n_before = np.array([(cand <= t).sum(axis=0) for t in times])
-    order = np.argsort(n_before, axis=1, kind="stable")
-    edges = [np.searchsorted(n_before[k, order[k]], np.arange(n_steps + 2))
-             for k in range(len(times))]
-
     vertices = field.vertices
     dirac_rows = vertices[np.arange(d), np.arange(d)]  # Q(delta_x)[x, :]
     x = np.full(n, x0 - 1)
@@ -569,18 +569,19 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     held = np.zeros((n, d))  # completed holding time per state, in jump order
     occ_out = np.empty((len(times), n, d))
 
-    def read_out(k, sel):
-        occ = held[sel]
-        occ[np.arange(sel.size), x[sel]] += times[k] - s[sel]
-        occ_out[k, sel] = occ / times[k]
+    def read_out(sel, end):
+        # paths sel read out every times[k] with s <= times[k] < end
+        lo = np.searchsorted(times, s[sel])
+        n_k = np.searchsorted(times, end) - lo
+        b = np.repeat(sel, n_k)
+        if not b.size:
+            return
+        k = np.arange(b.size) + np.repeat(lo + n_k - np.cumsum(n_k), n_k)
+        occ = held[b]
+        occ[np.arange(b.size), x[b]] += times[k] - s[b]
+        occ_out[k, b] = occ / times[k, None]
 
-    for step in range(n_steps + 1):
-        for k in range(len(times)):
-            sel = order[k, edges[k][step]:edges[k][step + 1]]
-            if sel.size:
-                read_out(k, sel)
-        if step == n_steps:
-            break
+    for step in range(n_steps):
         t = cand[step]
         if pick is None:
             j = 1 - x
@@ -593,6 +594,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
         if not acc.size:
             continue
         xa, ja, ta, aa = x[acc], j[acc], t[acc], a[acc]
+        read_out(acc, ta)
         held[acc, xa] += ta - s[acc]
         new_anchor = anchor[acc] * aa[:, None]
         new_anchor[np.arange(acc.size), xa] += 1.0 - aa
@@ -603,6 +605,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
         row_anchor[acc] = row
         s[acc] = ta
         x[acc] = ja
+    read_out(rows, np.inf)
 
     rerun = np.flatnonzero(exhausted)
     if rerun.size:

@@ -104,33 +104,39 @@ def test_dv_rate_flux_out_of_unoccupied_state_is_infeasible(tmp_path, capsys):
 
 
 ONE_WAY_Q0 = [[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]]
+NEAR_ZERO_Q0 = [[-1.0, 1.0, -1e-13], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]]
 INTERIOR = [0.3, 0.3, 0.4]
 FACE = [0.5, 0.5, 0.0]
 CYCLE_FLUX = [[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.1, 0.0, 0.0]]
 
 
-# gamma, flux and the reason both commands give, None when feasible
-@pytest.mark.parametrize("gamma, flux, reason", [
-    pytest.param(INTERIOR, CYCLE_FLUX, None, id="interior"),
-    pytest.param(FACE, [[0.0, 0.4, 0.0], [0.4, 0.0, 0.0], [0.0, 0.0, 0.0]], None,
-                 id="face"),
-    pytest.param(INTERIOR, [[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.2, 0.0, 0.0]],
+# q0, gamma, flux and the reason both commands give, None when feasible
+@pytest.mark.parametrize("q0, gamma, flux, reason", [
+    pytest.param(ONE_WAY_Q0, INTERIOR, CYCLE_FLUX, None, id="interior"),
+    pytest.param(ONE_WAY_Q0, FACE, [[0.0, 0.4, 0.0], [0.4, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                 None, id="face"),
+    pytest.param(ONE_WAY_Q0, INTERIOR, [[0.0, 0.3, 0.0], [0.2, 0.0, 0.1], [0.2, 0.0, 0.0]],
                  "flux balance violated", id="imbalanced"),
-    pytest.param(INTERIOR, [[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+    pytest.param(ONE_WAY_Q0, INTERIOR, [[0.0, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
                  "flux charges edges off the support", id="off-support"),
-    pytest.param(FACE, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]],
+    pytest.param(ONE_WAY_Q0, FACE, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]],
                  "flux leaves a state with zero occupation", id="empty-state"),
     # flux of at most 1e-12 on edges the field cannot charge counts as zero
-    pytest.param(INTERIOR, [[0.0, 0.3, 1e-13], [0.2, 0.0, 0.1], [0.1000000000001, 0.0, 0.0]],
+    pytest.param(ONE_WAY_Q0, INTERIOR,
+                 [[0.0, 0.3, 1e-13], [0.2, 0.0, 0.1], [0.1000000000001, 0.0, 0.0]],
                  None, id="tiny-off-support"),
+    # an off-diagonal entry of -1e-13 passes as a rate of 0
+    pytest.param(NEAR_ZERO_Q0, INTERIOR,
+                 [[0.0, 0.3, 1e-13], [0.2, 0.0, 0.1], [0.1000000000001, 0.0, 0.0]],
+                 None, id="tiny-negative-rate"),
 ])
-def test_dv_rate_and_rate_share_one_feasibility_gate(tmp_path, capsys, gamma, flux, reason):
-    q0 = np.array(ONE_WAY_Q0)
-    dv = ldp.dv_rate(q0, gamma, flux)
-    solved = varsolve.solve_rate(gamma, flux, core.RateField.constant(q0))
+def test_dv_rate_and_rate_share_one_feasibility_gate(tmp_path, capsys, q0, gamma, flux,
+                                                    reason):
+    dv = ldp.dv_rate(np.array(q0), gamma, flux)
+    solved = varsolve.solve_rate(gamma, flux, core.RateField.constant(np.array(q0)))
     assert (dv == math.inf) == (solved.value == math.inf) == (reason is not None)
     assert solved.detail == (reason or "")
-    cfg = write_cfg(tmp_path, {"field": {"family": "constant", "q0": ONE_WAY_Q0},
+    cfg = write_cfg(tmp_path, {"field": {"family": "constant", "q0": q0},
                                "target": {"gamma": gamma, "flux": flux}})
     values = []
     for command in ("dv-rate", "rate"):
@@ -425,10 +431,30 @@ def test_fixed_point_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pi = [" in out
     rd = only_run_dir(out_root, "fixed-point")
-    results = json.loads((rd / "results.json").read_text())
-    assert results["converged"]
-    assert results["pi"][0] == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-8)
-    assert (rd / "value.csv").read_text().startswith("pi_1,pi_2,converged\n")
+    [found] = json.loads((rd / "results.json").read_text())["fixed_points"]
+    assert found["converged"]
+    assert found["pi"][0] == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-8)
+    assert (rd / "value.csv").read_text().startswith("index,pi_1,pi_2,converged\n0,")
+
+
+@pytest.mark.parametrize("fixed_point, converged", [
+    ({"n_starts": 3}, True), ({"max_iter": 1}, False)])
+def test_fixed_point_lists_one_entry_per_distinct_limit(tmp_path, capsys, fixed_point,
+                                                        converged):
+    # the chemotaxis field has one root, so three starts list it once; one
+    # iteration converges nowhere and lists the best iterate
+    cfg = write_cfg(tmp_path, {"field": CHEMO_FIELD, "fixed_point": fixed_point})
+    out_root = tmp_path / "out"
+    assert run(["fixed-point", "--config", cfg, "--out", str(out_root)]) == 0
+    out = capsys.readouterr().out
+    rd = only_run_dir(out_root, "fixed-point")
+    [found] = json.loads((rd / "results.json").read_text())["fixed_points"]
+    assert found["converged"] is converged
+    assert (rd / "value.csv").read_text().splitlines()[1].endswith(f",{int(converged)}")
+    assert f"converged={converged} " in out
+    assert out.count("residual=") == 1
+    assert ("warning: not converged to tolerance; best iterate shown" in out) \
+        is not converged
 
 
 def test_mc_ldp_with_config_rate(tmp_path, capsys):
@@ -446,6 +472,45 @@ def test_mc_ldp_with_config_rate(tmp_path, capsys):
     decay = (rd / "decay.csv").read_text().splitlines()
     assert decay[0] == "t,p_hat,ci_low,ci_high,n,censored,neg_log_rate"
     assert len(decay) == 3
+
+
+EVERY_COMMAND_RUN = {
+    "field": UNIT_FIELD, "seed": 2,
+    "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 3},
+    "target": {"gamma": [0.6, 0.4], "flux": [[0.0, 0.5], [0.5, 0.0]],
+               "current": [[0.0, 0.0], [0.0, 0.0]]},
+    "solver": dict(FAST_SOLVER),
+    "mc": {"x0": 1, "times": [2.0, 4.0], "n_paths": 20, "center": [0.5, 0.5],
+           "radius": 0.3, "rate": 0.02},
+}
+
+
+@pytest.mark.parametrize("command, primary, mc_rate", [
+    ("simulate", "batch.csv", True), ("dv-rate", "value.csv", True),
+    ("rate", "value.csv", True), ("occupation-rate", "value.csv", True),
+    ("current-rate", "value.csv", True), ("fixed-point", "value.csv", True),
+    pytest.param("mc-ldp", "decay.csv", True, id="mc-ldp-config-rate"),
+    pytest.param("mc-ldp", "decay.csv", False, id="mc-ldp-solved-rate"),
+])
+def test_every_command_writes_its_outputs_and_streams_its_csv(tmp_path, capsys, command,
+                                                              primary, mc_rate):
+    doc = copy.deepcopy(EVERY_COMMAND_RUN)
+    if not mc_rate:
+        del doc["mc"]["rate"]
+    cfg = write_cfg(tmp_path, doc)
+    out_root = tmp_path / "out"
+    for fmt in ("pretty", "csv"):
+        assert run([command, "--config", cfg, "--out", str(out_root), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        rd = only_run_dir(out_root, command)
+        manifest = json.loads((rd / "manifest.json").read_text())
+        assert sorted(manifest["outputs"] + ["manifest.json"]) == \
+            sorted(p.name for p in rd.iterdir())
+        assert primary in manifest["outputs"]
+        if fmt == "csv":
+            assert (out, err) == ((rd / primary).read_text(), f"wrote {rd}\n")
+        else:
+            assert out.endswith(f"\nwrote {rd}\n") and err == ""
 
 
 SOLVER_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.special")
@@ -704,7 +769,6 @@ def test_valid_run_covers_every_section_key():
     ("simulate", sim.batch_simulate, ()),
     ("solver", varsolve.SolveOptions, ()),
     ("fixed_point", ldp.fixed_point_multistart, ()),
-    ("fixed_point", ldp.fixed_point_pi_star, ("n_starts",)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_forwarded_section_keys_are_parameters_of_their_callee(section, callee, kept):
     # the CLI passes these sections on by keyword (less the keys it keeps),

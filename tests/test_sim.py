@@ -259,6 +259,21 @@ def test_lockstep_matches_scalar_every_family(family_field, seed):
     assert_lockstep_matches_scalar(family_field, 1, [2.5, 6.0, 6.0, 15.0], 40, seed)
 
 
+def test_lockstep_reads_out_at_jump_times():
+    # read-out times exactly at jumps (one of them twice) and after a path's
+    # last jump; the horizon fixes the draw chunks, so the paths are these
+    field, horizon, n = chemo_field(), 6.0, 40
+    paths = [sim.simulate_thinning(field, 1, horizon, 4, path_index=i) for i in range(n)]
+    jumps = [p.times for p in paths if p.n_jumps >= 3]
+    last = jumps[2][-1]
+    times = sorted([jumps[0][0], jumps[0][2], jumps[1][1], jumps[1][1], last,
+                    0.5 * (last + horizon), horizon])
+    occ = lockstep_occupations(field, 1, times, n, seed=4)
+    for i, traj in enumerate(paths):
+        for k, t in enumerate(times):
+            assert np.array_equal(occ[k, i], traj.occupation_at(t)), (i, t)
+
+
 def test_lockstep_blocks_and_x0(monkeypatch):
     # several blocks, a ragged last one, and a start away from state 1
     monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)

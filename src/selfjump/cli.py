@@ -8,14 +8,18 @@ collide.  Result files are written atomically and deterministically; the
 manifest (which records wall time) is the only file that varies between
 identical reruns.
 
-A command is a function of (cfg, seed, field) that returns (results,
+This is the one module that knows the file formats: the library returns
+records, and ``_json``, ``_table`` and ``_trajectory_csv`` render them.  A
+command is a function of (cfg, seed, field) that returns (results,
 artifacts, primary, lines): the results.json object, its other artifacts as
 {name: text}, the name of the CSV that --format csv streams, and the pretty
 lines.  It writes and prints nothing.  ``_run`` checks --out and starts the
 manifest's clock before the field is built, runs the command, writes every
-artifact and then the manifest, and then prints the lines, or streams the
-primary CSV and notes the run directory on stderr.  A target with no finite
-cost raises ``_Infeasible``, which writes nothing.
+artifact and then the manifest, and then prints the lines, or prints the
+primary CSV's text, the bytes it wrote, and notes the run directory on
+stderr.  The manifest's ``phases`` split the wall time into building the
+field, the command and the writes.  A target with no finite cost raises
+``_Infeasible``, which writes nothing.
 
 Exit codes: 0 success, 1 infeasible target or runtime failure, 2 bad usage
 or configuration.
@@ -29,10 +33,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
-from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,7 @@ import scipy
 
 from . import __version__, errors, ldp, mc, sim, varsolve
 from .config import SECTIONS, build_field, check_seed, load_config
+from .core import edge_pairs
 from .mc import BallTarget
 
 
@@ -53,6 +58,7 @@ class _Outputs:
     Created before the field is built, so the manifest's wall time covers
     the computation; the directory itself appears with the first artifact.
     An --out that runs through a file fails here, before any computation.
+    ``lap`` records the seconds since the last lap as a phase.
     """
 
     def __init__(self, args, cfg, seed):
@@ -63,7 +69,13 @@ class _Outputs:
         ancestor = next(p for p in (self.run_dir, *self.run_dir.parents) if p.exists())
         if not ancestor.is_dir():
             raise errors.SelfJumpError(f"cannot write {self.run_dir}: Not a directory")
-        self.t0 = time.monotonic()
+        self.t0 = self._lap_start = time.monotonic()
+        self.phases = {}
+
+    def lap(self, phase):
+        now = time.monotonic()
+        self.phases[phase] = now - self._lap_start
+        self._lap_start = now
 
     def _write(self, name, text):
         path = self.run_dir / name
@@ -80,6 +92,7 @@ class _Outputs:
         """Write each artifact (name -> text), then the manifest."""
         for name, text in artifacts.items():
             self._write(name, text)
+        self.lap("write_s")
         manifest = {
             **self.effective,
             "outputs": sorted(artifacts),
@@ -89,32 +102,65 @@ class _Outputs:
                 "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
+            "phases": self.phases,
             "wall_time_s": time.monotonic() - self.t0,
             "created": datetime.now(timezone.utc).isoformat(),
         }
         self._write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+# trajectory.csv rows turned into Python objects at a time, so a long path
+# is never held whole as Python objects (some 80 bytes per row)
+_TRAJECTORY_SLICE = 8192
+
+
+def _plain(obj):
+    """json.dumps's fallback: an array or numpy scalar as its list or value,
+    a dataclass as the mapping of its fields."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json(obj):
     """obj as RFC 8259 JSON, which has no NaN or Infinity: they become null."""
-    obj = json.loads(json.dumps(obj), parse_constant=lambda constant: None)
+    obj = json.loads(json.dumps(obj, default=_plain), parse_constant=lambda constant: None)
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv(writer_fn, *args):
-    """What ``writer_fn(*args, fh)`` writes, as a string."""
-    buf = StringIO()
-    writer_fn(*args, buf)
-    return buf.getvalue()
+def _table(header, rows):
+    """A CSV with each cell written with str and each row ended in \\r\\n:
+    the bytes of ``csv.writer``, since no number or name needs quoting.
+    Floats must be Python floats, whose str is their shortest repr."""
+    return "".join(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))
+
+
+def _names(prefix, n):
+    return [f"{prefix}{k + 1}" for k in range(n)]
+
+
+def _edges(mats):
+    """The edge entries of each d x d matrix in mats, in ``edge_pairs`` order."""
+    rows, cols = zip(*edge_pairs(mats.shape[-1]))
+    return mats[:, list(rows), list(cols)]
+
+
+def _trajectory_csv(traj):
+    """Rows time,from,to: ``_table``'s bytes, formatted _TRAJECTORY_SLICE
+    rows at a time by one f-string, which is faster on long paths."""
+    parts = ["time,from,to\r\n"]
+    for lo in range(0, traj.n_jumps, _TRAJECTORY_SLICE):
+        part = slice(lo, lo + _TRAJECTORY_SLICE)
+        parts.append("".join(f"{t!r},{s},{d}\r\n" for t, s, d in zip(
+            traj.times[part].tolist(), traj.sources[part].tolist(),
+            traj.targets[part].tolist())))
+    return "".join(parts)
 
 
 def _fmt(x):
     return repr(float(x))
-
-
-def _record(result):
-    """A dataclass result as a JSON-ready dict of its fields."""
-    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 # -- commands ----------------------------------------------------------------
@@ -140,15 +186,20 @@ def _cmd_simulate(cfg, seed, field):
     first = batch.first_trajectory
     results = {
         **sc,
-        "mean_occupation": batch.mean_occupation.tolist(),
-        "var_occupation": batch.var_occupation.tolist(),
-        "mean_flux": batch.mean_flux.tolist(),
+        "mean_occupation": batch.mean_occupation,
+        "var_occupation": batch.var_occupation,
+        "mean_flux": batch.mean_flux,
         "jumps": batch.jumps,
         "candidates": batch.candidates,
         "accept_ratio": batch.jumps / batch.candidates if batch.candidates else None,
     }
-    artifacts = {"batch.csv": _csv(sim.write_batch_csv, batch),
-                 "trajectory.csv": _csv(sim.write_trajectory_csv, first)}
+    # path i's seed_index, the path index of its stream, is i
+    d = field.d
+    values = np.concatenate([batch.occupations, _edges(batch.fluxes)], axis=1)
+    batch_csv = _table(["path", "seed_index", *_names("L_", d),
+                        *_names("R_edge", d * (d - 1))],
+                       ([i, i, *row] for i, row in enumerate(values.tolist())))
+    artifacts = {"batch.csv": batch_csv, "trajectory.csv": _trajectory_csv(first)}
     mean = ", ".join(_fmt(v) for v in batch.mean_occupation)
     return results, artifacts, "batch.csv", [
         f"{sc['n_paths']} paths to t={sc['horizon']}",
@@ -168,7 +219,7 @@ def _cmd_dv_rate(cfg, seed, field):
     reason = ldp.flux_infeasibility(field.support, flux, gamma)
     if reason is not None:
         raise _Infeasible(reason)
-    results = {"value": value, "gamma": gamma.tolist(), "flux": flux.tolist()}
+    results = {"value": value, "gamma": gamma, "flux": flux}
     return results, {"value.csv": "value\n" + _fmt(value) + "\n"}, "value.csv", [_fmt(value)]
 
 
@@ -179,11 +230,22 @@ def _cmd_solve(name, keys, cfg, seed, field):
     result = getattr(varsolve, name)(*values, field, cfg.solve_options())
     if result.status == "infeasible":
         raise _Infeasible(result.detail)
-    artifacts = {"path.csv": _csv(varsolve.write_control_path_csv, result.path),
+    # one row per block, the tail's ending at inf; path.csv is the control
+    # path, so results.json holds every other field
+    path, d = result.path, field.d
+    nodes = path.grid.nodes.tolist()
+    cells = np.concatenate([path.rho, _edges(path.H)], axis=1).tolist()
+    path_csv = _table(["s_left", "s_right", *_names("rho_", d),
+                       *_names("H_edge", d * (d - 1))],
+                      ([lo, hi, *row] for lo, hi, row in
+                       zip(nodes, nodes[1:] + [float("inf")], cells)))
+    artifacts = {"path.csv": path_csv,
                  "value.csv": "value,status\n" + _fmt(result.value) + ","
                               + result.status + "\n"}
+    results = _plain(result)
+    del results["path"]
     rd = result.residuals
-    return varsolve.rate_result_to_dict(result), artifacts, "value.csv", [
+    return results, artifacts, "value.csv", [
         f"value: {_fmt(result.value)}",
         f"status: {result.status}",
         f"residuals: marginal {rd['marginal']:.2e}  stationarity "
@@ -193,7 +255,7 @@ def _cmd_solve(name, keys, cfg, seed, field):
 
 def _cmd_fixed_point(cfg, seed, field):
     found = ldp.fixed_point_multistart(field, seed=seed, **cfg.sections["fixed_point"])
-    value = "index," + ",".join(f"pi_{k + 1}" for k in range(field.d)) + ",converged\n"
+    value = "index," + ",".join(_names("pi_", field.d)) + ",converged\n"
     lines = [f"{len(found)} distinct fixed point(s)"]
     for i, r in enumerate(found):
         pi = [_fmt(v) for v in r.pi]
@@ -202,7 +264,7 @@ def _cmd_fixed_point(cfg, seed, field):
                      f"iterations={r.iterations}  residual={r.residual:.2e}")
         if not r.converged:
             lines.append("warning: not converged to tolerance; best iterate shown")
-    results = {"fixed_points": [{**_record(r), "pi": r.pi.tolist()} for r in found]}
+    results = {"fixed_points": found}
     return results, {"value.csv": value}, "value.csv", lines
 
 
@@ -218,7 +280,7 @@ def _cmd_mc_ldp(cfg, seed, field):
         rate, rate_source = res.value, "solved at ball center"
     comparison = mc.compare_to_rate(points, rate)
     results = {
-        "points": [_record(p) for p in points],
+        "points": points,
         "rate": rate,
         "rate_source": rate_source,
         "gaps": comparison.gaps,
@@ -235,17 +297,22 @@ def _cmd_mc_ldp(cfg, seed, field):
     lines.append(f"reference rate: {_fmt(rate)} ({rate_source})")
     lines.append(f"trend: {comparison.trend}  censored: {comparison.n_censored}  "
                  f"inconclusive: {comparison.inconclusive}")
-    return results, {"decay.csv": _csv(mc.write_decay_csv, points)}, "decay.csv", lines
+    decay_csv = _table(["t", "p_hat", "ci_low", "ci_high", "n", "censored", "neg_log_rate"],
+                       ([p.t, p.p_hat, p.ci_low, p.ci_high, p.n, int(p.censored),
+                         p.neg_log_rate] for p in points))
+    return results, {"decay.csv": decay_csv}, "decay.csv", lines
 
 
 def _run(args, cfg, seed):
     """Run a command into its run directory, then print its output."""
     out = _Outputs(args, cfg, seed)
     field = build_field(cfg.field)
+    out.lap("build_field_s")
     results, artifacts, primary, lines = _COMMANDS[args.command][0](cfg, seed, field)
+    out.lap("compute_s")
     out.write({"results.json": _json(results), **artifacts})
     if args.format == "csv":
-        sys.stdout.write((out.run_dir / primary).read_text())
+        sys.stdout.write(artifacts[primary])
     else:
         for line in lines:
             print(line)

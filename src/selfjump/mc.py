@@ -14,7 +14,6 @@ noise.
 
 from __future__ import annotations
 
-import csv
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -158,12 +157,3 @@ def compare_to_rate(points, rate):
         trend = "flat"
     return DecayComparison(rate, gaps, trend, n_cens, False)
 
-
-def write_decay_csv(points, fh):
-    """Rows t,p_hat,ci_low,ci_high,n,censored,neg_log_rate."""
-    w = csv.writer(fh)
-    w.writerow(["t", "p_hat", "ci_low", "ci_high", "n", "censored", "neg_log_rate"])
-    for p in points:
-        w.writerow([repr(float(p.t)), repr(float(p.p_hat)), repr(float(p.ci_low)),
-                    repr(float(p.ci_high)), p.n, int(p.censored),
-                    repr(float(p.neg_log_rate))])

@@ -225,9 +225,8 @@ def check_times(times):
 # Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
 # about 6 MB.
 _MAX_CHUNK = 1 << 18
-# Candidates, or trajectory.csv rows, turned into Python objects at a time,
-# so a draw chunk or a path is never held whole as Python objects (some
-# 80 bytes per candidate or row).
+# Candidates turned into Python objects at a time, so a draw chunk is never
+# held whole as Python objects (some 80 bytes per candidate).
 _SLICE = 8192
 
 
@@ -677,33 +676,3 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
             candidates += cand_i
     return BatchResult(occ, flux, first, jumps, candidates)
 
-
-def write_trajectory_csv(traj, fh):
-    """Rows time,from,to with full-precision decimal times.
-
-    The bytes are those of ``csv.writer``: nothing needs quoting, and rows
-    end in \\r\\n.  Rows are formatted _SLICE at a time.
-    """
-    fh.write("time,from,to\r\n")
-    for lo in range(0, traj.n_jumps, _SLICE):
-        part = slice(lo, lo + _SLICE)
-        fh.write("".join(f"{t!r},{s},{d_}\r\n" for t, s, d_ in zip(
-            traj.times[part].tolist(), traj.sources[part].tolist(),
-            traj.targets[part].tolist())))
-
-
-def write_batch_csv(result, fh):
-    """Rows path,seed_index,L_1..L_d,R_edge1..R_edgea (canonical edge order).
-
-    Path i's seed_index, the path index of its stream, is i.  Byte-identical
-    to ``csv.writer`` output, like ``write_trajectory_csv``.
-    """
-    d = result.occupations.shape[1]
-    rows, cols = zip(*core.edge_pairs(d))
-    header = (["path", "seed_index"] + [f"L_{k + 1}" for k in range(d)]
-              + [f"R_edge{e + 1}" for e in range(len(rows))])
-    values = np.concatenate([result.occupations,
-                             result.fluxes[:, list(rows), list(cols)]], axis=1)
-    fh.write(",".join(header) + "\r\n")
-    fh.write("".join(f"{row},{row}," + ",".join(map(repr, v)) + "\r\n"
-                     for row, v in enumerate(values.tolist())))

@@ -50,14 +50,13 @@ solver calls L-BFGS-B only through it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from . import errors
-from .core import as_simplex, check_count, edge_pairs, uniform_simplex
+from .core import as_simplex, check_count, uniform_simplex
 from .ldp import (BALANCE_TOL, SUPPORT_TOL, as_flux, fixed_point_pi_star,
                   flux_infeasibility)
 
@@ -496,37 +495,3 @@ def current_rate(current, field, opts=None):
                           detail="current charges edges off the support")
     return _minimize(field, "current", None, None, current, opts)
 
-
-# -- export ------------------------------------------------------------------
-
-
-def rate_result_to_dict(result):
-    """JSON-ready summary: value, status, residuals, and the full grid."""
-    out = {
-        "value": result.value,
-        "status": result.status,
-        "detail": result.detail,
-        "residuals": result.residuals,
-        "best_start": result.best_start,
-    }
-    if result.path is not None:
-        out["grid_nodes"] = result.path.grid.nodes.tolist()
-        out["rho"] = result.path.rho.tolist()
-        out["H"] = result.path.H.tolist()
-    return out
-
-
-def write_control_path_csv(path, fh):
-    """Rows s_left,s_right,rho_1..rho_d,H_edge1..H_edgea (tail row ends at inf)."""
-    d = path.rho.shape[1]
-    pairs = edge_pairs(d)
-    w = csv.writer(fh)
-    w.writerow(["s_left", "s_right"] + [f"rho_{k + 1}" for k in range(d)]
-               + [f"H_edge{e + 1}" for e in range(len(pairs))])
-    nodes = path.grid.nodes
-    lefts = list(nodes[:-1]) + [nodes[-1]]
-    rights = list(nodes[1:]) + [float("inf")]
-    for c, (lo, hi) in enumerate(zip(lefts, rights)):
-        w.writerow([repr(float(lo)), repr(float(hi))]
-                   + [repr(float(v)) for v in path.rho[c]]
-                   + [repr(float(path.H[c, i, j])) for i, j in pairs])

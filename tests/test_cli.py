@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import dataclasses
 import importlib
 import inspect
@@ -349,7 +350,8 @@ def test_simulate_csv_format_streams_batch(tmp_path, capsys):
                 "--format", "csv"]) == 0
     cap = capsys.readouterr()
     rd = only_run_dir(out_root, "simulate")
-    assert cap.out == (rd / "batch.csv").read_text()
+    assert cap.out.encode() == (rd / "batch.csv").read_bytes()
+    assert "\r\n" in cap.out
     assert "wrote" in cap.err
 
 
@@ -507,10 +509,118 @@ def test_every_command_writes_its_outputs_and_streams_its_csv(tmp_path, capsys, 
         assert sorted(manifest["outputs"] + ["manifest.json"]) == \
             sorted(p.name for p in rd.iterdir())
         assert primary in manifest["outputs"]
+        phases = manifest["phases"]
+        assert sorted(phases) == ["build_field_s", "compute_s", "write_s"]
+        assert min(phases.values()) >= 0.0
+        assert sum(phases.values()) <= manifest["wall_time_s"]
         if fmt == "csv":
-            assert (out, err) == ((rd / primary).read_text(), f"wrote {rd}\n")
+            assert (out.encode(), err) == ((rd / primary).read_bytes(), f"wrote {rd}\n")
         else:
             assert out.endswith(f"\nwrote {rd}\n") and err == ""
+
+
+def test_manifest_compute_phase_covers_the_command(tmp_path, capsys, monkeypatch):
+    batch_simulate = sim.batch_simulate
+
+    def slow_batch(*args, **kwargs):
+        time.sleep(0.05)
+        return batch_simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "batch_simulate", slow_batch)
+    cfg = write_cfg(tmp_path, EVERY_COMMAND_RUN)
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rd = only_run_dir(tmp_path / "out", "simulate")
+    manifest = json.loads((rd / "manifest.json").read_text())
+    assert manifest["phases"]["compute_s"] >= 0.05
+    assert "phases" not in json.loads((rd / "results.json").read_text())
+
+
+CSV_RUN = {
+    "field": {"family": "constant",
+              "q0": [[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]]},
+    "seed": 12,
+    "simulate": {"x0": 2, "horizon": 30.0, "n_paths": 5},
+    "target": {"gamma": INTERIOR},
+    "solver": dict(FAST_SOLVER),
+    "mc": {"x0": 1, "times": [3.0, 1.0], "n_paths": 50, "center": INTERIOR, "radius": 0.4,
+           "rate": 0.1},
+}
+EDGES_3 = core.edge_pairs(3)
+
+
+def batch_rows(field, parsed):
+    b = sim.batch_simulate(field, seed=parsed.seed, **parsed.sections["simulate"])
+    return [[i, i, *b.occupations[i], *(b.fluxes[i, x, y] for x, y in EDGES_3)]
+            for i in range(len(b.occupations))]
+
+
+def trajectory_rows(field, parsed):
+    traj = sim.batch_simulate(field, seed=parsed.seed,
+                              **parsed.sections["simulate"]).first_trajectory
+    assert traj.n_jumps > 10
+    return [list(row) for row in zip(traj.times, traj.sources, traj.targets)]
+
+
+def path_rows(field, parsed):
+    path = varsolve.occupation_rate(parsed.sections["target"]["gamma"], field,
+                                    parsed.solve_options()).path
+    nodes = list(path.grid.nodes) + [math.inf]
+    return [[nodes[c], nodes[c + 1], *path.rho[c], *(path.H[c, x, y] for x, y in EDGES_3)]
+            for c in range(len(path.rho))]
+
+
+def decay_rows(field, parsed):
+    m = parsed.sections["mc"]
+    points = mc.decay_curve(field, m["x0"], mc.BallTarget(m["center"], m["radius"]),
+                            m["times"], m["n_paths"], seed=parsed.seed)
+    return [[p.t, p.p_hat, p.ci_low, p.ci_high, p.n, int(p.censored), p.neg_log_rate]
+            for p in points]
+
+
+def same_bits(cell, value):
+    if isinstance(value, (int, np.integer)):
+        return cell == str(int(value))
+    return np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("command, name, header, rows", [
+    ("simulate", "batch.csv",
+     "path,seed_index,L_1,L_2,L_3,R_edge1,R_edge2,R_edge3,R_edge4,R_edge5,R_edge6",
+     batch_rows),
+    ("simulate", "trajectory.csv", "time,from,to", trajectory_rows),
+    ("occupation-rate", "path.csv",
+     "s_left,s_right,rho_1,rho_2,rho_3,H_edge1,H_edge2,H_edge3,H_edge4,H_edge5,H_edge6",
+     path_rows),
+    ("mc-ldp", "decay.csv", "t,p_hat,ci_low,ci_high,n,censored,neg_log_rate", decay_rows),
+], ids=["batch.csv", "trajectory.csv", "path.csv", "decay.csv"])
+def test_csv_artifacts_hold_the_library_records(tmp_path, capsys, command, name, header,
+                                                rows):
+    # each cell reads back bit for bit as the library's record, and the file
+    # is what csv.writer writes for those records
+    cfg = write_cfg(tmp_path, CSV_RUN)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rd = only_run_dir(tmp_path / "out", command)
+    raw = (rd / name).read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    with open(rd / name, newline="") as fh:
+        got = list(csv.reader(fh))
+    parsed = config.parse_config(CSV_RUN)
+    want = rows(config.build_field(parsed.field), parsed)
+    assert ",".join(got[0]) == header
+    assert len(got) == len(want) + 1
+    for got_row, want_row in zip(got[1:], want):
+        assert len(got_row) == len(want_row)
+        assert all(same_bits(c, v) for c, v in zip(got_row, want_row)), (got_row, want_row)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(header.split(","))
+    writer.writerows([v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+                     for row in want)
+    assert raw == ref.getvalue().encode()
+    if command == "occupation-rate":
+        # path.csv is the control path; results.json holds every other field
+        assert sorted(json.loads((rd / "results.json").read_text())) == \
+            ["best_start", "detail", "residuals", "status", "value"]
 
 
 SOLVER_MODULES = ("scipy.optimize", "scipy.sparse", "scipy.special")

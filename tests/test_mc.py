@@ -1,4 +1,3 @@
-import io
 import math
 import multiprocessing
 
@@ -237,12 +236,3 @@ def test_compare_to_rate_inconclusive_with_censoring():
     assert cmp.inconclusive
     assert cmp.n_censored == 1
     assert len(cmp.gaps) == 1
-
-
-def test_decay_csv_schema():
-    pts = [mc.DecayPoint(10.0, 0.25, 0.1, 0.4, 20, False, 0.1386294361)]
-    buf = io.StringIO()
-    mc.write_decay_csv(pts, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,p_hat,ci_low,ci_high,n,censored,neg_log_rate"
-    assert lines[1].startswith("10.0,0.25,0.1,0.4,20,0,")

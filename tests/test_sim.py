@@ -1,6 +1,4 @@
-import csv
 import hashlib
-import io
 import math
 import multiprocessing
 import os
@@ -220,24 +218,6 @@ def test_batch_single_path_summary():
 def test_batch_lln_uniform_stationary():
     b = sim.batch_simulate(unit_field(), 1, 500.0, 2000, seed=8)
     assert 0.48 <= b.mean_occupation[0] <= 0.52
-
-
-def test_trajectory_csv_schema():
-    traj = hand_trajectory([1.0, 2.5], [1, 2], [2, 1])
-    buf = io.StringIO()
-    sim.write_trajectory_csv(traj, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "time,from,to"
-    assert lines[1] == "1.0,1,2"
-    assert len(lines) == 3
-
-
-def test_batch_csv_schema():
-    b = sim.batch_simulate(unit_field(), 1, 5.0, 2, seed=0)
-    buf = io.StringIO()
-    sim.write_batch_csv(b, buf)
-    header = buf.getvalue().splitlines()[0]
-    assert header == "path,seed_index,L_1,L_2,R_edge1,R_edge2"
 
 
 def lockstep_occupations(field, x0, times, n_paths, seed):
@@ -783,35 +763,3 @@ def test_batch_totals_jumps_and_candidates():
     zero = sim.simulate_thinning(core.RateField.constant(np.zeros((2, 2))), 1, 5.0, seed=0)
     assert zero.candidates == 0 and zero.sources.size == 0
 
-
-def test_writers_match_csv_writer_reference():
-    f = core.RateField.constant(
-        np.array([[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]]))
-    b = sim.batch_simulate(f, 2, 30.0, 5, seed=12)
-    traj = b.first_trajectory
-    assert traj.n_jumps > 10
-    for i in range(5):
-        path = sim.simulate_thinning(f, 2, 30.0, seed=12, path_index=i)
-        assert np.array_equal(b.occupations[i], path.occupation_at(30.0))
-
-    ref = io.StringIO()
-    w = csv.writer(ref)
-    w.writerow(["time", "from", "to"])
-    for t, s, d_ in zip(traj.times, traj.sources, traj.targets):
-        w.writerow([repr(float(t)), int(s), int(d_)])
-    got = io.StringIO()
-    sim.write_trajectory_csv(traj, got)
-    assert got.getvalue() == ref.getvalue()
-    assert got.getvalue().endswith("\r\n")
-
-    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
-    ref = io.StringIO()
-    w = csv.writer(ref)
-    w.writerow(["path", "seed_index", "L_1", "L_2", "L_3"]
-               + [f"R_edge{e + 1}" for e in range(len(pairs))])
-    for row, (L, R) in enumerate(zip(b.occupations, b.fluxes)):
-        w.writerow([row, row] + [repr(float(v)) for v in L]
-                   + [repr(float(R[i, j])) for i, j in pairs])
-    got = io.StringIO()
-    sim.write_batch_csv(b, got)
-    assert got.getvalue() == ref.getvalue()

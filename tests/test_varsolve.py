@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -570,3 +572,21 @@ def test_occupation_rate_converges_on_strength_10_at_default_grid():
     res = varsolve.occupation_rate([0.8, 0.2], field)
     assert res.status == "converged"
     assert np.isfinite(res.value)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: rho reaches 0 under flux, the log guard's "
+                          "gradient overflows, and L-BFGS-B breaks down")
+def test_solve_rate_agrees_across_one_ulp_of_gamma():
+    # at the default grid gamma_1 = 0.6 ends inf/max_iter, while one ulp
+    # above it converges to 1.4299369735407852 through two RuntimeWarnings
+    field = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
+                                          strength=6.0)
+    flux = np.array([[0.0, 0.65], [0.65, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        low, high = (varsolve.solve_rate([g, 1.0 - g], flux, field)
+                     for g in (0.6, np.nextafter(0.6, 1.0)))
+    assert (low.status, high.status) == ("converged", "converged")
+    assert abs(low.value - high.value) <= 1e-6
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

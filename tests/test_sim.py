@@ -1,15 +1,18 @@
+import csv
 import hashlib
+import io
 import math
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
+import yaml
 from reference_sampler import (ReferenceThinning, simulate_exact_affine,
                                simulate_thinning_reference)
 from scipy import stats
 
-from selfjump import core, errors, sim
+from selfjump import cli, core, errors, sim
 
 
 def unit_field():
@@ -218,6 +221,24 @@ def test_batch_single_path_summary():
 def test_batch_lln_uniform_stationary():
     b = sim.batch_simulate(unit_field(), 1, 500.0, 2000, seed=8)
     assert 0.48 <= b.mean_occupation[0] <= 0.52
+
+
+def simulate_csv(tmp_path, q0, x0, horizon, n_paths, seed, name):
+    """Bytes of one CSV that the simulate command writes for a constant field."""
+    doc = {"field": {"family": "constant", "q0": q0}, "seed": seed,
+           "simulate": {"x0": x0, "horizon": horizon, "n_paths": n_paths}}
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    (run_dir,) = (out / "simulate").iterdir()
+    return (run_dir / name).read_bytes().decode()
+
+
+def test_batch_csv_schema(tmp_path):
+    text = simulate_csv(tmp_path, [[-1.0, 1.0], [1.0, -1.0]], 1, 5.0, 2, 0, "batch.csv")
+    assert text.splitlines()[0] == "path,seed_index,L_1,L_2,R_edge1,R_edge2"
 
 
 def lockstep_occupations(field, x0, times, n_paths, seed):
@@ -762,4 +783,35 @@ def test_batch_totals_jumps_and_candidates():
     assert b.candidates == sum(p.candidates for p in paths)
     zero = sim.simulate_thinning(core.RateField.constant(np.zeros((2, 2))), 1, 5.0, seed=0)
     assert zero.candidates == 0 and zero.sources.size == 0
+
+
+def test_writers_match_csv_writer_reference(tmp_path):
+    q0 = [[-1.5, 1.0, 0.5], [0.6, -1.2, 0.6], [0.4, 0.8, -1.2]]
+    f = core.RateField.constant(np.array(q0))
+    b = sim.batch_simulate(f, 2, 30.0, 5, seed=12)
+    traj = b.first_trajectory
+    assert traj.n_jumps > 10
+    for i in range(5):
+        path = sim.simulate_thinning(f, 2, 30.0, seed=12, path_index=i)
+        assert np.array_equal(b.occupations[i], path.occupation_at(30.0))
+
+    ref = io.StringIO()
+    w = csv.writer(ref)
+    w.writerow(["time", "from", "to"])
+    for t, s, d_ in zip(traj.times, traj.sources, traj.targets):
+        w.writerow([repr(float(t)), int(s), int(d_)])
+    got = simulate_csv(tmp_path / "t", q0, 2, 30.0, 5, 12, "trajectory.csv")
+    assert got == ref.getvalue()
+    assert got.endswith("\r\n")
+
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    ref = io.StringIO()
+    w = csv.writer(ref)
+    w.writerow(["path", "seed_index", "L_1", "L_2", "L_3"]
+               + [f"R_edge{e + 1}" for e in range(len(pairs))])
+    for row, (L, R) in enumerate(zip(b.occupations, b.fluxes)):
+        w.writerow([row, row] + [repr(float(v)) for v in L]
+                   + [repr(float(R[i, j])) for i, j in pairs])
+    got = simulate_csv(tmp_path / "b", q0, 2, 30.0, 5, 12, "batch.csv")
+    assert got == ref.getvalue()
 

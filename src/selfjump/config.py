@@ -211,7 +211,7 @@ SECTIONS = {
            "rate": (_number, None)},
     "fixed_point": {"tol": (_checked(_number, ldp.check_tol), None),
                     "max_iter": (_count("max_iter"), None),
-                    "n_starts": (_count("n_starts"), 1)},
+                    "n_starts": (_count("n_starts"), None)},
 }
 
 
@@ -241,11 +241,11 @@ class RunConfig:
         """A section, or a 'section.key' value, that a command cannot run without."""
         section, _, key = name.partition(".")
         value = self.sections.get(section)
-        if key and value is not None:
-            value = value.get(key)
         if value is None:
-            raise errors.ConfigError(f"this command needs the {name!r} section", "config")
-        return value
+            raise errors.ConfigError(f"this command needs the {section!r} section", "config")
+        if key and key not in value:
+            raise errors.ConfigError(f"missing {key!r}", section)
+        return value[key] if key else value
 
     def solve_options(self):
         return SolveOptions(**self.sections["solver"])

@@ -213,7 +213,7 @@ def fixed_point_pi_star(field, tol=1e-10, max_iter=500, start=None):
     return best
 
 
-def fixed_point_multistart(field, n_starts=8, seed=0, tol=1e-10, max_iter=500):
+def fixed_point_multistart(field, n_starts=1, seed=0, tol=1e-10, max_iter=500):
     """Run the equilibrium search from several starts; distinct limits are kept.
 
     The first start is uniform and the others are drawn as their runs

@@ -62,74 +62,17 @@ from .ldp import (BALANCE_TOL, SUPPORT_TOL, as_flux, fixed_point_pi_star,
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """n_cells >= 2 equal cells [s_k, s_{k+1}) on [0, horizon], plus a tail.
-
-    Block weights are the discounted lengths e^-s_k - e^-s_{k+1}, and the
-    tail block carries the rest of the discount, e^-horizon; together they
-    sum to one.  horizon lies in [1, about 708.4], where e^-horizon is a
-    normal float.
-    """
-
-    horizon: float = 8.0
-    n_cells: int = 64
-
-    def __post_init__(self):
-        horizon = float(self.horizon)
-        object.__setattr__(self, "horizon", horizon)
-        if not horizon >= 1.0:
-            raise errors.InvalidInput(f"horizon {horizon} too small (need >= 1)")
-        if np.exp(-horizon) < np.finfo(float).tiny:
-            # a zero tail weight makes its 1/sqrt(w) scale infinite and the
-            # residuals NaN; a subnormal one has already lost precision
-            raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
-                                      "e^-horizon underflows (need about <= 708.4)")
-        if self.n_cells < 2:
-            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.n_cells}")
-
-    @property
-    def nodes(self):
-        return np.linspace(0.0, self.horizon, self.n_cells + 1)
-
-    @property
-    def cell_weights(self):
-        e = np.exp(-self.nodes)
-        return e[:-1] - e[1:]
-
-    @property
-    def tail_weight(self):
-        return float(np.exp(-self.horizon))
-
-    @property
-    def block_weights(self):
-        """Cell weights followed by the tail weight; sums to 1."""
-        return np.concatenate([self.cell_weights, [self.tail_weight]])
-
-
-@dataclass(frozen=True)
-class ControlPath:
-    """Piecewise-constant (rho, H) on a grid's blocks; block K is the tail.
-
-    rho has shape (K+1, d) with simplex rows; H has shape (K+1, d, d) with
-    zero-row-sum rate matrices supported on the field's edge set.
-    """
-
-    grid: TimeGrid
-    rho: np.ndarray
-    H: np.ndarray
-
-
-# -- flux-variable minimization ----------------------------------------------
-
-
-@dataclass(frozen=True)
 class SolveOptions:
-    """The control-path discretisation and the number of solver starts.
+    """The control grid and the number of solver starts.
 
-    grid_horizon and grid_cells set the TimeGrid; n_starts (at most two
-    deterministic starts exist) bounds how many starts are tried.  The
-    augmented-Lagrangian schedule and the tolerances behind status=converged
-    are fixed module constants.  The fields are checked on construction.
+    grid_cells >= 2 equal cells [s_k, s_{k+1}) on [0, grid_horizon], plus a
+    tail.  Block weights are the discounted lengths e^-s_k - e^-s_{k+1}, and
+    the tail block carries the rest of the discount, e^-grid_horizon;
+    together they sum to one.  grid_horizon lies in [1, about 708.4], where
+    e^-grid_horizon is a normal float.  n_starts (at most two deterministic
+    starts exist) bounds how many starts are tried.  The augmented-Lagrangian
+    schedule and the tolerances behind status=converged are fixed module
+    constants.  The fields are checked on construction.
     """
 
     grid_horizon: float = 8.0
@@ -137,11 +80,45 @@ class SolveOptions:
     n_starts: int = 2
 
     def __post_init__(self):
-        self.grid()
+        horizon = float(self.grid_horizon)
+        object.__setattr__(self, "grid_horizon", horizon)
+        if not horizon >= 1.0:
+            raise errors.InvalidInput(f"horizon {horizon} too small (need >= 1)")
+        if np.exp(-horizon) < np.finfo(float).tiny:
+            # a zero tail weight makes its 1/sqrt(w) scale infinite and the
+            # residuals NaN; a subnormal one has already lost precision
+            raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
+                                      "e^-horizon underflows (need about <= 708.4)")
+        if self.grid_cells < 2:
+            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.grid_cells}")
         check_count("n_starts", self.n_starts)
 
-    def grid(self):
-        return TimeGrid(self.grid_horizon, self.grid_cells)
+    @property
+    def nodes(self):
+        return np.linspace(0.0, self.grid_horizon, self.grid_cells + 1)
+
+    @property
+    def block_weights(self):
+        """Cell weights followed by the tail weight e^-grid_horizon; sums to 1."""
+        e = np.exp(-self.nodes)
+        return np.append(e[:-1] - e[1:], e[-1])
+
+
+@dataclass(frozen=True)
+class ControlPath:
+    """Piecewise-constant (rho, H) on a grid's blocks; block K is the tail.
+
+    grid is the SolveOptions the path was solved on.  rho has shape (K+1, d)
+    with simplex rows; H has shape (K+1, d, d) with zero-row-sum rate
+    matrices supported on the field's edge set.
+    """
+
+    grid: SolveOptions
+    rho: np.ndarray
+    H: np.ndarray
+
+
+# -- flux-variable minimization ----------------------------------------------
 
 
 @dataclass
@@ -197,16 +174,16 @@ class _FluxProblem:
     already the gap of its target.
     """
 
-    def __init__(self, field, grid, mode, gamma=None, flux=None, current=None):
+    def __init__(self, field, opts, mode, gamma=None, flux=None, current=None):
         from scipy import sparse
 
         d = field.d
         xs, ys = np.nonzero(field.support)
-        self.grid, self.d = grid, d
+        self.opts, self.d = opts, d
         self.xs, self.ys, self.n_e = xs, ys, xs.size
-        self.nb = grid.n_cells + 1
-        self.w = grid.block_weights
-        self.es = np.exp(grid.nodes[:-1])
+        self.nb = opts.grid_cells + 1
+        self.w = opts.block_weights
+        self.es = np.exp(opts.nodes[:-1])
         self.vxy = field.vertices[:, xs, ys]  # (d, n_e)
         self.ox = np.zeros((self.n_e, d))
         self.ox[np.arange(self.n_e), xs] = 1.0
@@ -320,7 +297,7 @@ class _FluxProblem:
         H[:, self.xs, self.ys] = np.where(rx > 0.0, j / np.where(rx > 0.0, rx, 1.0), 0.0)
         diag = np.arange(self.d)
         H[:, diag, diag] = -H.sum(axis=2)
-        return ControlPath(self.grid, rho.copy(), H)
+        return ControlPath(self.opts, rho.copy(), H)
 
 
 def minimize(fun, x0, *args, **kwargs):
@@ -387,8 +364,7 @@ def _minimize(field, mode, gamma, flux, current, opts):
     """
     from scipy.sparse.linalg import lsqr
 
-    prob = _FluxProblem(field, opts.grid(), mode, gamma=gamma, flux=flux,
-                        current=current)
+    prob = _FluxProblem(field, opts, mode, gamma=gamma, flux=flux, current=current)
     xs, ys = prob.xs, prob.ys
     empty = np.zeros(field.d, dtype=bool) if gamma is None else gamma == 0.0
     pinned_edges = empty[xs] | empty[ys]

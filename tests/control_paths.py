@@ -38,7 +38,7 @@ def control_path(grid, rho, H):
 
 
 def constant_path(grid, rho_row, h_full):
-    nb = grid.n_cells + 1
+    nb = grid.grid_cells + 1
     return control_path(grid, np.tile(np.asarray(rho_row, dtype=float), (nb, 1)),
                         np.tile(np.asarray(h_full, dtype=float), (nb, 1, 1)))
 
@@ -51,7 +51,7 @@ def random_feasible_path(field, grid, seed=0):
     (gamma, varsigma) = (M(0), path_flux).
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    n_blocks = grid.n_cells + 1
+    n_blocks = grid.grid_cells + 1
     H = np.zeros((n_blocks, field.d, field.d))
     for h in H:
         h[field.support] = np.exp(0.5 * rng.standard_normal(int(field.support.sum())))

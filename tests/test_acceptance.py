@@ -117,7 +117,7 @@ def test_reweighting_identity_on_random_paths():
               core.RateField.catalytic(np.stack([
                   np.array([[-1.0, 1.0], [2.0, -2.0]]),
                   np.array([[-3.0, 3.0], [0.5, -0.5]])]))]
-    grid = varsolve.TimeGrid(8.0, 32)
+    grid = varsolve.SolveOptions(8.0, 32)
     worst = 0.0
     n_paths = 0
     for fi, field in enumerate(fields):
@@ -223,7 +223,7 @@ def test_structural_invariants_battery():
     assert n_events >= 1000
 
     # discrete occupation-profile evolution identity on random paths
-    grid = varsolve.TimeGrid(4.0, 8)
+    grid = varsolve.SolveOptions(4.0, 8)
     for seed in range(1000):
         field = fields[seed % len(fields)]
         path = random_feasible_path(field, grid, seed=seed)

@@ -72,6 +72,31 @@ def test_missing_section(tmp_path, capsys):
     assert "simulate" in capsys.readouterr().err
 
 
+SYMMETRIC_FLUX = [[0.0, 1.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("command, doc, missing", [
+    ("dv-rate", {"target": {"flux": SYMMETRIC_FLUX}}, "target: missing 'gamma'"),
+    ("dv-rate", {"target": {"gamma": [0.5, 0.5]}}, "target: missing 'flux'"),
+    ("rate", {"target": {"flux": SYMMETRIC_FLUX}}, "target: missing 'gamma'"),
+    ("rate", {"target": {"gamma": [0.5, 0.5]}}, "target: missing 'flux'"),
+    ("occupation-rate", {"target": {"flux": SYMMETRIC_FLUX}}, "target: missing 'gamma'"),
+    ("occupation-rate", {}, "target: missing 'gamma'"),
+    ("current-rate", {"target": {"gamma": [0.5, 0.5]}}, "target: missing 'current'"),
+    ("simulate", {}, "config: this command needs the 'simulate' section"),
+    ("mc-ldp", {}, "config: this command needs the 'mc' section"),
+], ids=["dv-rate-gamma", "dv-rate-flux", "rate-gamma", "rate-flux", "occupation-rate-gamma",
+        "occupation-rate-no-target", "current-rate-current", "simulate", "mc-ldp"])
+def test_missing_target_key_or_section_exits_2_in_one_line(tmp_path, capsys, command, doc,
+                                                           missing):
+    # a missing key is named at its section, as the parser names missing
+    # 'x0' at simulate; a missing section is named at config
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD, **doc})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {missing}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_dv_rate_anchor_value(tmp_path, capsys):
     doc = {"field": UNIT_FIELD,
            "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 1.0], [1.0, 0.0]]}}

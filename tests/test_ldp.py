@@ -183,6 +183,21 @@ def test_fixed_point_multistart_draws_each_start_as_its_run_begins(monkeypatch):
     assert draws_before_run == [0, 1, 2, 3]
 
 
+def test_fixed_point_multistart_runs_one_search_by_default(monkeypatch):
+    f = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]), strength=1.0)
+    searches, search = [], ldp.fixed_point_pi_star
+
+    def spy_search(field, **kwargs):
+        searches.append(kwargs["start"])
+        return search(field, **kwargs)
+
+    monkeypatch.setattr(ldp, "fixed_point_pi_star", spy_search)
+    [found] = ldp.fixed_point_multistart(f, seed=0)
+    assert len(searches) == 1
+    assert np.array_equal(searches[0], [0.5, 0.5])
+    assert found.converged
+
+
 def test_equilibrium_flux_balanced_to_float_precision():
     q0 = np.array([[-2.0, 2.0], [1.0, -1.0]])
     f = core.RateField.autochemotaxis(q0, strength=1.0)

@@ -6,7 +6,7 @@ import pytest
 from control_paths import (constant_path, jtilde, m_evolution_defect, m_from_rho,
                            path_flux, random_feasible_path, residuals, reweighting_cost)
 from selfjump import core, ldp, varsolve
-from selfjump.varsolve import ControlPath, SolveOptions, TimeGrid
+from selfjump.varsolve import ControlPath, SolveOptions
 
 TWO_LOG_TWO_MINUS_ONE = 2.0 * np.log(2.0) - 1.0
 
@@ -28,31 +28,41 @@ def dv_anchor_path(grid):
 
 
 def test_time_grid_uniform():
-    g = TimeGrid(8.0, 64)
-    assert g.n_cells == 64
-    assert g.horizon == 8.0
+    g = SolveOptions()
+    assert (g.grid_horizon, g.grid_cells, g.n_starts) == (8.0, 64, 2)
+    assert np.array_equal(g.nodes, np.linspace(0.0, 8.0, 65))
+    assert g.block_weights.shape == (65,)
     assert abs(g.block_weights.sum() - 1.0) < 1e-14
-    assert g.cell_weights.min() > 0.0
-    assert g.tail_weight == pytest.approx(np.exp(-8.0))
+    assert g.block_weights.min() > 0.0
+    assert g.block_weights[-1] == pytest.approx(np.exp(-8.0))
 
 
 def test_time_grid_validation():
     with pytest.raises(ValueError, match="grid_cells must be >= 2"):
-        TimeGrid(2.0, 1)
+        SolveOptions(2.0, 1)
     with pytest.raises(ValueError, match="too small"):
-        TimeGrid(0.8, 2)
+        SolveOptions(0.8, 2)
     with pytest.raises(ValueError, match="too small"):
-        TimeGrid(float("nan"), 2)
+        SolveOptions(float("nan"), 2)
     # e^-708 is a normal float, e^-709 a subnormal one
-    assert TimeGrid(708.0, 8).tail_weight >= np.finfo(float).tiny
+    assert SolveOptions(708.0, 8).block_weights[-1] >= np.finfo(float).tiny
     with pytest.raises(ValueError, match="too large"):
-        TimeGrid(709.0, 8)
+        SolveOptions(709.0, 8)
     with pytest.raises(ValueError, match="too large"):
-        SolveOptions(grid_horizon=800, grid_cells=8).grid()
+        SolveOptions(grid_horizon=800, grid_cells=8)
+    with pytest.raises(ValueError, match="n_starts must be >= 1"):
+        SolveOptions(n_starts=0)
+
+
+def test_solve_returns_its_path_on_the_options_given():
+    opts = SolveOptions(grid_horizon=6.0, grid_cells=8, n_starts=1)
+    res = varsolve.occupation_rate([0.6, 0.4], unit_field(), opts)
+    assert res.path.grid is opts
+    assert res.path.rho.shape == (9, 2)
 
 
 def test_m_from_rho_constant_profile():
-    g = TimeGrid(6.0, 16)
+    g = SolveOptions(6.0, 16)
     gamma = np.array([0.3, 0.7])
     path = constant_path(g, gamma, [[-1.0, 1.0], [1.0, -1.0]])
     m = m_from_rho(path)
@@ -60,7 +70,7 @@ def test_m_from_rho_constant_profile():
 
 
 def test_m_from_rho_two_cell_hand_value():
-    g = TimeGrid(2.0, 2)  # nodes 0, 1, 2
+    g = SolveOptions(2.0, 2)  # nodes 0, 1, 2
     rho = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     h = np.zeros((3, 2, 2))
     path = ControlPath(g, rho, h)
@@ -75,7 +85,7 @@ def test_m_from_rho_two_cell_hand_value():
 
 def test_m_rows_are_probability_vectors():
     f = ring_field()
-    path = random_feasible_path(f, TimeGrid(8.0, 24), seed=5)
+    path = random_feasible_path(f, SolveOptions(8.0, 24), seed=5)
     m = m_from_rho(path)
     assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
     assert m.min() >= 0.0
@@ -84,13 +94,13 @@ def test_m_rows_are_probability_vectors():
 def test_m_evolution_defect_tiny():
     f = ring_field()
     for seed in range(10):
-        path = random_feasible_path(f, TimeGrid(8.0, 32), seed=seed)
+        path = random_feasible_path(f, SolveOptions(8.0, 32), seed=seed)
         assert m_evolution_defect(path) <= 1e-10
 
 
 def test_jtilde_constant_reduction():
     # constant (rho, H) under a constant field collapses to the static rate
-    path = dv_anchor_path(TimeGrid(8.0, 64))
+    path = dv_anchor_path(SolveOptions(8.0, 64))
     assert jtilde(path, unit_field()) == pytest.approx(TWO_LOG_TWO_MINUS_ONE,
                                                        abs=1e-13)
 
@@ -98,7 +108,7 @@ def test_jtilde_constant_reduction():
 def test_jtilde_zero_on_equilibrium_path():
     f = ring_field()
     pi = ldp.stationary_distribution(f.evaluate(np.full(3, 1 / 3)))
-    path = constant_path(TimeGrid(8.0, 16), pi, f.evaluate(pi))
+    path = constant_path(SolveOptions(8.0, 16), pi, f.evaluate(pi))
     assert jtilde(path, f) == 0.0
 
 
@@ -106,12 +116,12 @@ def test_jtilde_infinite_when_charging_dead_edge():
     q0 = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
     f = core.RateField.constant(q0)
     h = np.array([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
-    path = constant_path(TimeGrid(4.0, 8), np.full(3, 1 / 3), h)
+    path = constant_path(SolveOptions(4.0, 8), np.full(3, 1 / 3), h)
     assert jtilde(path, f) == np.inf
 
 
 def test_residuals_on_anchor_path():
-    g = TimeGrid(8.0, 32)
+    g = SolveOptions(8.0, 32)
     path = dv_anchor_path(g)
     target = np.array([[0.0, 1.0], [1.0, 0.0]])
     rd = residuals(path, unit_field(), gamma=[0.5, 0.5], flux=target)
@@ -125,7 +135,7 @@ def test_residuals_on_anchor_path():
 
 def test_residuals_stationarity_hand_value():
     h = np.array([[-2.0, 2.0], [1.0, -1.0]])
-    path = constant_path(TimeGrid(4.0, 8), [0.5, 0.5], h)
+    path = constant_path(SolveOptions(4.0, 8), [0.5, 0.5], h)
     rd = residuals(path, unit_field(), gamma=None, flux=None)
     # rho H = (-1/2, 1/2)
     assert rd["stationarity"] == pytest.approx(0.5, abs=1e-14)
@@ -135,7 +145,7 @@ def test_residuals_stationarity_hand_value():
 
 def test_reweighting_cost_matches_jtilde_on_random_paths():
     f = ring_field()
-    g = TimeGrid(8.0, 24)
+    g = SolveOptions(8.0, 24)
     for seed in range(20):
         path = random_feasible_path(f, g, seed=seed)
         a = jtilde(path, f)
@@ -145,7 +155,7 @@ def test_reweighting_cost_matches_jtilde_on_random_paths():
 
 def test_jtilde_hand_values():
     f = unit_field()
-    g = TimeGrid(4.0, 8)
+    g = SolveOptions(4.0, 8)
     follow = constant_path(g, [0.5, 0.5], f.evaluate([0.5, 0.5]))
     assert jtilde(follow, f) == pytest.approx(0.0, abs=1e-15)
     # H = 0 everywhere costs ell(0) = 1 per unit of rate mass
@@ -158,7 +168,7 @@ def test_flux_cost_gradient_finite_difference():
     # the cost in (rho, j) and the augmented Lagrangian in the scaled
     # variables, on an interacting field in every mode
     f = core.RateField.autochemotaxis(ring_field().vertices[0], strength=1.0)
-    g = TimeGrid(2.0, 3)
+    g = SolveOptions(2.0, 3)
     gamma = np.array([0.2, 0.3, 0.5])
     flux = path_flux(random_feasible_path(f, g, seed=0))
     cur = np.array([[0.0, 0.02, -0.02], [-0.02, 0.0, 0.02], [0.02, -0.02, 0.0]])
@@ -185,7 +195,7 @@ def test_flux_cost_gradient_finite_difference():
 def test_flux_cost_equals_jtilde():
     # at H = j / rho the flux cost is the control cost of the path
     f = core.RateField.autochemotaxis(ring_field().vertices[0], strength=1.0)
-    g = TimeGrid(4.0, 8)
+    g = SolveOptions(4.0, 8)
     prob = varsolve._FluxProblem(f, g, "occupation", gamma=np.full(3, 1 / 3))
     u = np.random.default_rng(3).uniform(0.1, 1.0, prob.A.shape[1])
     assert prob.cost_u(u)[0] == pytest.approx(jtilde(prob.path_from(u), f),
@@ -399,7 +409,7 @@ def test_occupation_rate_converges_on_strong_interactions(q0, strength, gamma):
 ])
 def test_occupation_start_is_exactly_feasible(field, gamma):
     gamma = np.array(gamma)
-    prob = varsolve._FluxProblem(field, TimeGrid(8.0, 16), "occupation",
+    prob = varsolve._FluxProblem(field, SolveOptions(8.0, 16), "occupation",
                                  gamma=gamma)
     start = next(varsolve._starts(prob, field, "occupation", gamma, None))
     rd = residuals(prob.path_from(start), field, gamma=gamma)
@@ -516,7 +526,7 @@ def test_current_rate_rejects_asymmetric_input():
 
 def test_random_feasible_path_is_stationary():
     f = unit_field()
-    path = random_feasible_path(f, TimeGrid(8.0, 16), seed=3)
+    path = random_feasible_path(f, SolveOptions(8.0, 16), seed=3)
     rd = residuals(path, f)
     assert rd["stationarity"] <= 1e-12
     assert rd["support"] == 0
@@ -549,17 +559,16 @@ def test_a_start_that_never_moves_is_not_converged():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_residuals_are_not_converged(monkeypatch):
-    # TimeGrid refuses horizon 800; on a grid built past that check the tail
-    # weight e^-800 underflows to 0, its 1/sqrt(w) scale is inf and the
+def test_non_finite_residuals_are_not_converged():
+    # SolveOptions refuses horizon 800; on options built past that check the
+    # tail weight e^-800 underflows to 0, its 1/sqrt(w) scale is inf and the
     # simplex and stationarity gaps are NaN
-    grid = object.__new__(TimeGrid)
-    object.__setattr__(grid, "horizon", 800.0)
-    object.__setattr__(grid, "n_cells", 8)
-    monkeypatch.setattr(SolveOptions, "grid", lambda opts: grid)
+    opts = object.__new__(SolveOptions)
+    for name, value in (("grid_horizon", 800.0), ("grid_cells", 8), ("n_starts", 2)):
+        object.__setattr__(opts, name, value)
     chemo = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]),
                                           strength=1.0)
-    res = varsolve.occupation_rate([0.6, 0.4], chemo, SolveOptions())
+    res = varsolve.occupation_rate([0.6, 0.4], chemo, opts)
     assert not np.isfinite(res.residuals["simplex"])
     assert res.status == "max_iter"
 

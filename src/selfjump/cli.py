@@ -40,7 +40,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, errors, ldp, mc, sim, varsolve
 from .config import SECTIONS, build_field, check_seed, load_config
@@ -90,6 +89,7 @@ class _Outputs:
 
     def write(self, artifacts):
         """Write each artifact (name -> text), then the manifest."""
+        import scipy  # for its version only, so importing the CLI does not load it
         for name, text in artifacts.items():
             self._write(name, text)
         self.lap("write_s")
@@ -171,7 +171,7 @@ def _validate(cfg):
     field = build_field(cfg.field)
     lines = ["config OK",
              f"family: {field.family}  states: {field.d}  "
-             f"edges: {len(field.support_edges())}",
+             f"edges: {int(field.support.sum())}",
              f"rate upper bound: {_fmt(field.rate_upper)}  "
              f"lower coefficient: {_fmt(field.rate_lower_coeff)}"]
     present = [s for s in SECTIONS if s in cfg.raw]
@@ -274,27 +274,21 @@ def _cmd_mc_ldp(cfg, seed, field):
     points = mc.decay_curve(field, mcc["x0"], target, mcc["times"], mcc["n_paths"],
                             seed=seed)
     if "rate" in mcc:
-        rate, rate_source = mcc["rate"], "config"
+        rate, rate_source, rate_status = mcc["rate"], "config", None
     else:
         res = varsolve.occupation_rate(mcc["center"], field, cfg.solve_options())
-        rate, rate_source = res.value, "solved at ball center"
+        rate, rate_source, rate_status = res.value, "solved at ball center", res.status
     comparison = mc.compare_to_rate(points, rate)
-    results = {
-        "points": points,
-        "rate": rate,
-        "rate_source": rate_source,
-        "gaps": comparison.gaps,
-        "trend": comparison.trend,
-        "n_censored": comparison.n_censored,
-        "inconclusive": comparison.inconclusive,
-    }
+    results = {"points": points, "rate_source": rate_source, "rate_status": rate_status,
+               **_plain(comparison)}
     lines = [f"{'t':>10} {'p_hat':>12} {'ci_low':>12} {'ci_high':>12} "
              f"{'censored':>9} {'-log(p)/t':>12}"]
     for p in points:
         lines.append(f"{p.t:>10.4g} {p.p_hat:>12.6g} {p.ci_low:>12.6g} "
                      f"{p.ci_high:>12.6g} {str(p.censored):>9} "
                      f"{p.neg_log_rate:>12.6g}")
-    lines.append(f"reference rate: {_fmt(rate)} ({rate_source})")
+    status = "" if rate_status is None else f", status {rate_status}"
+    lines.append(f"reference rate: {_fmt(rate)} ({rate_source}{status})")
     lines.append(f"trend: {comparison.trend}  censored: {comparison.n_censored}  "
                  f"inconclusive: {comparison.inconclusive}")
     decay_csv = _table(["t", "p_hat", "ci_low", "ci_high", "n", "censored", "neg_log_rate"],

@@ -6,10 +6,10 @@ every complaint carries the dotted path of the offending key, so a typo in a
 nested matrix points at ``field.q0`` rather than at a stack trace.  The
 rules are the library's; config adds locations.  It checks only types, list
 shapes, sizes against d and required and unknown keys; ``_checked``
-applies the library's rule on each other key.
-Field parameters stay plain Python lists until ``build_field``; every other
-section parses to a dict of the values the library takes, which the CLI
-passes on by keyword.
+applies the library's rule on each other key, integer keys included.
+The field section parses to a dict of its family and plain Python lists,
+which ``build_field`` builds; every other section parses to a dict of
+the values the library takes, which the CLI passes on by keyword.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ def _number(value, loc, d=None):
     return value
 
 
-def _integer(value, loc, d=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise errors.ConfigError(f"expected an integer, got {value!r}", loc)
+def _as_given(value, loc, d=None):
     return value
 
 
@@ -69,7 +67,7 @@ def _checked(parse, rule):
 
 
 # a seed, as the --seed flag or the run file's seed key gives it
-check_seed = _checked(_integer, sim.check_seed)
+check_seed = _checked(_as_given, sim.check_seed)
 
 
 def _vector(value, loc, d=None):
@@ -119,18 +117,6 @@ _FIELD_KEYS = {"q0": _square, "strength": _number, "alpha": _vector, "beta": _ve
                "generators": _matrices, "vertices": _matrices}
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    family: str
-    params: dict  # the family's FAMILIES keys -> parsed values
-
-    @property
-    def d(self):
-        # the first parameter is q0 or a list of square matrices, so its
-        # first entry (a row or a matrix) has d entries
-        return len(self.params[FAMILIES[self.family][0]][0])
-
-
 def _parse_field(section, loc="field"):
     section = _require_map(section, loc)
     family = section.get("family")
@@ -143,26 +129,26 @@ def _parse_field(section, loc="field"):
     for key in keys:
         if key not in section:
             raise errors.ConfigError(f"family {family!r} needs {key!r}", loc)
-    return FieldConfig(family, {key: _FIELD_KEYS[key](section[key], f"{loc}.{key}")
-                                for key in keys})
+    return {"family": family, **{key: _FIELD_KEYS[key](section[key], f"{loc}.{key}")
+                                 for key in keys}}
 
 
-def build_field(fc):
-    """Construct the RateField described by a FieldConfig.
+def build_field(section):
+    """Construct the RateField of a parsed field section.
 
     The field's own rules surface as ConfigError at field level.  Rates that
     overflow break those rules, so numpy's overflow warning is not shown.
     """
     try:
         with np.errstate(over="ignore"):
-            return getattr(RateField, fc.family)(
-                **{key: np.array(value) for key, value in fc.params.items()})
+            return getattr(RateField, section["family"])(
+                **{key: np.array(section[key]) for key in FAMILIES[section["family"]]})
     except errors.InvalidInput as exc:
         raise errors.ConfigError(str(exc), "field") from exc
 
 
 def _state(value, loc, d):
-    return _checked(_integer, lambda x0: sim.check_x0(x0, d))(value, loc)
+    return _checked(_as_given, lambda x0: sim.check_x0(x0, d))(value, loc)
 
 
 def _solver(key, parse):
@@ -183,7 +169,7 @@ _simplex = _checked(_d_vector, as_simplex)
 
 def _count(name):
     """A parser of the count ``name``, checked by core.check_count."""
-    return _checked(_integer, partial(check_count, name))
+    return _checked(_as_given, partial(check_count, name))
 
 
 REQUIRED = object()
@@ -201,8 +187,8 @@ SECTIONS = {
                "flux": (_checked(_edge_matrix, ldp.as_flux), None),
                "current": (_checked(_edge_matrix, as_current), None)},
     "solver": {"grid_horizon": (_solver("grid_horizon", _number), None),
-               "grid_cells": (_solver("grid_cells", _integer), None),
-               "n_starts": (_solver("n_starts", _integer), None)},
+               "grid_cells": (_solver("grid_cells", _as_given), None),
+               "n_starts": (_solver("n_starts", _as_given), None)},
     # decay_curve sorts the times it is given
     "mc": {"x0": (_state, REQUIRED),
            "times": (_checked(_vector, lambda t: sim.check_times(sorted(t))), REQUIRED),
@@ -233,7 +219,7 @@ def _parse_section(name, section, d):
 @dataclass(frozen=True)
 class RunConfig:
     raw: dict
-    field: FieldConfig
+    field: dict  # the parsed field section, which build_field builds
     seed: int
     sections: dict  # SECTIONS name -> {key: parsed value}
 
@@ -261,12 +247,13 @@ def parse_config(raw):
     _no_extras(raw, ("field", "seed", *SECTIONS), "config")
     if "field" not in raw:
         raise errors.ConfigError("missing 'field' section", "config")
-    fc = _parse_field(raw["field"])
+    field = _parse_field(raw["field"])
+    d = len(field[FAMILIES[field["family"]][0]][0])  # q0's first row, or first matrix
     seed = check_seed(raw.get("seed", 0), "config.seed")
-    sections = {name: _parse_section(name, raw.get(name, {}), fc.d)
+    sections = {name: _parse_section(name, raw.get(name, {}), d)
                 for name, keys in SECTIONS.items()
                 if name in raw or REQUIRED not in [default for _, default in keys.values()]}
-    return RunConfig(raw, fc, seed, sections)
+    return RunConfig(raw, field, seed, sections)
 
 
 def load_config(path):

@@ -64,10 +64,17 @@ def as_simplex(w):
     return w
 
 
-def check_count(name, value):
-    """A count such as n_paths, n_starts or max_iter as an int, at least 1."""
-    if value < 1:
-        raise errors.InvalidInput(f"{name} must be >= 1, got {value}")
+def is_integer(value):
+    """Whether value is a Python or numpy int; a bool or a float never is."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name, value, low=1):
+    """An integer such as n_paths, n_starts or max_iter as an int, at least low."""
+    if not is_integer(value):
+        raise errors.InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise errors.InvalidInput(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -212,10 +219,6 @@ class RateField:
         return cls("catalytic", vertices)  # which checks the shape and the signs
 
     # -- evaluation --------------------------------------------------------
-
-    def support_edges(self):
-        """Support as 0-based (i, j) pairs in canonical edge order."""
-        return [(i, j) for i, j in edge_pairs(self.d) if self.support[i, j]]
 
     def evaluate(self, gamma):
         """Rate matrix Q(gamma); gamma must lie on the simplex.

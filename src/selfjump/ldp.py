@@ -222,11 +222,11 @@ def fixed_point_multistart(field, n_starts=1, seed=0, tol=1e-10, max_iter=500):
     by more than 100 * tol in l1; exposes starting-point sensitivity when
     the field admits several self-consistent equilibria.  When no start
     converges, the list holds the best iterate (lowest gap) of all starts,
-    with ``converged=False``.  n_starts must pass check_count; each run
-    checks tol and max_iter.
+    with ``converged=False``.  n_starts and seed (at least 0) must pass
+    check_count; each run checks tol and max_iter.
     """
     n_starts = check_count("n_starts", n_starts)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=check_count("seed", seed, 0)))
     starts = chain([uniform_simplex(field.d)],
                    (rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)))
     found, best = [], None

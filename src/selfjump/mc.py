@@ -129,10 +129,10 @@ def decay_curve(field, x0, target, times, n_paths, seed=0):
 class DecayComparison:
     """Decay curve against a variational rate.
 
-    gaps lists neg_log_rate - rate for the uncensored points in time order;
-    trend says whether the absolute gap shrinks from first to last of those
-    ("toward"), grows ("away"), or neither ("flat").  With fewer than two
-    uncensored points the comparison is inconclusive.
+    gaps lists neg_log_rate - rate for the uncensored points in time order,
+    none when the rate is not finite; trend says whether the absolute gap
+    shrinks from first to last ("toward"), grows ("away"), or neither
+    ("flat").  With fewer than two gaps the comparison is inconclusive.
     """
 
     rate: float
@@ -143,7 +143,7 @@ class DecayComparison:
 
 
 def compare_to_rate(points, rate):
-    live = [p for p in points if not p.censored]
+    live = [p for p in points if not p.censored] if math.isfinite(rate) else []
     gaps = [p.neg_log_rate - rate for p in live]
     n_cens = sum(1 for p in points if p.censored)
     if len(gaps) < 2:

@@ -117,6 +117,8 @@ def _seed_pool(seed):
 
 def check_seed(seed):
     """The seed as an int in [0, 2**64), the range path streams are keyed by."""
+    if not core.is_integer(seed):
+        raise errors.InvalidInput(f"must be an integer, got {seed!r}")
     if seed < 0:
         raise errors.InvalidInput(f"must be >= 0, got {seed}")
     if seed >= 1 << 64:
@@ -152,7 +154,8 @@ def _stream_keys(seed, indices):
 
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=(int(path_index),))
+    path_index = core.check_count("path_index", path_index, 0)
+    seq = np.random.SeedSequence(check_seed(seed), spawn_key=(path_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -201,7 +204,7 @@ class Trajectory:
 
 def check_x0(x0, d):
     """The initial state as an int, a state label in 1..d."""
-    if not isinstance(x0, (int, np.integer)) or not 1 <= int(x0) <= d:
+    if not core.is_integer(x0) or not 1 <= x0 <= d:
         raise errors.InvalidInput(f"x0 must be a state label in 1..{d}, got {x0!r}")
     return int(x0)
 
@@ -367,6 +370,7 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
     """
     x0 = check_x0(x0, field.d)
     horizon = check_horizon(horizon)
+    rng = path_stream(seed, path_index)
     d = field.d
     c = field.rate_upper
     lam = (d - 1) * c
@@ -377,7 +381,7 @@ def simulate_thinning(field, x0, horizon, seed, path_index=0):
         anchor = [0.0] * d
         anchor[x] = 1.0  # at time 0 the occupation is delta_x0
         loop, cols, dest = _thinning_tables(field)
-        n_cand = loop(_candidates(path_stream(seed, path_index), d - 1, lam, c, horizon),
+        n_cand = loop(_candidates(rng, d - 1, lam, c, horizon),
                       x, anchor, cols, dest, times.append, dsts.append)
     targets = np.asarray(dsts, dtype=np.int64) + 1
     sources = np.concatenate(([x0], targets))[:-1]

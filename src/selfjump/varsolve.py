@@ -89,9 +89,8 @@ class SolveOptions:
             # residuals NaN; a subnormal one has already lost precision
             raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
                                       "e^-horizon underflows (need about <= 708.4)")
-        if self.grid_cells < 2:
-            raise errors.InvalidInput(f"grid_cells must be >= 2, got {self.grid_cells}")
-        check_count("n_starts", self.n_starts)
+        object.__setattr__(self, "grid_cells", check_count("grid_cells", self.grid_cells, 2))
+        object.__setattr__(self, "n_starts", check_count("n_starts", self.n_starts))
 
     @property
     def nodes(self):

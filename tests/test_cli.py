@@ -495,10 +495,30 @@ def test_mc_ldp_with_config_rate(tmp_path, capsys):
     results = json.loads((rd / "results.json").read_text())
     assert results["rate"] == 0.02
     assert results["rate_source"] == "config"
+    assert results["rate_status"] is None
     assert len(results["points"]) == 2
     decay = (rd / "decay.csv").read_text().splitlines()
     assert decay[0] == "t,p_hat,ci_low,ci_high,n,censored,neg_log_rate"
     assert len(decay) == 3
+
+
+def test_mc_ldp_against_an_unconverged_rate_is_inconclusive(tmp_path, capsys, monkeypatch):
+    # a solve that ends at +inf gives no reference, however many points hit
+    monkeypatch.setattr(varsolve, "occupation_rate", lambda *args: varsolve.RateResult(
+        math.inf, None, {}, "max_iter"))
+    doc = {"field": UNIT_FIELD, "seed": 7,
+           "mc": {"x0": 1, "times": [5.0, 10.0], "n_paths": 60,
+                  "center": [0.5, 0.5], "radius": 0.3}}
+    cfg = write_cfg(tmp_path, doc)
+    out_root = tmp_path / "out"
+    assert run(["mc-ldp", "--config", cfg, "--out", str(out_root)]) == 0
+    out = capsys.readouterr().out
+    results = json.loads((only_run_dir(out_root, "mc-ldp") / "results.json").read_text())
+    assert not any(p["censored"] for p in results["points"])
+    assert (results["rate"], results["rate_status"]) == (None, "max_iter")
+    assert (results["gaps"], results["inconclusive"]) == ([], True)
+    assert "reference rate: inf (solved at ball center, status max_iter)\n" in out
+    assert "inconclusive: True\n" in out
 
 
 EVERY_COMMAND_RUN = {
@@ -659,7 +679,8 @@ out, cfg = sys.argv[1], sys.argv[2]
 heavy = %r
 loaded = lambda: [m for m in heavy if m in sys.modules]
 from selfjump import cli
-report = {"import": loaded(), "multiprocessing": "multiprocessing" in sys.modules}
+report = {"import": loaded(), "multiprocessing": "multiprocessing" in sys.modules,
+          "scipy": "scipy" in sys.modules}
 with contextlib.redirect_stdout(sys.stderr):
     codes = [cli.main([c, "--config", cfg, "--out", out])
              for c in ("validate", "simulate", "fixed-point", "mc-ldp")]
@@ -689,7 +710,7 @@ def test_sampling_commands_do_not_load_the_solver_modules(tmp_path, capsys):
     report = json.loads(proc.stdout)
     assert report["codes"] == [0] * 5
     assert report["import"] == [] and report["sampling"] == []
-    assert report["multiprocessing"] is False
+    assert report["multiprocessing"] is False and report["scipy"] is False
     assert report["solve"] == list(SOLVER_MODULES)
     # the lazily imported solver gives the in-process value bit for bit
     assert run(["occupation-rate", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
@@ -856,6 +877,25 @@ SYMMETRIC_CURRENT = [[0.0, 1.0], [1.0, 0.0]]
     pytest.param(lambda f: ldp.fixed_point_multistart(f, n_starts=0),
                  {"fixed_point": {"n_starts": 0}}, "fixed_point.n_starts",
                  id="fixed_point-n_starts"),
+    pytest.param(lambda f: sim.batch_simulate(f, 1, 1.0, 2.5, 0),
+                 {"simulate": {"x0": 1, "horizon": 1.0, "n_paths": 2.5}}, "simulate.n_paths",
+                 id="n_paths-float"),
+    pytest.param(lambda f: mc.decay_curve(f, 1, BALL, [1.0], 2.5),
+                 {"mc": dict(MC_RUN, n_paths=2.5)}, "mc.n_paths", id="mc-n_paths-float"),
+    pytest.param(lambda f: sim.simulate_thinning(f, 1, 1.0, 1.5), {"seed": 1.5},
+                 "config.seed", id="seed-float"),
+    pytest.param(lambda f: sim.batch_simulate(f, True, 1.0, 1, 0),
+                 {"simulate": {"x0": True, "horizon": 1.0}}, "simulate.x0", id="x0-bool"),
+    pytest.param(lambda f: varsolve.SolveOptions(grid_cells=8.5),
+                 {"solver": {"grid_cells": 8.5}}, "solver.grid_cells", id="grid_cells-float"),
+    pytest.param(lambda f: varsolve.SolveOptions(n_starts=1.5),
+                 {"solver": {"n_starts": 1.5}}, "solver.n_starts", id="n_starts-float"),
+    pytest.param(lambda f: ldp.fixed_point_pi_star(f, max_iter=2.5),
+                 {"fixed_point": {"max_iter": 2.5}}, "fixed_point.max_iter",
+                 id="fixed_point-max_iter-float"),
+    pytest.param(lambda f: ldp.fixed_point_multistart(f, n_starts=1.5),
+                 {"fixed_point": {"n_starts": 1.5}}, "fixed_point.n_starts",
+                 id="fixed_point-n_starts-float"),
     pytest.param(lambda f: core.RateField.autochemotaxis(np.array(CHEMO_FIELD["q0"]),
                                                          1.0e308),
                  {"field": OVERFLOWING_FIELDS[0]}, "field", id="vertex-overflow"),
@@ -873,9 +913,13 @@ def test_library_and_run_file_apply_one_rule(tmp_path, capsys, call, doc, locati
 
 def test_run_file_fields_match_their_classmethods(family_params, family_fields):
     for name, params in family_params.items():
-        fc = config.parse_config({"field": {"family": name, **params}}).field
-        built, ref = config.build_field(fc), family_fields[name]
-        assert (built.family, built.d, fc.d) == (name, ref.d, ref.d)
+        doc = {"field": {"family": name, **params}}
+        built, ref = config.build_field(config.parse_config(doc).field), family_fields[name]
+        assert (built.family, built.d) == (name, ref.d)
+        # the run file's d bounds its state labels
+        config.parse_config({**doc, "simulate": {"x0": ref.d, "horizon": 1.0}})
+        with pytest.raises(errors.ConfigError, match=f"in 1..{ref.d}, got {ref.d + 1}"):
+            config.parse_config({**doc, "simulate": {"x0": ref.d + 1, "horizon": 1.0}})
         assert np.array_equal(built.vertices, ref.vertices)
         assert np.array_equal(built.support, ref.support)
         assert built.rate_upper == ref.rate_upper

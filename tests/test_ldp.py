@@ -158,6 +158,13 @@ def test_fixed_point_multistart_dedupes():
     assert results[0].converged
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_fixed_point_multistart_checks_its_seed(seed):
+    f = core.RateField.constant(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    with pytest.raises(errors.InvalidInput, match="seed must be"):
+        ldp.fixed_point_multistart(f, n_starts=2, seed=seed)
+
+
 def test_fixed_point_multistart_draws_each_start_as_its_run_begins(monkeypatch):
     # n_starts has no upper bound, so starts drawn up front would size memory
     # before any run

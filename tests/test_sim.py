@@ -95,6 +95,12 @@ def test_invalid_x0():
         simulate_exact_affine(unit_field(), 3, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("path_index", [-1, 1.5])
+def test_invalid_path_index(path_index):
+    with pytest.raises(errors.InvalidInput, match="path_index must be"):
+        sim.simulate_thinning(unit_field(), 1, 1.0, seed=0, path_index=path_index)
+
+
 def test_exact_affine_runs_on_every_family(family_fields):
     # every field has vertices, so the oracle sampler accepts each family
     for name, f in family_fields.items():

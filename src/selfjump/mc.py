@@ -107,8 +107,9 @@ def _count_hits(field, x0, times, target, seed, n_paths):
     # closed on the way out, error or not, so no sampling worker outlives the call
     with closing(lockstep_thinning(field, x0, times, n_paths, seed)) as blocks:
         for occ in blocks:
-            for k in range(len(times)):
-                hits[k] += np.count_nonzero(target.hits(occ[k]))
+            # one hit test on the block's rows at every time
+            hit = target.hits(occ.reshape(-1, occ.shape[-1]))
+            hits += hit.reshape(len(times), -1).sum(axis=1)
     return hits
 
 

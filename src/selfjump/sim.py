@@ -33,14 +33,17 @@ candidate step per numpy operation over a block of paths, and reads their
 occupations off at a list of times, which is what P(L_t hits target)
 needs.  It repeats the scalar sampler's float operations in the same order,
 so its values are bit-identical to ``simulate_thinning`` followed by
-``occupation_at``.
+``occupation_at``.  A step costs about the same numpy call overhead at any
+block size, so blocks are as large as one draw chunk's memory allows, and
+the paths are split evenly over them and over the CPUs.
 
 Per-path randomness comes from counter-based streams keyed by
 (seed, path_index), so batches are reproducible in any execution order.
 ``batch_simulate`` and ``lockstep_thinning`` use that: their paths and
 blocks run on every CPU in this process's affinity mask (``taskset``
 limits them), in worker processes forked for the call, and their results
-are placed by index, so the output does not depend on the worker count.
+are placed by index, so the values do not depend on the worker count (only
+how lockstep paths are split into blocks does).
 Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
 ``SeedSequence(entropy=seed, spawn_key=(i,))`` generates, which is how
 ``path_stream`` builds it.  For a lockstep block, ``_stream_keys`` computes
@@ -225,8 +228,9 @@ def check_times(times):
     return times
 
 
-# Largest draw chunk: its three arrays (clocks, thresholds, picks) hold
-# about 6 MB.
+# Largest draw chunk: its three arrays (clocks, thresholds, int64 picks)
+# hold about 6 MB.  A lockstep block holds as many draws (_LOCKSTEP_DRAWS),
+# with one-byte picks, in about 4.5 MB.
 _MAX_CHUNK = 1 << 18
 # Candidates turned into Python objects at a time, so a draw chunk is never
 # held whole as Python objects (some 80 bytes per candidate).
@@ -459,51 +463,72 @@ def _in_order(pool, pending, items):
         yield done.result()
 
 
-# Candidate draws one lockstep block holds.  A draw takes 16 bytes (a time
-# and a threshold) at d = 2 and 17 with its pick up to d = 256, so the draw
-# arrays hold about 1.6 MB: 391 paths of the 251 draws each that t = 40 at
-# rate 4 needs.  A batch_simulate task, or a lockstep_thinning item of paths
-# run one at a time, holds paths of about as many candidates, some 60 ms of
-# the scalar loop, so a run worth less than two items, for which a worker
-# pool (about 15 ms to start) would not pay, runs in the calling process.
+# Mean candidate draws of one batch_simulate task, or of one lockstep_thinning
+# item of paths run one at a time: some 60 ms of the scalar loop, so a run
+# worth less than two items, for which a worker pool (about 15 ms to start)
+# would not pay, runs in the calling process.
 _BLOCK_DRAWS = 3 << 15
-# A lockstep step costs some 40 us of numpy calls whatever the block size,
-# so below about 112-128 paths per block (timed at d = 2) the scalar loop is
-# faster.
+# Candidate draws one lockstep block holds: as many as one scalar draw chunk.
+# A draw takes 16 bytes (a time and a threshold) at d = 2 and 17 with its
+# pick up to d = 256, so the draw arrays hold at most about 4.5 MB: 1,044
+# paths of the 251 draws each that t = 40 at rate 4 needs.
+_LOCKSTEP_DRAWS = _MAX_CHUNK
+# A lockstep step costs some 40-90 us of numpy calls whatever the block
+# size, so with room for fewer than 128 paths per block (paths of more than
+# 2,048 draws) the scalar loop is faster.  Timed on full blocks of d = 2
+# chemotaxis paths, lockstep over scalar time per path was 0.5-0.7 at 985
+# draws (266 paths), 1.0 at 1,980 (132) and 1.2-1.3 at 2,709 (96).
 _MIN_BLOCK_PATHS = 128
+
+
+def _blocks(n_paths, n_draws):
+    """lockstep_thinning's items: whether they run in lockstep, and their paths.
+
+    Lockstep blocks hold at most _LOCKSTEP_DRAWS draws, and there are at
+    least as many as there are CPUs, while each can keep _MIN_BLOCK_PATHS
+    paths.  Paths too long for _MIN_BLOCK_PATHS of them to fit in one block
+    run one at a time, in items of as many paths as _BLOCK_DRAWS draws hold
+    (at least one).  Either way the paths are split evenly: consecutive
+    ranges whose sizes differ by at most one.
+    """
+    per_path = max(1, n_draws)
+    cap = _LOCKSTEP_DRAWS // per_path
+    lockstep = cap >= _MIN_BLOCK_PATHS
+    if lockstep:
+        n_blocks = max(-(-n_paths // cap), min(_cpus(), n_paths // _MIN_BLOCK_PATHS))
+    else:
+        n_blocks = -(-n_paths // max(1, _BLOCK_DRAWS // per_path))
+    bounds = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
+    return lockstep, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def lockstep_thinning(field, x0, times, n_paths, seed):
     """Occupations of thinning paths 0..n_paths-1 at each time.
 
-    Paths run to times[-1] in consecutive blocks; one occupation array of
-    shape (len(times), block, d) is yielded per block.  Entry [k, b] is
-    bit-identical to
+    Paths run to times[-1] in consecutive blocks (``_blocks``); one
+    occupation array of shape (len(times), block, d) is yielded per block.
+    Entry [k, b] is bit-identical to
     ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
-    for the block's b-th path i.  Paths too long for _MIN_BLOCK_PATHS of
-    them to fit in one block run one at a time, in blocks of as many paths
-    as _BLOCK_DRAWS draws hold (at least one).  Blocks run on every CPU
-    (``_mapped``) and are yielded in order; closing the generator stops
-    the workers.
+    for the block's b-th path i.  Blocks run on every CPU (``_mapped``) and
+    are yielded in order; closing the generator stops the workers.  How the
+    paths are split depends on the CPU count; their values do not.
     """
     x0 = check_x0(x0, field.d)
+    seed = check_seed(seed)
     times = check_times(times)
     n_paths = core.check_count("n_paths", n_paths)
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
-    block = _BLOCK_DRAWS // max(1, n_draws)
-    lockstep = block >= _MIN_BLOCK_PATHS
+    lockstep, blocks = _blocks(n_paths, n_draws)
     if not lockstep:
-        block = max(1, block)
         _thinning_tables(field)  # before the workers fork, so they share it
 
-    def run_block(lo):
-        paths = range(lo, min(n_paths, lo + block))
+    def run_block(paths):
         if lockstep:
             return _lockstep_block(field, x0, times, seed, paths, n_draws)
         return _scalar_block(field, x0, times, seed, paths)
 
-    with _mapped(run_block, range(0, n_paths, block)) as results:
+    with _mapped(run_block, blocks) as results:
         yield from results
 
 
@@ -521,19 +546,21 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     """Run ``paths`` in lockstep through their first draw chunks.
 
     One Philox generator is reset to each path's fresh stream in turn (keys
-    from ``_stream_keys``) to draw the chunks.  ``_draw_chunk`` draws no
-    picks at d = 2, where the destination is the other state; otherwise they
-    are stored in the narrowest unsigned type that holds d - 1.  Step k
-    handles every path's k-th candidate with the scalar loop's float
-    operations, so values match it bitwise.  A path whose first chunk ends
-    before the horizon is re-run whole by ``simulate_thinning``.
+    from ``_stream_keys``) to draw the chunks, each path's into one row, in
+    ``_draw_chunk``'s order.  No picks are drawn at d = 2, where the
+    destination is the other state; otherwise they are stored in the
+    narrowest unsigned type that holds d - 1.  Step k handles every path's
+    k-th candidate with the scalar loop's float operations, so values match
+    it bitwise.  A path whose first chunk ends before the horizon is re-run
+    whole by ``simulate_thinning``.
 
     Read-outs are taken where holding intervals end: a jump at time t
     after the path's last jump at s reads out every times[k] with
     s <= times[k] < t before the jump is applied, and after the last step
     every path reads out the times[k] >= s left.  So a jump exactly at
     times[k] counts before that read-out, as ``Trajectory.occupation_at``
-    counts it.
+    counts it.  Each path keeps the first times[k] >= s, so only jumps
+    that cross it read out.
     """
     d = field.d
     c = field.rate_upper
@@ -541,10 +568,9 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     horizon = float(times[-1])
     n = len(paths)
     rows = np.arange(n)
-    # draws are stored step-major, so each step reads contiguous rows
-    cand = np.empty((n_draws, n))  # candidate times
-    uc = np.empty((n_draws, n))  # acceptance thresholds u * c
-    pick = None if d == 2 else np.empty((n_draws, n), dtype=np.min_scalar_type(d - 1))
+    cand = np.empty((n, n_draws))  # candidate times
+    uc = np.empty((n, n_draws))  # acceptance thresholds u * c
+    pick = None if d == 2 else np.empty((n, n_draws), dtype=np.min_scalar_type(d - 1))
     keys = _stream_keys(seed, paths)
     bitgen = np.random.Philox(key=keys[0])
     rng = np.random.Generator(bitgen)
@@ -552,15 +578,17 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     for b, key in enumerate(keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        for out, draw in zip((cand, uc, pick), _draw_chunk(rng, n_draws, d - 1)):
-            out[:, b] = draw
+        rng.standard_exponential(out=cand[b])
+        rng.random(out=uc[b])
+        if pick is not None:
+            pick[b] = rng.integers(0, d - 1, size=n_draws)
     np.divide(cand, lam, out=cand)
-    np.cumsum(cand, axis=0, out=cand)  # the scalar loop's t += e / lam
+    np.cumsum(cand, axis=1, out=cand)  # the scalar loop's t += e / lam
     uc *= c
-    exhausted = cand[-1] <= horizon if n_draws else np.zeros(n, dtype=bool)
-    cand[:, exhausted] = np.inf
+    exhausted = cand[:, -1] <= horizon if n_draws else np.zeros(n, dtype=bool)
+    cand[exhausted] = np.inf
     uc[cand > horizon] = np.inf  # candidates past the horizon are never accepted
-    n_steps = int((cand <= horizon).sum(axis=0).max(initial=0))
+    n_steps = int((cand <= horizon).sum(axis=1).max(initial=0))
 
     vertices = field.vertices
     dirac_rows = vertices[np.arange(d), np.arange(d)]  # Q(delta_x)[x, :]
@@ -570,6 +598,8 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     anchor[:, x0 - 1] = 1.0
     row_anchor = np.tile(dirac_rows[x0 - 1], (n, 1))  # Q(anchor)[x, :]
     held = np.zeros((n, d))  # completed holding time per state, in jump order
+    next_times = np.append(times, np.inf)
+    t_next = np.full(n, times[0])  # first times[k] >= s, or inf
     occ_out = np.empty((len(times), n, d))
 
     def read_out(sel, end):
@@ -585,19 +615,22 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
         occ_out[k, b] = occ / times[k, None]
 
     for step in range(n_steps):
-        t = cand[step]
+        t = cand[:, step]  # step k reads every path's k-th column
         if pick is None:
             j = 1 - x
         else:
-            pk = pick[step]
+            pk = pick[:, step]
             j = pk + (pk >= x)
         a = s / t
         q = a * row_anchor[rows, j] + (1.0 - a) * dirac_rows[x, j]
-        acc = np.flatnonzero(uc[step] <= q)
+        acc = np.flatnonzero(uc[:, step] <= q)
         if not acc.size:
             continue
         xa, ja, ta, aa = x[acc], j[acc], t[acc], a[acc]
-        read_out(acc, ta)
+        cross = acc[t_next[acc] < ta]
+        if cross.size:
+            read_out(cross, t[cross])
+            t_next[cross] = next_times[np.searchsorted(times, t[cross])]
         held[acc, xa] += ta - s[acc]
         new_anchor = anchor[acc] * aa[:, None]
         new_anchor[np.arange(acc.size), xa] += 1.0 - aa
@@ -651,6 +684,8 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
     every CPU (``_mapped``), while this process runs path 0, the one kept
     whole; only the other paths' terminal records cross a process boundary.
     """
+    x0 = check_x0(x0, field.d)
+    seed = check_seed(seed)
     horizon = check_horizon(horizon)
     n_paths = core.check_count("n_paths", n_paths)
     run = _SAMPLERS["thinning"]

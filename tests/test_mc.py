@@ -147,9 +147,10 @@ def test_decay_curve_hits_match_scalar_every_family(family_field, seed):
 
 
 def test_a_failing_hit_test_stops_the_sampling_workers(monkeypatch):
-    # one lockstep block of 3 paths at a time, over 3 worker processes
+    # 13 lockstep blocks of 3 paths, over 3 worker processes; one hit test
+    # per block, on its 3 paths at both times
     monkeypatch.setattr(sim, "_cpus", lambda: 3)
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     checked = []
 
@@ -162,8 +163,8 @@ def test_a_failing_hit_test_stops_the_sampling_workers(monkeypatch):
 
     field = core.RateField.autochemotaxis(np.array([[-2.0, 2.0], [1.0, -1.0]]), 1.0)
     with pytest.raises(ValueError, match="hit test failed") as failure:
-        mc.decay_curve(field, 1, FailingTarget(), [4.0, 30.0], 40, seed=3)
-    assert checked == [3, 3, 3]
+        mc.decay_curve(field, 1, FailingTarget(), [4.0, 30.0], 39, seed=3)
+    assert checked == [6, 6, 6]
     # the workers are gone while the traceback still holds the sampling frames
     assert failure.tb is not None and multiprocessing.active_children() == []
 

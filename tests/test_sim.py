@@ -4,6 +4,7 @@ import io
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ def test_lockstep_reads_out_at_jump_times():
 
 
 def test_lockstep_blocks_and_x0(monkeypatch):
-    # several blocks, a ragged last one, and a start away from state 1
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    # several blocks of unequal size and a start away from state 1
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     assert_lockstep_matches_scalar(chemo_field(), 2, [4.0, 30.0], 23, seed=3)
 
@@ -293,23 +294,23 @@ def test_lockstep_blocks_and_x0(monkeypatch):
 def test_lockstep_block_boundaries_at_default_size(family_fields, name, extra):
     # one block short of full, one full block, and a full block plus one path,
     # at d = 2 (no picks drawn) and d = 3 (picks stored as uint8); 160 mean
-    # candidates per path keep blocks near the benchmark's 391 paths
+    # candidates per path keep blocks near the benchmark's 1,044 paths
     field = family_fields[name]
     lam = (field.d - 1) * field.rate_upper
     horizon = 160.0 / lam
-    block = sim._BLOCK_DRAWS // sim._chunk_sizes(lam, horizon)[0]
+    block = sim._LOCKSTEP_DRAWS // sim._chunk_sizes(lam, horizon)[0]
     assert block >= sim._MIN_BLOCK_PATHS
     assert_lockstep_matches_scalar(field, 1, [0.25 * horizon, horizon], block + extra,
                                    seed=5)
 
 
 def test_lockstep_long_paths_run_one_at_a_time(monkeypatch):
-    # 1,400 draws per path leave room for fewer than _MIN_BLOCK_PATHS per block
+    # 3,344 draws per path leave room for fewer than _MIN_BLOCK_PATHS per block
     ran = []
     simulate = sim.simulate_thinning
     monkeypatch.setattr(sim, "simulate_thinning",
                         lambda *a, **k: ran.append(k["path_index"]) or simulate(*a, **k))
-    assert_lockstep_matches_scalar(unit_field(), 1, [300.0, 1200.0], 3, seed=2)
+    assert_lockstep_matches_scalar(unit_field(), 1, [750.0, 3000.0], 3, seed=2)
     assert ran[:3] == [0, 1, 2]
 
 
@@ -414,30 +415,86 @@ def test_one_cpu_or_a_small_batch_runs_every_path_here(monkeypatch, tmp_path, wo
 def test_lockstep_is_the_same_on_any_worker_count(monkeypatch, case):
     field, x0, times, n = chemo_field(), 2, [4.0, 30.0], 23
     if case == "ragged blocks":
-        monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+        monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     elif case == "scalar fallback":
         # 419 draws per path fit one path in 700 draws, under the minimum of 4,
         # so blocks of 1 run path by path
         field, x0, times, n = unit_field(), 1, [100.0, 300.0], 10
+        monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
         monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 4)
     elif case == "small scalar fallback":
-        # 1856 draws per path to t = 400 put 52 paths in a block, under
-        # _MIN_BLOCK_PATHS = 128, so 120 paths run one at a time in 3 blocks
-        field, x0, times, n = chemo_field(), 1, [100.0, 400.0], 120
+        # 2709 draws per path to t = 600 put 96 paths in a lockstep block,
+        # under _MIN_BLOCK_PATHS = 128, so 120 paths run one at a time in
+        # 4 items of at most the 36 paths _BLOCK_DRAWS holds
+        field, x0, times, n = chemo_field(), 1, [100.0, 600.0], 120
     else:
         # 64-draw first chunks run out before t = 64 on about half the paths,
         # which the workers re-run whole
         field, x0, times, n = unit_field(), 1, [20.0, 64.0], 30
         monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: (64, 256))
-        monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+        monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     blocks = {w: with_workers(monkeypatch, w, lambda: list(
         sim.lockstep_thinning(field, x0, times, n, seed=3))) for w in (1, 3)}
     assert len(blocks[1]) >= 3
     assert [b.tobytes() for b in blocks[1]] == [b.tobytes() for b in blocks[3]]
     assert_lockstep_matches_scalar(field, x0, times, n, seed=3)
+
+
+def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
+    lam = chemo_field().rate_upper  # d = 2: one destination per state
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    # the benchmark's mc-decay: 10,000 paths to t = 40
+    n_draws = sim._chunk_sizes(lam, 40.0)[0]
+    lockstep, blocks = sim._blocks(10000, n_draws)
+    sizes = [len(b) for b in blocks]
+    assert lockstep and max(sizes) - min(sizes) <= 1
+    assert max(sizes) * n_draws <= sim._LOCKSTEP_DRAWS
+    assert [i for b in blocks for i in b] == list(range(10000))
+    # the self-test's 2,000 paths to t = 10 fit in one block, yet use both CPUs
+    n_draws = sim._chunk_sizes(lam, 10.0)[0]
+    assert 2000 * n_draws <= sim._LOCKSTEP_DRAWS
+    lockstep, blocks = sim._blocks(2000, n_draws)
+    assert lockstep and len(blocks) >= 2
+    times = [2.5, 5.0, 10.0]
+    occ = {w: with_workers(monkeypatch, w, lambda: lockstep_occupations(
+        chemo_field(), 1, times, 2000, seed=7)) for w in (1, 2)}
+    assert occ[1].tobytes() == occ[2].tobytes()
+    assert_lockstep_matches_scalar(chemo_field(), 1, times, 2000, seed=7)
+
+
+@pytest.mark.parametrize("name", ["autochemotaxis", "congestion"])
+def test_a_full_lockstep_block_holds_at_most_twice_its_draws(family_fields, name):
+    # d = 2 draws take 16 bytes (time, threshold), d = 3 draws 17 (and a pick)
+    field = family_fields[name]
+    lam = (field.d - 1) * field.rate_upper
+    horizon = 160.0 / lam
+    n_draws = sim._chunk_sizes(lam, horizon)[0]
+    n = sim._LOCKSTEP_DRAWS // n_draws
+    draw_bytes = n * n_draws * (16 if field.d == 2 else 17)
+    times = np.array([0.25 * horizon, horizon])
+    tracemalloc.start()
+    try:
+        sim._lockstep_block(field, 1, times, 5, range(n), n_draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw_bytes <= peak <= 2 * draw_bytes
+
+
+def test_sampling_checks_x0_and_seed_before_any_worker_starts(monkeypatch):
+    def no_workers(job, items):
+        raise AssertionError("workers started before the inputs were checked")
+
+    monkeypatch.setattr(sim, "_mapped", no_workers)
+    for x0, seed, message in ((9, 0, "state label"), (1, -1, "must be >= 0"),
+                              (1, 2.5, "must be an integer")):
+        with pytest.raises(errors.InvalidInput, match=message):
+            sim.batch_simulate(unit_field(), x0, 40000.0, 4, seed)
+        with pytest.raises(errors.InvalidInput, match=message):
+            next(sim.lockstep_thinning(unit_field(), x0, [1.0], 100, seed))
 
 
 def test_workers_run_a_bounded_number_of_items_ahead(monkeypatch):
@@ -481,7 +538,7 @@ def test_a_dead_worker_fails_the_call_instead_of_hanging(monkeypatch):
 
 def test_closing_the_lockstep_generator_stops_its_workers(monkeypatch):
     monkeypatch.setattr(sim, "_cpus", lambda: 3)
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     blocks = sim.lockstep_thinning(chemo_field(), 1, [4.0, 30.0], 40, seed=3)
     next(blocks)
@@ -512,7 +569,7 @@ def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
         return block(field, x0, times, seed, paths, n_draws)
 
     monkeypatch.setattr(sim, "_lockstep_block", failing_block)
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 700)
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)  # blocks of 3 paths
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     with pytest.raises(ValueError, match="^block at 3$"):
         with_workers(monkeypatch, 3, lambda: list(

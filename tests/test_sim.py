@@ -230,9 +230,9 @@ def test_batch_lln_uniform_stationary():
     assert 0.48 <= b.mean_occupation[0] <= 0.52
 
 
-def simulate_csv(tmp_path, q0, x0, horizon, n_paths, seed, name):
-    """Bytes of one CSV that the simulate command writes for a constant field."""
-    doc = {"field": {"family": "constant", "q0": q0}, "seed": seed,
+def simulate_run(tmp_path, field, x0, horizon, n_paths, seed):
+    """The run directory the simulate command writes for the field section."""
+    doc = {"field": field, "seed": seed,
            "simulate": {"x0": x0, "horizon": horizon, "n_paths": n_paths}}
     tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "run.yaml"
@@ -240,6 +240,13 @@ def simulate_csv(tmp_path, q0, x0, horizon, n_paths, seed, name):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     (run_dir,) = (out / "simulate").iterdir()
+    return run_dir
+
+
+def simulate_csv(tmp_path, q0, x0, horizon, n_paths, seed, name):
+    """Bytes of one CSV that the simulate command writes for a constant field."""
+    run_dir = simulate_run(tmp_path, {"family": "constant", "q0": q0}, x0, horizon,
+                           n_paths, seed)
     return (run_dir / name).read_bytes().decode()
 
 
@@ -725,6 +732,34 @@ def test_thinning_matches_golden_digests_with_refills(family_fields, monkeypatch
         traj = sim.simulate_thinning(family_fields[name], x0, 700.0, seed)
         assert traj.candidates > 64 + 256, (name, seed, x0)
         assert trajectory_digest(traj) == digest, (name, seed, x0)
+
+
+# sha256 of batch.csv and results.json of simulate runs whose paths after
+# path 0 run in lockstep blocks, recorded while every path ran through the
+# scalar kernel: mc-decay's d = 2 field to t = 40, and short paths on a
+# d = 3 field, which draws destination picks.
+GOLDEN_SIMULATE = {
+    (2, 1, 40.0, 3000, 7): (
+        "2848a040ccce381216a9117fa54f25d93177b7738df9c1f3667e6a98be883f5f",
+        "217867d34cd2d107826efc83c9e434eba265679846a7eeab0598766df60aa3b4"),
+    (3, 2, 10.0, 1000, 3): (
+        "5aefa15a287eca4a722703129d7b5dc1dc07726f04549d72a282a5b620e668a8",
+        "e97224f1af0a9cfaeaa42e2fb27b8f2a7967003c5059860c8f38364783882639"),
+}
+GOLDEN_SIMULATE_FIELDS = {
+    2: {"family": "autochemotaxis", "q0": [[-2.0, 2.0], [1.0, -1.0]], "strength": 1.0},
+    3: {"family": "autochemotaxis",
+        "q0": [[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]], "strength": 1.0},
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_SIMULATE)
+def test_simulate_files_match_golden_digests(tmp_path, case):
+    d, x0, horizon, n_paths, seed = case
+    run_dir = simulate_run(tmp_path, GOLDEN_SIMULATE_FIELDS[d], x0, horizon, n_paths, seed)
+    got = tuple(hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in ("batch.csv", "results.json"))
+    assert got == GOLDEN_SIMULATE[case]
 
 
 def random_vertex_field(d, seed, zero_share=0.0):

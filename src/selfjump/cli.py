@@ -39,6 +39,13 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 
+# One BLAS thread unless the user sets another count: the solver's small BLAS
+# calls gain nothing from more, and sampling forks workers from this
+# process.  BLAS reads these as numpy loads it; the library sets nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, errors, ldp, mc, sim, varsolve

@@ -28,22 +28,22 @@ state's rate row is one written-out expression per entry, so no Python loop
 over d runs per jump.  Its float operations are those of a loop over the
 states, in a fixed order, so seeded paths stay bit-identical.
 
-``lockstep_thinning`` runs the thinning sampler on many paths at once, one
+``_lockstep_block`` runs the thinning sampler on many paths at once, one
 candidate step per numpy operation over a block of paths, and reads their
-occupations off at a list of times, which is what P(L_t hits target)
-needs.  It repeats the scalar sampler's float operations in the same order,
-so its values are bit-identical to ``simulate_thinning`` followed by
-``occupation_at``.  A step costs about the same numpy call overhead at any
-block size, so blocks are as large as one draw chunk's memory allows, and
-the paths are split evenly over them and over the CPUs.
+occupations off at a list of times and their per-edge jump counts at the
+last one.  It repeats the scalar sampler's float operations in the same
+order, so its values are bit-identical to ``simulate_thinning`` followed by
+``occupation_at`` and ``flux_at``.
 
-Per-path randomness comes from counter-based streams keyed by
-(seed, path_index), so batches are reproducible in any execution order.
-``batch_simulate`` and ``lockstep_thinning`` use that: their paths and
-blocks run on every CPU in this process's affinity mask (``taskset``
-limits them), in worker processes forked for the call, and their results
-are placed by index, so the values do not depend on the worker count (only
-how lockstep paths are split into blocks does).
+One rule, ``_blocks``, splits every batch of paths into the work items that
+``_sampled`` runs for ``lockstep_thinning`` and ``batch_simulate``: short
+paths run in lockstep blocks, long ones one at a time, and the batch runs
+path 0 whole in the calling process, for its trajectory.  Per-path randomness comes from counter-based streams keyed by
+(seed, path_index), so batches are reproducible in any execution order: the
+items run on every CPU in this process's affinity mask (``taskset`` limits
+them), in worker processes forked for the call, and their results are
+placed by index, so the values do not depend on the worker count (only how
+the paths are split does).
 Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
 ``SeedSequence(entropy=seed, spawn_key=(i,))`` generates, which is how
 ``path_stream`` builds it.  For a lockstep block, ``_stream_keys`` computes
@@ -63,7 +63,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -433,9 +433,10 @@ def _mapped(job, items):
     ``multiprocessing.Pool`` would wait forever).  Leaving the block cancels
     what has not started and joins every worker.
 
-    numpy's BLAS threads make this a threaded process, so Python 3.12 and
-    later emit a DeprecationWarning at each fork; it is hidden unless
-    warnings are turned on (``-W default``, or pytest's summary).
+    Unless BLAS runs on one thread (the CLI's default), numpy's BLAS threads
+    make this a threaded process, so Python 3.12 and later emit a
+    DeprecationWarning at each fork; it is hidden unless warnings are turned
+    on (``-W default``, or pytest's summary).
     """
     workers = min(_cpus(), len(items))
     if workers < 2:
@@ -463,15 +464,15 @@ def _in_order(pool, pending, items):
         yield done.result()
 
 
-# Mean candidate draws of one batch_simulate task, or of one lockstep_thinning
-# item of paths run one at a time: some 60 ms of the scalar loop, so a run
-# worth less than two items, for which a worker pool (about 15 ms to start)
-# would not pay, runs in the calling process.
+# Candidate draws of one item of paths run one at a time: some 60 ms of the
+# scalar loop, so a batch worth less than two items, for which a worker pool
+# (about 15 ms to start) would not pay, runs in the calling process.
 _BLOCK_DRAWS = 3 << 15
 # Candidate draws one lockstep block holds: as many as one scalar draw chunk.
 # A draw takes 16 bytes (a time and a threshold) at d = 2 and 17 with its
 # pick up to d = 256, so the draw arrays hold at most about 4.5 MB: 1,044
-# paths of the 251 draws each that t = 40 at rate 4 needs.
+# paths of the 251 draws each that t = 40 at rate 4 needs.  A path's d * d
+# jump counts take 8 bytes each and are charged as draws where they are more.
 _LOCKSTEP_DRAWS = _MAX_CHUNK
 # A lockstep step costs some 40-90 us of numpy calls whatever the block
 # size, so with room for fewer than 128 paths per block (paths of more than
@@ -481,65 +482,70 @@ _LOCKSTEP_DRAWS = _MAX_CHUNK
 _MIN_BLOCK_PATHS = 128
 
 
-def _blocks(n_paths, n_draws):
-    """lockstep_thinning's items: whether they run in lockstep, and their paths.
+def _blocks(paths, n_draws, d):
+    """The items of ``paths`` (a range): whether they run in lockstep, and their paths.
 
-    Lockstep blocks hold at most _LOCKSTEP_DRAWS draws, and there are at
+    Lockstep blocks hold at most _LOCKSTEP_DRAWS draws, a path counting as
+    max(n_draws, d * d) (its draws or its jump counts), and there are at
     least as many as there are CPUs, while each can keep _MIN_BLOCK_PATHS
-    paths.  Paths too long for _MIN_BLOCK_PATHS of them to fit in one block
-    run one at a time, in items of as many paths as _BLOCK_DRAWS draws hold
-    (at least one).  Either way the paths are split evenly: consecutive
-    ranges whose sizes differ by at most one.
+    paths.  Paths too long for that run one at a time, in items of as many
+    paths as _BLOCK_DRAWS draws hold (at least one).  Either way the items
+    are consecutive ranges whose sizes differ by at most one.
     """
-    per_path = max(1, n_draws)
+    per_path = max(1, n_draws, d * d)
     cap = _LOCKSTEP_DRAWS // per_path
     lockstep = cap >= _MIN_BLOCK_PATHS
+    n = len(paths)
     if lockstep:
-        n_blocks = max(-(-n_paths // cap), min(_cpus(), n_paths // _MIN_BLOCK_PATHS))
+        n_blocks = max(-(-n // cap), min(_cpus(), n // _MIN_BLOCK_PATHS))
     else:
-        n_blocks = -(-n_paths // max(1, _BLOCK_DRAWS // per_path))
-    bounds = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
-    return lockstep, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        n_blocks = -(-n // max(1, _BLOCK_DRAWS // per_path))
+    bounds = [n * b // max(1, n_blocks) for b in range(n_blocks + 1)]
+    return lockstep, [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@contextlib.contextmanager
+def _sampled(field, x0, times, seed, paths):
+    """The items of ``paths`` run to times[-1] on every CPU (``_mapped``), in order.
+
+    An item is three arrays: its paths' occupations at each time, of shape
+    (len(times), item, d), their fluxes at times[-1], (item, d, d), and
+    their thinning-candidate counts, (item,).
+    """
+    lam = (field.d - 1) * field.rate_upper
+    n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
+    lockstep, blocks = _blocks(paths, n_draws, field.d)
+    _thinning_tables(field)  # before the workers fork, so they share it
+    job = functools.partial(_lockstep_block, n_draws=n_draws) if lockstep else _scalar_block
+    with _mapped(functools.partial(job, field, x0, times, seed), blocks) as results:
+        yield results
 
 
 def lockstep_thinning(field, x0, times, n_paths, seed):
     """Occupations of thinning paths 0..n_paths-1 at each time.
 
-    Paths run to times[-1] in consecutive blocks (``_blocks``); one
-    occupation array of shape (len(times), block, d) is yielded per block.
-    Entry [k, b] is bit-identical to
+    Paths run to times[-1] in the items of ``_sampled``; one occupation
+    array of shape (len(times), item, d) is yielded per item.  Entry [k, b]
+    is bit-identical to
     ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
-    for the block's b-th path i.  Blocks run on every CPU (``_mapped``) and
-    are yielded in order; closing the generator stops the workers.  How the
-    paths are split depends on the CPU count; their values do not.
+    for the item's b-th path i.  Closing the generator stops the workers.
     """
     x0 = check_x0(x0, field.d)
     seed = check_seed(seed)
     times = check_times(times)
     n_paths = core.check_count("n_paths", n_paths)
-    lam = (field.d - 1) * field.rate_upper
-    n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
-    lockstep, blocks = _blocks(n_paths, n_draws)
-    if not lockstep:
-        _thinning_tables(field)  # before the workers fork, so they share it
-
-    def run_block(paths):
-        if lockstep:
-            return _lockstep_block(field, x0, times, seed, paths, n_draws)
-        return _scalar_block(field, x0, times, seed, paths)
-
-    with _mapped(run_block, blocks) as results:
-        yield from results
+    with _sampled(field, x0, times, seed, range(n_paths)) as blocks:
+        for occ, _, _ in blocks:
+            yield occ
 
 
 def _scalar_block(field, x0, times, seed, paths):
-    """lockstep_thinning's output for ``paths``, run one at a time."""
-    occ = np.empty((len(times), len(paths), field.d))
-    for b, i in enumerate(paths):
-        traj = simulate_thinning(field, x0, times[-1], seed, path_index=i)
-        for k, t in enumerate(times):
-            occ[k, b] = traj.occupation_at(t)
-    return occ
+    """``_sampled``'s item for ``paths``, run one at a time by the thinning sampler."""
+    run, horizon = _SAMPLERS["thinning"], times[-1]
+    trajs = [run(field, x0, horizon, seed, path_index=i) for i in paths]
+    return (np.array([[traj.occupation_at(t) for traj in trajs] for t in times]),
+            np.array([traj.flux_at(horizon) for traj in trajs]),
+            np.array([traj.candidates for traj in trajs], dtype=np.int64))
 
 
 def _lockstep_block(field, x0, times, seed, paths, n_draws):
@@ -552,7 +558,8 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     narrowest unsigned type that holds d - 1.  Step k handles every path's
     k-th candidate with the scalar loop's float operations, so values match
     it bitwise.  A path whose first chunk ends before the horizon is re-run
-    whole by ``simulate_thinning``.
+    whole by ``_scalar_block``.  Accepted jumps are counted per (path, edge),
+    so the counts over times[-1] are ``Trajectory.flux_at``'s values.
 
     Read-outs are taken where holding intervals end: a jump at time t
     after the path's last jump at s reads out every times[k] with
@@ -588,7 +595,8 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     exhausted = cand[:, -1] <= horizon if n_draws else np.zeros(n, dtype=bool)
     cand[exhausted] = np.inf
     uc[cand > horizon] = np.inf  # candidates past the horizon are never accepted
-    n_steps = int((cand <= horizon).sum(axis=1).max(initial=0))
+    candidates = (cand <= horizon).sum(axis=1)
+    n_steps = int(candidates.max(initial=0))
 
     vertices = field.vertices
     dirac_rows = vertices[np.arange(d), np.arange(d)]  # Q(delta_x)[x, :]
@@ -601,6 +609,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     next_times = np.append(times, np.inf)
     t_next = np.full(n, times[0])  # first times[k] >= s, or inf
     occ_out = np.empty((len(times), n, d))
+    flux = np.zeros((n, d, d))  # accepted jumps per edge, then over the horizon
 
     def read_out(sel, end):
         # paths sel read out every times[k] with s <= times[k] < end
@@ -632,6 +641,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
             read_out(cross, t[cross])
             t_next[cross] = next_times[np.searchsorted(times, t[cross])]
         held[acc, xa] += ta - s[acc]
+        flux[acc, xa, ja] += 1.0
         new_anchor = anchor[acc] * aa[:, None]
         new_anchor[np.arange(acc.size), xa] += 1.0 - aa
         anchor[acc] = new_anchor
@@ -642,12 +652,13 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
         s[acc] = ta
         x[acc] = ja
     read_out(rows, np.inf)
+    flux /= horizon
 
     rerun = np.flatnonzero(exhausted)
     if rerun.size:
-        occ_out[:, rerun] = _scalar_block(field, x0, times, seed,
-                                          [paths[b] for b in rerun])
-    return occ_out
+        occ_out[:, rerun], flux[rerun], candidates[rerun] = _scalar_block(
+            field, x0, times, seed, [paths[b] for b in rerun])
+    return occ_out, flux, candidates
 
 
 @dataclass
@@ -679,39 +690,27 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
     """Simulate n_paths independent thinning paths and collect terminal (L, R).
 
     Path i uses the stream keyed by (seed, i), so it is the sampler's path
-    ``path_index=i`` whatever the batch size.  Paths 1..n_paths-1 run in
-    tasks of consecutive paths worth about _BLOCK_DRAWS mean candidates, on
-    every CPU (``_mapped``), while this process runs path 0, the one kept
-    whole; only the other paths' terminal records cross a process boundary.
+    ``path_index=i`` whatever the batch size.  Paths 1..n_paths-1 run in the
+    items of ``_sampled`` (short paths in lockstep, long ones one at a time)
+    while this process runs path 0 whole, for ``first_trajectory``.
     """
     x0 = check_x0(x0, field.d)
     seed = check_seed(seed)
     horizon = check_horizon(horizon)
     n_paths = core.check_count("n_paths", n_paths)
-    run = _SAMPLERS["thinning"]
-    mean_candidates = (field.d - 1) * field.rate_upper * horizon
-    size = max(1, int(_BLOCK_DRAWS // max(1.0, mean_candidates)))
-    _thinning_tables(field)  # before the workers fork, so they share it
-
-    def record(traj):
-        return (traj.occupation_at(horizon), traj.flux_at(horizon), traj.n_jumps,
-                traj.candidates)
-
-    def run_task(lo):
-        return [record(run(field, x0, horizon, seed, path_index=i))
-                for i in range(lo, min(n_paths, lo + size))]
-
     d = field.d
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
-    jumps, candidates = 0, 0
-    with _mapped(run_task, range(1, n_paths, size)) as rest:
-        first = run(field, x0, horizon, seed, path_index=0)
-        records = chain([record(first)], chain.from_iterable(rest))
-        for i, (occ_i, flux_i, jumps_i, cand_i) in enumerate(records):
-            occ[i] = occ_i
-            flux[i] = flux_i
-            jumps += jumps_i
-            candidates += cand_i
-    return BatchResult(occ, flux, first, jumps, candidates)
-
+    candidates = np.empty(n_paths, dtype=np.int64)
+    with _sampled(field, x0, np.array([horizon]), seed, range(1, n_paths)) as blocks:
+        first = _SAMPLERS["thinning"](field, x0, horizon, seed, path_index=0)
+        occ[0], flux[0] = first.occupation_at(horizon), first.flux_at(horizon)
+        candidates[0] = first.candidates
+        lo = 1
+        for occ_b, flux_b, cand_b in blocks:
+            hi = lo + cand_b.size
+            occ[lo:hi], flux[lo:hi], candidates[lo:hi] = occ_b[0], flux_b, cand_b
+            lo = hi
+    # flux * horizon is each edge's jump count to within an ulp
+    jumps = int(np.rint(flux * horizon).sum())
+    return BatchResult(occ, flux, first, jumps, int(candidates.sum()))

@@ -262,16 +262,19 @@ def test_out_of_memory_exits_1_in_one_line(tmp_path, capsys, monkeypatch):
 
 def test_out_of_memory_in_a_sampling_worker_exits_1_in_one_line(tmp_path, capsys,
                                                                 monkeypatch):
-    simulate = sim._SAMPLERS["thinning"]
+    block = sim._lockstep_block
+    parent = os.getpid()
 
-    def no_memory_in_workers(field, x0, horizon, seed, path_index=0):
-        if path_index > 0:
+    def no_memory_in_workers(*args, **kwargs):
+        if os.getpid() != parent:
             raise MemoryError("Unable to allocate 1.46 TiB for an array")
-        return simulate(field, x0, horizon, seed, path_index=path_index)
+        return block(*args, **kwargs)
 
-    monkeypatch.setitem(sim._SAMPLERS, "thinning", no_memory_in_workers)
+    monkeypatch.setattr(sim, "_lockstep_block", no_memory_in_workers)
     monkeypatch.setattr(sim, "_cpus", lambda: 3)
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 5)  # one path per task
+    # paths 1..3 of 64 draws each run as lockstep blocks of one path
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 64)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     doc = {"field": UNIT_FIELD, "simulate": {"x0": 1, "horizon": 5.0, "n_paths": 4}}
     cfg = write_cfg(tmp_path, doc)
     assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -718,6 +721,34 @@ def test_sampling_commands_do_not_load_the_solver_modules(tmp_path, capsys):
                                / "results.json").read_text())["value"]
                    for root in ("fresh", "here"))
     assert fresh.hex() == here.hex()
+
+
+# Runs ``python -m selfjump.cli validate`` in this fresh process and prints
+# the BLAS thread variables the run left, then its thread count (numpy's
+# OpenBLAS starts one thread per extra BLAS thread as it loads).
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PROBE = """
+import contextlib, os, runpy, sys
+sys.argv = ["selfjump", "validate", "--config", sys.argv[1]]
+with contextlib.redirect_stdout(sys.stderr), contextlib.suppress(SystemExit):
+    runpy.run_module("selfjump.cli", run_name="__main__")
+tasks = "/proc/self/task"
+print(*(os.environ[v] for v in %r), len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)
+""" % (BLAS_VARS,)
+
+
+def test_the_cli_runs_one_blas_thread_unless_the_user_sets_one(tmp_path):
+    cfg = write_cfg(tmp_path, {"field": UNIT_FIELD})
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(src)
+    reports = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}):
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, cfg], env={**env, **preset},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout.split())
+    assert reports == [["1", "1", "1", "1"], ["2", "1", "3", reports[1][3]]]
 
 
 def test_rate_rerun_is_byte_identical(tmp_path, capsys):

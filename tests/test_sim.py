@@ -314,11 +314,11 @@ def test_lockstep_block_boundaries_at_default_size(family_fields, name, extra):
 def test_lockstep_long_paths_run_one_at_a_time(monkeypatch):
     # 3,344 draws per path leave room for fewer than _MIN_BLOCK_PATHS per block
     ran = []
-    simulate = sim.simulate_thinning
-    monkeypatch.setattr(sim, "simulate_thinning",
+    simulate = sim._SAMPLERS["thinning"]
+    monkeypatch.setitem(sim._SAMPLERS, "thinning",
                         lambda *a, **k: ran.append(k["path_index"]) or simulate(*a, **k))
     assert_lockstep_matches_scalar(unit_field(), 1, [750.0, 3000.0], 3, seed=2)
-    assert ran[:3] == [0, 1, 2]
+    assert ran == [0, 1, 2]
 
 
 def test_lockstep_chunk_exhaustion_falls_back(monkeypatch):
@@ -370,46 +370,89 @@ def with_workers(monkeypatch, n, fn):
 
 
 def logged_sampler(monkeypatch, log):
-    """Make the thinning sampler append 'path_index pid' lines to the file log."""
+    """Make the thinning sampler and lockstep blocks append 'path_index pid'
+    lines to the file log, one per path they run."""
     simulate = sim._SAMPLERS["thinning"]
+    block = sim._lockstep_block
+
+    def write(paths):
+        with open(log, "a") as fh:
+            fh.writelines(f"{i} {os.getpid()}\n" for i in paths)
 
     def logged(field, x0, horizon, seed, path_index=0):
-        with open(log, "a") as fh:
-            fh.write(f"{path_index} {os.getpid()}\n")
+        write([path_index])
         return simulate(field, x0, horizon, seed, path_index=path_index)
 
+    def logged_block(field, x0, times, seed, paths, n_draws):
+        write(paths)
+        return block(field, x0, times, seed, paths, n_draws)
+
     monkeypatch.setitem(sim._SAMPLERS, "thinning", logged)
+    monkeypatch.setattr(sim, "_lockstep_block", logged_block)
+
+
+def split_paths(monkeypatch, how):
+    """Split batches of chemo_field paths to t = 20 or 30 into lockstep blocks
+    of at most 4 paths, or into scalar items of one path."""
+    monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
+    monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1 if how == "lockstep" else 5)
+    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 250)
+    n_draws = sim._chunk_sizes(chemo_field().rate_upper, 30.0)[0]
+    lockstep, items = sim._blocks(range(1, 12), n_draws, 2)
+    assert lockstep == (how == "lockstep") and len(items) >= 4
+
+
+def assert_batch_matches_scalar(b, field, x0, horizon, seed):
+    paths = [sim.simulate_thinning(field, x0, horizon, seed, path_index=i)
+             for i in range(len(b.occupations))]
+    for i, traj in enumerate(paths):
+        assert np.array_equal(b.occupations[i], traj.occupation_at(horizon)), i
+        assert np.array_equal(b.fluxes[i], traj.flux_at(horizon)), i
+    assert b.jumps == sum(p.n_jumps for p in paths)
+    assert b.candidates == sum(p.candidates for p in paths)
 
 
 def test_batch_is_the_same_on_any_worker_count(monkeypatch):
-    # tasks of 2 paths (240 mean candidates) and a ragged last one
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 240)
     f = chemo_field()
-    b1, b3 = (with_workers(monkeypatch, n, lambda: sim.batch_simulate(
-        f, 1, 30.0, 12, seed=6)) for n in (1, 3))
-    for name in ("occupations", "fluxes"):
-        assert getattr(b1, name).tobytes() == getattr(b3, name).tobytes()
-    assert (b1.jumps, b1.candidates) == (b3.jumps, b3.candidates)
-    for name in ("times", "sources", "targets"):
-        assert getattr(b1.first_trajectory, name).tobytes() == \
-            getattr(b3.first_trajectory, name).tobytes()
+    for how in ("lockstep", "scalar", "chunk exhaustion"):
+        with monkeypatch.context() as m:
+            split_paths(m, "scalar" if how == "scalar" else "lockstep")
+            if how == "chunk exhaustion":
+                # 128-draw first chunks, 3 per block, run out before t = 30
+                # on some paths, which the lockstep blocks re-run whole
+                m.setattr(sim, "_chunk_sizes", lambda lam, horizon: (128, 256))
+                m.setattr(sim, "_LOCKSTEP_DRAWS", 3 * 128)
+                used_up = [sim.path_stream(6, i).standard_exponential(128).sum()
+                           <= 30.0 * f.rate_upper for i in range(1, 12)]
+                assert 0 < sum(used_up) < 11
+            b1, b3 = (with_workers(m, n, lambda: sim.batch_simulate(
+                f, 1, 30.0, 12, seed=6)) for n in (1, 3))
+            for name in ("occupations", "fluxes"):
+                assert getattr(b1, name).tobytes() == getattr(b3, name).tobytes(), how
+            assert (b1.jumps, b1.candidates) == (b3.jumps, b3.candidates), how
+            for name in ("times", "sources", "targets"):
+                assert getattr(b1.first_trajectory, name).tobytes() == \
+                    getattr(b3.first_trajectory, name).tobytes(), how
+            assert_batch_matches_scalar(b1, f, 1, 30.0, seed=6)
 
 
 def test_batch_runs_path_0_here_and_the_rest_in_workers(monkeypatch, tmp_path):
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 160)  # tasks of 2 paths to t = 20
-    logged_sampler(monkeypatch, tmp_path / "log")
-    with_workers(monkeypatch, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, seed=2))
-    runs = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
-    pid = {int(i): int(p) for i, p in runs}
-    assert sorted(pid) == list(range(9)) and len(runs) == 9
-    assert pid[0] == os.getpid()
-    workers = {pid[i] for i in range(1, 9)}
-    assert os.getpid() not in workers and 1 <= len(workers) <= 3
+    for how in ("lockstep", "scalar"):
+        with monkeypatch.context() as m:
+            split_paths(m, how)
+            logged_sampler(m, tmp_path / how)
+            with_workers(m, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, seed=2))
+        runs = [line.split() for line in (tmp_path / how).read_text().splitlines()]
+        pid = {int(i): int(p) for i, p in runs}
+        assert sorted(pid) == list(range(9)) and len(runs) == 9, how
+        assert pid[0] == os.getpid()
+        workers = {pid[i] for i in range(1, 9)}
+        assert os.getpid() not in workers and 1 <= len(workers) <= 3, how
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_one_cpu_or_a_small_batch_runs_every_path_here(monkeypatch, tmp_path, workers):
-    # 4 paths of 80 mean candidates are one task, far below _BLOCK_DRAWS
+    # 4 paths of 149 draws to t = 20: path 0, then one lockstep block of 3
     logged_sampler(monkeypatch, tmp_path / "log")
     with_workers(monkeypatch, workers,
                  lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 4, seed=2))
@@ -455,7 +498,7 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     monkeypatch.setattr(sim, "_cpus", lambda: 2)
     # the benchmark's mc-decay: 10,000 paths to t = 40
     n_draws = sim._chunk_sizes(lam, 40.0)[0]
-    lockstep, blocks = sim._blocks(10000, n_draws)
+    lockstep, blocks = sim._blocks(range(10000), n_draws, 2)
     sizes = [len(b) for b in blocks]
     assert lockstep and max(sizes) - min(sizes) <= 1
     assert max(sizes) * n_draws <= sim._LOCKSTEP_DRAWS
@@ -463,7 +506,7 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     # the self-test's 2,000 paths to t = 10 fit in one block, yet use both CPUs
     n_draws = sim._chunk_sizes(lam, 10.0)[0]
     assert 2000 * n_draws <= sim._LOCKSTEP_DRAWS
-    lockstep, blocks = sim._blocks(2000, n_draws)
+    lockstep, blocks = sim._blocks(range(2000), n_draws, 2)
     assert lockstep and len(blocks) >= 2
     times = [2.5, 5.0, 10.0]
     occ = {w: with_workers(monkeypatch, w, lambda: lockstep_occupations(
@@ -472,23 +515,27 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     assert_lockstep_matches_scalar(chemo_field(), 1, times, 2000, seed=7)
 
 
-@pytest.mark.parametrize("name", ["autochemotaxis", "congestion"])
+@pytest.mark.parametrize("name", ["autochemotaxis", "congestion", "constant d = 24"])
 def test_a_full_lockstep_block_holds_at_most_twice_its_draws(family_fields, name):
-    # d = 2 draws take 16 bytes (time, threshold), d = 3 draws 17 (and a pick)
-    field = family_fields[name]
-    lam = (field.d - 1) * field.rate_upper
-    horizon = 160.0 / lam
-    n_draws = sim._chunk_sizes(lam, horizon)[0]
-    n = sim._LOCKSTEP_DRAWS // n_draws
-    draw_bytes = n * n_draws * (16 if field.d == 2 else 17)
+    # d = 2 draws take 16 bytes (time, threshold), larger d draws 17 (and a
+    # pick); at d = 24 and 64-draw paths the d * d jump counts outweigh the draws
+    if name == "constant d = 24":
+        field, horizon = core.RateField.constant(np.ones((24, 24)) - 24.0 * np.eye(24)), 1.0
+    else:
+        field = family_fields[name]
+        horizon = 160.0 / ((field.d - 1) * field.rate_upper)
+    n_draws = sim._chunk_sizes((field.d - 1) * field.rate_upper, horizon)[0]
+    lockstep, (block, *_) = sim._blocks(range(1 << 20), n_draws, field.d)
+    assert lockstep and len(block) <= sim._LOCKSTEP_DRAWS // n_draws
+    draw_size = 16 if field.d == 2 else 17
     times = np.array([0.25 * horizon, horizon])
     tracemalloc.start()
     try:
-        sim._lockstep_block(field, 1, times, 5, range(n), n_draws)
+        sim._lockstep_block(field, 1, times, 5, block, n_draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert draw_bytes <= peak <= 2 * draw_bytes
+    assert len(block) * n_draws * draw_size <= peak <= 2 * sim._LOCKSTEP_DRAWS * draw_size
 
 
 def test_sampling_checks_x0_and_seed_before_any_worker_starts(monkeypatch):
@@ -563,7 +610,7 @@ def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
         return simulate(field, x0, horizon, seed, path_index=path_index)
 
     monkeypatch.setitem(sim._SAMPLERS, "thinning", failing)
-    monkeypatch.setattr(sim, "_BLOCK_DRAWS", 80)  # one path to t = 20 per task
+    split_paths(monkeypatch, "scalar")
     with pytest.raises(errors.InvalidInput, match="path 5 failed in ") as exc:
         with_workers(monkeypatch, 3, lambda: sim.batch_simulate(chemo_field(), 1, 20.0, 9, 2))
     assert str(os.getpid()) not in str(exc.value)

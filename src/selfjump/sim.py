@@ -472,7 +472,7 @@ _BLOCK_DRAWS = 3 << 15
 # A draw takes 16 bytes (a time and a threshold) at d = 2 and 17 with its
 # pick up to d = 256, so the draw arrays hold at most about 4.5 MB: 1,044
 # paths of the 251 draws each that t = 40 at rate 4 needs.  A path's d * d
-# jump counts take 8 bytes each and are charged as draws where they are more.
+# jump counts and d per read-out time take 8 bytes each, charged as draws.
 _LOCKSTEP_DRAWS = _MAX_CHUNK
 # A lockstep step costs some 40-90 us of numpy calls whatever the block
 # size, so with room for fewer than 128 paths per block (paths of more than
@@ -482,17 +482,17 @@ _LOCKSTEP_DRAWS = _MAX_CHUNK
 _MIN_BLOCK_PATHS = 128
 
 
-def _blocks(paths, n_draws, d):
+def _blocks(paths, n_draws, d, n_times):
     """The items of ``paths`` (a range): whether they run in lockstep, and their paths.
 
     Lockstep blocks hold at most _LOCKSTEP_DRAWS draws, a path counting as
-    max(n_draws, d * d) (its draws or its jump counts), and there are at
-    least as many as there are CPUs, while each can keep _MIN_BLOCK_PATHS
-    paths.  Paths too long for that run one at a time, in items of as many
-    paths as _BLOCK_DRAWS draws hold (at least one).  Either way the items
-    are consecutive ranges whose sizes differ by at most one.
+    max(n_draws, d * d, n_times * d) (draws, jump counts or read-outs), and
+    there are at least as many as there are CPUs, while each can keep
+    _MIN_BLOCK_PATHS paths.  Paths too long for that run one at a time, in
+    items of as many paths as _BLOCK_DRAWS draws hold (at least one).  Either
+    way the items are consecutive ranges whose sizes differ by at most one.
     """
-    per_path = max(1, n_draws, d * d)
+    per_path = max(1, n_draws, d * d, n_times * d)
     cap = _LOCKSTEP_DRAWS // per_path
     lockstep = cap >= _MIN_BLOCK_PATHS
     n = len(paths)
@@ -514,7 +514,7 @@ def _sampled(field, x0, times, seed, paths):
     """
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
-    lockstep, blocks = _blocks(paths, n_draws, field.d)
+    lockstep, blocks = _blocks(paths, n_draws, field.d, len(times))
     _thinning_tables(field)  # before the workers fork, so they share it
     job = functools.partial(_lockstep_block, n_draws=n_draws) if lockstep else _scalar_block
     with _mapped(functools.partial(job, field, x0, times, seed), blocks) as results:

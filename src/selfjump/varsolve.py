@@ -20,38 +20,31 @@ minimized subject to
 
 Discretization: rho and H are piecewise constant on K cells covering
 [0, T_h] plus one constant tail pair on [T_h, infinity); the discount gives
-each cell the weight e^-s_k - e^-s_{k+1} and the tail e^-T_h, M has a
-closed form, and each block's cost reads M at the block's left node.
+each cell the weight e^-s_k - e^-s_{k+1} and the tail e^-T_h.  Each block's
+cost reads M at its left node, M_k = (1 - e^-Delta_k) rho_k + e^-Delta_k
+M_{k+1} with M_K = rho_K.
 
-The solver works in flux variables j = rho * H (per edge, j_xy =
-rho(x) H(x, y)), and only there.  The block cost is the perspective form
-j log(j / p) - j + p with p = rho(x) Q_xy(M), the level-2.5 cost of
-Bertini, Faggionato and Gabrielli (AIHP 2015), and every constraint above
-is linear: (a) and (d) are weighted sums over blocks, (c) says each block's
-j is divergence-free, and the simplex rows of rho are sums.  With rho, j >= 0
-as L-BFGS-B bounds, one augmented Lagrangian enforces the linear system,
-from at most two deterministic starts.  Every round is judged in the same
-variables: the value is the flux cost, and feasibility is the residual of
-the linear system, row group by row group.  The winner alone is turned into
-a control path (rho, H = j / rho).  A state that gamma leaves empty has its
-rho and the flux on its edges bounded to zero, so targets on the faces of
-the simplex are the same problem.
-
-For a constant field the cost is jointly convex in (rho, j) and the
-minimizer is the constant path rho = gamma, j = varsigma, whose value is the
-level-2.5 rate; that identity is the primary cross-check of the solver.
-The flux gate both apply, ldp.flux_infeasibility, and SUPPORT_TOL live in ldp.
-
-scipy's optimize and sparse modules are imported inside the functions that
-solve, so importing this module (and the CLI) does not load them.  The one
-name that forwards to scipy is ``minimize`` (scipy.optimize.minimize); the
-solver calls L-BFGS-B only through it.
+The solver works in (rho, M, j) with the flux j = rho * H per edge, where
+the block cost is the level-2.5 perspective form j log(j / p) - j + p with
+p = rho(x) Q_xy(M) (Bertini, Faggionato and Gabrielli, AIHP 2015) and every
+constraint is a linear row.  The cost is not convex, and +infinity where j
+charges an edge whose p is 0; a primal-dual interior-point Newton method
+(in the line of IPOPT, Waechter and Biegler, Math. Program. 106, 2006) keeps
+rho, M and j strictly positive, where the cost and its exact Hessian are
+finite.  Each of at most two deterministic starts is one solve, judged by
+its flux cost and the largest gap of each constraint group; the winner
+becomes a control path (rho, H = j / rho).  States gamma leaves empty are
+pinned to zero, so faces of the simplex are the same problem.  On a
+constant field the minimizer is the constant path rho = gamma, j = varsigma
+at the level-2.5 rate, the primary cross-check (ldp holds that rate, the
+flux gate and SUPPORT_TOL).  scipy.sparse loads when a solve runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,9 +63,8 @@ class SolveOptions:
     the tail block carries the rest of the discount, e^-grid_horizon;
     together they sum to one.  grid_horizon lies in [1, about 708.4], where
     e^-grid_horizon is a normal float.  n_starts (at most two deterministic
-    starts exist) bounds how many starts are tried.  The augmented-Lagrangian
-    schedule and the tolerances behind status=converged are fixed module
-    constants.  The fields are checked on construction.
+    starts exist) bounds how many starts are tried.  The fields are checked
+    on construction.
     """
 
     grid_horizon: float = 8.0
@@ -85,8 +77,8 @@ class SolveOptions:
         if not horizon >= 1.0:
             raise errors.InvalidInput(f"horizon {horizon} too small (need >= 1)")
         if np.exp(-horizon) < np.finfo(float).tiny:
-            # a zero tail weight makes its 1/sqrt(w) scale infinite and the
-            # residuals NaN; a subnormal one has already lost precision
+            # only a positive tail weight makes the flux rows imply the tail's
+            # divergence rows; a subnormal one has already lost precision
             raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
                                       "e^-horizon underflows (need about <= 708.4)")
         object.__setattr__(self, "grid_cells", check_count("grid_cells", self.grid_cells, 2))
@@ -117,9 +109,6 @@ class ControlPath:
     H: np.ndarray
 
 
-# -- flux-variable minimization ----------------------------------------------
-
-
 @dataclass
 class RateResult:
     """Outcome of a rate minimization.
@@ -140,192 +129,253 @@ class RateResult:
     best_start: int = -1
 
 
-_LOG_GUARD = 1e-300
-
-# Augmented-Lagrangian schedule: initial penalty weight, its growth per
-# multiplier round, rounds per start and L-BFGS-B iterations per round.
-_PENALTY_INIT = 100.0
-_PENALTY_FACTOR = 10.0
-_PENALTY_ROUNDS = 6
-_INNER_MAXITER = 300
 # Bound on every residual but the support count for status=converged.
 _TOL = 1e-5
 # A feasible start at or below this value ends the search.
 _EARLY_STOP = 1e-8
+# Newton iterations per start.
+_MAX_ITER = 200
 
 
 class _FluxProblem:
-    """The discretized rate problem in flux variables z = (rho, j).
+    """The problem in x, the free entries of (rho_c, M_c, j_c) block by block.
 
-    Per block c the variables are rho_c (d entries) and the edge flux
-    j_c = rho_c * H_c on the field's support edges, all nonnegative.  The
-    cost sum_c w_c sum_e [j log(j / p) - j + p] with p = rho_c(x_e) Q_e(M_c)
-    is the control cost of the path H = j / rho, and every constraint is
-    linear.
-
-    The block cost scales with the weight w_c, so the solver works in
-    u_c = sqrt(w_c) z_c, which evens out the curvature across blocks.  In u
-    the per-block rows (simplex, divergence-free j_c) have unit coefficients
-    and the weighted sums over blocks (marginal, flux, current) have
-    sqrt(w_c); ``A`` and ``b`` hold them all: A u = b.  ``judge`` reads
-    r = A u - b back in natural units: a per-block row divided by sqrt(w_c)
-    is that block's simplex or divergence gap, and a weighted-sum row is
-    already the gap of its target.
-    """
+    The cost sum_c w_c sum_e [j log(j / p) - j + p], p = rho_c(x_e) Q_e(M_c),
+    is the control cost of H = j / rho.  A x = b holds, per block, the simplex,
+    div j_c = 0 and the recursion of M; then M_0 = gamma and the weighted sums
+    of j that meet a flux or current, which imply the tail's divergence rows
+    (left out).  Pinned to zero, and not in x: rho and M of a state gamma
+    leaves empty, and j on an edge at such a state, whose rate vanishes on the
+    occupied states, or (current mode) one-way with no current on its pair."""
 
     def __init__(self, field, opts, mode, gamma=None, flux=None, current=None):
         from scipy import sparse
 
-        d = field.d
-        xs, ys = np.nonzero(field.support)
-        self.opts, self.d = opts, d
-        self.xs, self.ys, self.n_e = xs, ys, xs.size
-        self.nb = opts.grid_cells + 1
-        self.w = opts.block_weights
-        self.es = np.exp(opts.nodes[:-1])
-        self.vxy = field.vertices[:, xs, ys]  # (d, n_e)
-        self.ox = np.zeros((self.n_e, d))
-        self.ox[np.arange(self.n_e), xs] = 1.0
-        self.n_rho = self.nb * d
-        self.scale = np.concatenate([np.repeat(self.w ** -0.5, d),
-                                     np.repeat(self.w ** -0.5, self.n_e)])
-
-        edges = np.arange(self.n_e)
-        div = np.zeros((d, self.n_e))  # inflow minus outflow per state
-        div[ys, edges] += 1.0
-        div[xs, edges] -= 1.0
-        root_w = np.sqrt(self.w)[None, :]
-        eye = sparse.identity(self.nb)
-        rows = [("simplex", sparse.kron(eye, np.ones((1, d))), None, root_w[0]),
-                ("stationarity", None, sparse.kron(eye, div), np.zeros(self.nb * d))]
-        if gamma is not None:
-            rows.append(("marginal", sparse.kron(root_w, np.eye(d)), None, gamma))
+        d, (xs, ys), nb = field.d, np.nonzero(field.support), opts.grid_cells + 1
+        n_e, nv = xs.size, 2 * d + xs.size
+        self.opts, self.d, self.xs, self.ys, self.nb, self.gamma = opts, d, xs, ys, nb, gamma
+        self.w, self.decay = opts.block_weights, np.exp(-np.diff(opts.nodes))
+        self.vxy = field.vertices[:, xs, ys]  # (d, n_e): Q_e(M) = M @ vxy
+        self.ox = np.eye(d)[xs]  # (n_e, d): each edge's source state
+        self.div = (np.eye(d)[ys] - self.ox).T  # inflow minus outflow per state
+        empty = np.zeros(d, dtype=bool) if gamma is None else gamma == 0.0
+        dead = empty[xs] | empty[ys] | ~np.any(self.vxy[~empty] > 0.0, axis=0)
+        # the weighted sums of j that meet a target: flux, net current or none
+        self.sums, self.target = np.zeros((0, n_e)), np.zeros(0)
         if mode == "rate":
-            rows.append(("flux", None, sparse.kron(root_w, np.eye(self.n_e)),
-                         flux[xs, ys]))
+            self.sums, self.target = np.eye(n_e), flux[xs, ys]
         elif mode == "current":
             pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(xs, ys)})
-            net = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
-                            for x, y in pairs]).reshape(len(pairs), self.n_e)
-            rows.append(("flux", None, sparse.kron(root_w, net),
-                         np.array([current[x, y] for x, y in pairs])))
-        self.A = sparse.bmat([[a, c] for _, a, c, _ in rows], format="csr")
-        self.AT = self.A.T.tocsr()
-        self.b = np.concatenate([b for *_, b in rows])
-        ends = np.cumsum([b.size for *_, b in rows])
-        self.groups = {name: slice(end - b.size, end)
-                       for (name, *_, b), end in zip(rows, ends)}
-        per_block = self.w ** -0.5
-        self.row_scale = np.concatenate([per_block, np.repeat(per_block, d),
-                                         np.ones(self.b.size - ends[1])])
+            self.sums = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
+                                  for x, y in pairs]).reshape(len(pairs), n_e)
+            self.target = np.array([current[x, y] for x, y in pairs])
+            dead |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
+        self.free = ~np.concatenate([empty, empty, dead])
+        self.nf = nf = int(self.free.sum())
+
+        # rows on the full variables, their right-hand sides and the block
+        # each belongs to (nb for the weighted sums)
+        kron, diags, eye = sparse.kron, sparse.diags, sparse.identity(nb)
+        e_rho, e_m, e_j = np.split(np.eye(nv), [d, 2 * d])
+        split = nb - (mode != "occupation")  # blocks with divergence rows
+        live = []  # the states whose divergence rows on free edges are independent
+        for x in range(d):
+            if np.linalg.matrix_rank(self.div[live + [x]][:, ~dead]) > len(live):
+                live.append(x)
+        states = [x for x in np.flatnonzero(~empty) if gamma is not None
+                  and x != np.argmax(gamma)]
+        groups = [(kron(eye, e_rho.sum(axis=0)), np.ones(nb), np.arange(nb)),
+                  (kron(eye.tocsr()[:split], self.div[live] @ e_j), np.zeros(split * len(live)),
+                   np.repeat(np.arange(split), len(live))),
+                  (kron(eye - diags(self.decay, 1), e_m)
+                   + kron(diags(np.append(self.decay, 0.0) - 1.0), e_rho),
+                   np.zeros(nb * d), np.repeat(np.arange(nb), d)),
+                  (kron(np.eye(1, nb), e_m[states]), gamma[states] if states else np.zeros(0),
+                   np.zeros(len(states))),
+                  (kron(self.w, self.sums @ e_j), self.target, np.full(self.target.size, nb))]
+        a = sparse.vstack([g[0] for g in groups], format="csc")[:, np.tile(self.free, nb)].tocsr()
+        a.eliminate_zeros()
+        keep = np.diff(a.indptr) > 0  # rows that pinning leaves empty go
+        self.A, self.b = a[keep], np.concatenate([g[1] for g in groups])[keep]
+        # the Newton matrix is factorized block by block: each block's
+        # variables, then its rows, and the weighted sums last
+        home = np.concatenate([np.repeat(np.arange(nb), nf),
+                               np.concatenate([g[2] for g in groups])[keep]])
+        self.order = np.argsort(2 * home + (np.arange(home.size) >= nb * nf), kind="stable")
+        # the matrix's sparsity, in that order, as slots for the values of the
+        # dense Hessian blocks and of A and A^T
+        n, a, pos = nb * nf, self.A.tocoo(), np.argsort(self.order)
+        hess_rows = np.repeat(np.arange(n), nf)
+        hess_cols = np.tile(np.arange(nf), n) + np.repeat(np.arange(nb) * nf, nf * nf)
+        rows = pos[np.concatenate([hess_rows, n + a.row, a.col])]
+        cols = pos[np.concatenate([hess_cols, a.col, n + a.row])]
+        k = sparse.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                              shape=(home.size,) * 2)
+        self.slots, self.pattern = k.data.astype(int) - 1, (k.indices, k.indptr)
+        self.a_data = a.data
+        self.diag_at = (np.arange(nb)[:, None] * nf * nf + np.arange(nf) * (nf + 1)).ravel()
+
+    def newton_solver(self, hess, diag):
+        """solve(r1, r2) -> (dx, dy) of [[H + diag, A^T], [A, 0]] (dx, dy) = (r1, r2)."""
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
+        vals = np.concatenate([hess.ravel(), self.a_data, self.a_data])
+        vals[self.diag_at] += diag
+        size, n = self.order.size, self.A.shape[1]
+        lu = splu(sparse.csc_matrix((vals[self.slots], *self.pattern), shape=(size, size)),
+                  permc_spec="NATURAL")
+
+        def solve(r1, r2):
+            out = np.empty(size)
+            out[self.order] = lu.solve(np.concatenate([r1, r2])[self.order])
+            return out[:n], out[n:]
+        return solve
 
     def pack(self, rho, j_full):
-        """u for a constant path: rho (d,) and full flux matrix j (d, d) per block."""
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), (self.nb, self.d))
-        je = np.broadcast_to(np.asarray(j_full, dtype=float)[self.xs, self.ys],
-                             (self.nb, self.n_e))
-        return np.concatenate([rho.ravel(), je.ravel()]) / self.scale
+        """x of the constant path rho (d,), M = rho, with flux matrix j_full (d, d)."""
+        z = np.concatenate([rho, rho, np.asarray(j_full, dtype=float)[self.xs, self.ys]])
+        return np.tile(z[self.free], self.nb)
 
-    def _unpack(self, z):
-        return (z[:self.n_rho].reshape(self.nb, self.d),
-                z[self.n_rho:].reshape(self.nb, self.n_e))
+    def _unpack(self, x):
+        z = np.zeros((self.nb, self.free.size))
+        z[:, self.free] = x.reshape(self.nb, self.nf)
+        return np.split(z, [self.d, 2 * self.d], axis=1)
 
-    def _rates(self, rho):
-        """Q(M) on the support edges, M at each block's left node, and p = rho(x) Q."""
-        w, k = self.w, self.nb - 1
-        suffix = np.cumsum((w[:, None] * rho)[::-1], axis=0)[::-1]
-        mh = np.empty_like(rho)
-        mh[:k] = self.es[:, None] * suffix[:k]
-        mh[k] = rho[k]
-        q = mh @ self.vxy
-        return q, rho[:, self.xs] * q
+    def occupation(self, rho):
+        """M at each block's left node, by the recursion from the tail."""
+        m = rho.copy()
+        for c in range(self.nb - 2, -1, -1):
+            m[c] = (1.0 - self.decay[c]) * rho[c] + self.decay[c] * m[c + 1]
+        return m
 
-    def cost(self, z):
-        """Cost and its gradient in z; the log guard only acts where j or p is 0."""
-        rho, j = self._unpack(z)
-        w, k = self.w, self.nb - 1
-        q, p = self._rates(rho)
-        p_safe = np.maximum(p, _LOG_GUARD)
-        log_ratio = np.log(np.maximum(j, _LOG_GUARD)) - np.log(p_safe)
-        value = float(w @ (j * log_ratio - j + p).sum(axis=1))
+    def _terms(self, rho, m, j):
+        """Cost, r = rho(x_e), q = Q_e(M), the ratio j / p and its log (0 where j = 0)."""
+        q, r = m @ self.vxy, rho[:, self.xs]
+        ratio = np.divide(j, r * q, out=np.zeros_like(j), where=j > 0.0)
+        log_ratio = np.log(ratio, out=np.zeros_like(j), where=j > 0.0)
+        return float(self.w @ (j * log_ratio - j + r * q).sum(axis=1)), r, q, ratio, log_ratio
 
-        g_j = w[:, None] * log_ratio
-        g_p = w[:, None] * (1.0 - j / p_safe)
-        g_rho = (g_p * q) @ self.ox
-        gm = (g_p * rho[:, self.xs]) @ self.vxy.T
-        cums = np.cumsum(self.es[:, None] * gm[:k], axis=0)
-        g_rho[:k] += w[:k, None] * cums
-        g_rho[k] += w[k] * cums[k - 1] + gm[k]
-        return value, np.concatenate([g_rho.ravel(), g_j.ravel()])
+    def objective(self, x, order=2):
+        """The cost at x; with order >= 1 its gradient, with 2 its block Hessians.
+        Per edge the Hessian of the perspective is (1 / j) s s^T with s = e_j -
+        (j / r) e_rho(x) - (j / q) v, and p = r q adds (1 - j / p) v at (rho(x), M)."""
+        rho, m, j = self._unpack(x)
+        value, r, q, ratio, log_ratio = self._terms(rho, m, j)
+        if order == 0:
+            return value
+        d, w, on = self.d, self.w[:, None], j > 0.0
+        c = w * (1.0 - ratio)
+        grad = np.concatenate([(c * q) @ self.ox, (c * r) @ self.vxy.T, w * log_ratio], axis=1)
+        if order == 1:
+            return value, grad[:, self.free].ravel()
+        root = np.sqrt(j)
+        s = np.zeros((self.nb,) + self.vxy.T.shape[:1] + self.free.shape)
+        edges = np.arange(self.xs.size)
+        s[:, edges, self.xs] = -np.divide(root, r, out=np.zeros_like(r), where=on)
+        s[:, :, d:2 * d] = -np.divide(root, q, out=np.zeros_like(q), where=on)[:, :, None] \
+            * self.vxy.T
+        s[:, edges, 2 * d + edges] = np.divide(1.0, root, out=np.zeros_like(r), where=on)
+        s *= np.sqrt(w)[:, :, None]
+        hess = np.swapaxes(s, 1, 2) @ s
+        cross = np.einsum("ce,ex,ey->cxy", c, self.ox, self.vxy.T)
+        hess[:, :d, d:2 * d] += cross
+        hess[:, d:2 * d, :d] += np.swapaxes(cross, 1, 2)
+        return value, grad[:, self.free].ravel(), hess[:, self.free][:, :, self.free]
 
-    def cost_u(self, u):
-        value, grad = self.cost(self.scale * u)
-        return value, self.scale * grad
+    def judge(self, x):
+        """Value and residuals of x, with M recomputed from rho: each group's
+        largest gap in natural units (0 for a group the mode lacks), and the
+        count of (block, edge) pairs where j > SUPPORT_TOL charges p <= 0,
+        which makes the value +infinity when not 0."""
+        rho, _, j = self._unpack(x)
+        value, r, q, _, _ = self._terms(rho, self.occupation(rho), j)
+        gaps = {"marginal": 0.0 if self.gamma is None else self.w @ rho - self.gamma,
+                "stationarity": j @ self.div.T, "flux": self.sums @ (self.w @ j) - self.target,
+                "simplex": rho.sum(axis=1) - 1.0}
+        rd = {name: float(np.abs(gap).max(initial=0.0)) for name, gap in gaps.items()}
+        rd["support"] = int(np.sum((j > SUPPORT_TOL) & (r * q <= 0.0)))
+        return (value if rd["support"] == 0 else float("inf")), rd
 
-    def lagrangian(self, u, lam, mu):
-        """Augmented Lagrangian f + lam.r + mu/2 |r|^2 with r = A u - b."""
-        value, grad = self.cost_u(u)
-        r = self.A @ u - self.b
-        y = lam + mu * r
-        return value + float(lam @ r) + 0.5 * mu * float(r @ r), grad + self.AT @ y
-
-    def judge(self, u):
-        """Value, residuals and r = A u - b of the candidate u.
-
-        support counts the (block, edge) pairs where j > SUPPORT_TOL charges
-        p <= 0; the value is the cost, or +infinity when that count is not 0.
-        Every other residual is the largest |row| of its group of r, in
-        natural units, and 0 for a group the mode does not have.
-        """
-        z = self.scale * u
-        rho, j = self._unpack(z)
-        support = int(np.sum((j > SUPPORT_TOL) & (self._rates(rho)[1] <= 0.0)))
-        r = self.A @ u - self.b
-        gap = np.abs(r) * self.row_scale
-        rd = dict.fromkeys(("marginal", "stationarity", "flux", "simplex"), 0.0)
-        rd.update((name, float(gap[rows].max(initial=0.0)))
-                  for name, rows in self.groups.items())
-        rd["support"] = support
-        value = self.cost(z)[0] if support == 0 else float("inf")
-        return value, rd, r
-
-    def path_from(self, u):
-        rho, j = self._unpack(self.scale * u)
-        rx = rho[:, self.xs]
+    def path_from(self, x):
+        rho, _, j = self._unpack(x)
         H = np.zeros((self.nb, self.d, self.d))
-        H[:, self.xs, self.ys] = np.where(rx > 0.0, j / np.where(rx > 0.0, rx, 1.0), 0.0)
-        diag = np.arange(self.d)
-        H[:, diag, diag] = -H.sum(axis=2)
-        return ControlPath(self.opts, rho.copy(), H)
+        r = rho[:, self.xs]
+        H[:, self.xs, self.ys] = np.divide(j, r, out=np.zeros_like(j), where=r > 0.0)
+        return ControlPath(self.opts, rho, H - H.sum(axis=2)[:, :, None] * np.eye(self.d))
 
 
-def minimize(fun, x0, *args, **kwargs):
-    """scipy.optimize.minimize, imported on the first solve.
+def minimize(fun, x0, prob):
+    """Minimize fun over {x >= 0, prob.A x = prob.b} from x0 by a primal-dual
+    interior-point Newton method; return x, nfev, nit and success.
 
-    _minimize calls L-BFGS-B through this module-level name, so a caller can
-    wrap or replace ``varsolve.minimize`` to observe every inner solve.
-    """
-    from scipy.optimize import minimize as scipy_minimize
+    fun(x, order) is the cost, with its gradient (order 1) and block Hessians
+    (2).  Each iteration factorizes one Newton matrix for a Mehrotra
+    predictor-corrector step, cut back to keep x and the bound multipliers z
+    positive and to decrease the merit f - mu sum log x + nu |A x - b|_1.
+    delta I joins the Hessian while the factorization fails or the step is
+    not finite or does not descend."""
+    A, b, n = prob.A, prob.b, x0.size
+    abs_a, abs_at = abs(A), abs(A.T)
+    x, y, nu, delta, nfev = np.maximum(x0, 1e-4), np.zeros(b.size), 1.0, 0.0, 0
+    for it in range(_MAX_ITER):
+        f, g, hess = fun(x, 2)
+        nfev += 1
+        z = np.maximum(g, 1e-3) if it == 0 else z
+        rp, aty = A @ x - b, A.T @ y
+        rd, gap = g + aty - z, x @ z
+        if np.all(np.abs(rd) <= 1e-9 * (np.abs(g) + abs_at @ np.abs(y) + z) + 1e-15) \
+                and np.all(np.abs(rp) <= 1e-12 * (abs_a @ x + np.abs(b))) \
+                and gap <= 1e-12 * (1.0 + abs(f)):
+            return SimpleNamespace(x=x, nfev=nfev, nit=it, success=True)
+        mu, delta = gap / n, delta / 3.0 if delta > 1e-20 else 0.0
+        while True:
+            try:
+                solve = prob.newton_solver(hess, z / x + delta)
+                dx, _ = solve(-g - aty, -rp)  # predictor: the affine step to mu = 0
+                dz = -z - z * dx / x
+                mu_aff = (x + _to_boundary(x, dx, 1.0) * dx) \
+                    @ (z + _to_boundary(z, dz, 1.0) * dz) / n
+                target = mu * min(1.0, mu_aff / mu) ** 3 if mu > 0.0 else 0.0
+                corr = (dx * dz - target) / x
+                dx, dy = solve(-g - aty - corr, -rp)
+                dz = -z - corr - z * dx / x
+                nu = max(nu, 2.0 * np.abs(y + dy).max(initial=0.0))
+                slope = g @ dx - target * np.sum(dx / x) - nu * np.abs(rp).sum()
+                if np.isfinite(dz).all() and (slope <= 0.0 or np.all(np.abs(dx) <= 1e-12 * x)):
+                    break
+            except RuntimeError:  # the factorization failed
+                pass
+            delta = 1e-8 if delta == 0.0 else 10.0 * delta
+            if delta > 1e8:
+                return SimpleNamespace(x=x, nfev=nfev, nit=it, success=False)
+        step, dual = _to_boundary(x, dx, 0.995), _to_boundary(z, dz, 0.995)
+        merit = f - target * np.log(x).sum() + nu * np.abs(rp).sum()
+        for _ in range(30):
+            trial = x + step * dx
+            nfev += 1
+            if fun(trial, 0) - target * np.log(trial).sum() + (1.0 - step) * nu \
+                    * np.abs(rp).sum() <= merit + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        x, y, z = trial, y + dual * dy, z + dual * dz
+    return SimpleNamespace(x=x, nfev=nfev, nit=_MAX_ITER, success=False)
 
-    return scipy_minimize(fun, x0, *args, **kwargs)
+
+def _to_boundary(v, dv, tau):
+    """The largest step in (0, 1] that keeps v + step * dv >= (1 - tau) v."""
+    neg = dv < 0.0
+    return min(1.0, tau * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
 
 
 def _starts(prob, field, mode, gamma, flux):
     """Deterministic starts, built on demand: the informed constant path at
-    rho = gamma, then the self-consistent equilibrium.
-
-    The informed flux is the target flux in rate mode and otherwise the
-    balanced flux j_xy = sqrt(gamma_x Q_xy(gamma) gamma_y Q_yx(gamma)): it is
-    symmetric, hence divergence-free, and zero on every edge at an empty
-    state, so the informed start is exactly feasible in both modes.
-    """
+    rho = gamma, then the self-consistent equilibrium.  The informed flux is
+    the target flux in rate mode, else sqrt(gamma_x Q_xy(gamma) gamma_y
+    Q_yx(gamma)), which is symmetric, so the start is exactly feasible."""
     if gamma is not None:
-        if mode == "rate":
-            j = flux
-        else:
-            p = gamma[:, None] * field.evaluate(gamma)
-            j = np.sqrt(np.clip(p * p.T, 0.0, None))
-        yield prob.pack(gamma, j)
+        p = gamma[:, None] * field.evaluate(gamma)
+        yield prob.pack(gamma, flux if mode == "rate" else np.sqrt(np.clip(p * p.T, 0.0, None)))
     try:
         pi = fixed_point_pi_star(field, tol=1e-11, max_iter=400).pi
     except errors.Reducible:
@@ -334,82 +384,30 @@ def _starts(prob, field, mode, gamma, flux):
 
 
 def _violation(rd):
-    """The largest residual in units of _TOL, or the support count if larger.
-
-    A residual that is not finite (NaN, which Python's max would skip, or
-    infinity) is an unbounded violation.
-    """
+    """The largest residual in units of _TOL, or the support count if larger;
+    a residual that is not finite (NaN, which max would skip) is unbounded."""
     gaps = [v for name, v in rd.items() if name != "support"]
-    if not np.isfinite(gaps).all():
-        return float("inf")
-    return max(max(gaps) / _TOL, float(rd["support"]))
-
-
-def _feasible(rd):
-    return _violation(rd) <= 1.0 and rd["support"] == 0
+    return max(max(gaps) / _TOL, rd["support"]) if np.isfinite(gaps).all() else float("inf")
 
 
 def _minimize(field, mode, gamma, flux, current, opts):
-    """Best of the starts.
-
-    A state with gamma_x = 0 is pinned: its rho_c(x) and the flux on every
-    edge at x get the bounds (0, 0), so an edge from an occupied y into x
-    costs exactly its killing term rho_y Q_yx(M).  Faces and vertices of the
-    simplex are solved as they stand, by the same path as interior targets.
-    In current mode a one-way edge x -> y carries its pair's whole current
-    as a weighted sum of nonnegative fluxes, so a zero current there pins
-    its flux to zero in every block.  The first multipliers are fitted to
-    the start's gradient over the free variables only.
-    """
-    from scipy.sparse.linalg import lsqr
-
+    """Best of the starts, each one solve: converged ones (optimal, violation
+    <= 1, support count 0) by value, the others by violation."""
     prob = _FluxProblem(field, opts, mode, gamma=gamma, flux=flux, current=current)
-    xs, ys = prob.xs, prob.ys
-    empty = np.zeros(field.d, dtype=bool) if gamma is None else gamma == 0.0
-    pinned_edges = empty[xs] | empty[ys]
-    if mode == "current":
-        pinned_edges |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
-    pinned = np.concatenate([np.tile(empty, prob.nb), np.tile(pinned_edges, prob.nb)])
-    bounds = [(0.0, 0.0) if p else (0.0, None) for p in pinned]
-    free = ~pinned
-    free_rows = prob.AT[free]
-
-    # Each start ends in one candidate.  Feasible ones are ranked by
-    # value + y.r, the first-order cost at the nearest feasible point (y, the
-    # next round's multipliers, prices the slack r left in the rows), and
-    # infeasible ones by scaled violation.  Multiplier rounds only tighten
-    # feasibility, so a start's last round is its most accurate point.  A
-    # start whose first inner solve fails before one iteration (the log
-    # guard's slope can break the line search) counts as infeasible.
     best = None
     starts = islice(_starts(prob, field, mode, gamma, flux), min(opts.n_starts, 2))
-    for si, u in enumerate(starts):
-        lam = lsqr(free_rows, -prob.cost_u(u)[1][free], atol=1e-14, btol=1e-14)[0]
-        mu = _PENALTY_INIT
-        for k in range(_PENALTY_ROUNDS):
-            res = minimize(prob.lagrangian, u, args=(lam, mu), jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": _INNER_MAXITER, "maxcor": 25,
-                                    "ftol": 1e-14, "gtol": 1e-9})
-            if k == 0:
-                stuck = res.nit == 0 and not res.success
-            u = res.x
-            del res  # it holds L-BFGS-B's history; free that before the next solve
-            value, rd, r = prob.judge(u)
-            y = lam + mu * r
-            if _violation(rd) <= 0.01:
-                break
-            lam = y
-            mu *= _PENALTY_FACTOR
-        feas = _feasible(rd) and not stuck
-        key = (not feas, value + float(y @ r) if feas else _violation(rd), si)
+    for si, x in enumerate(starts):
+        res = minimize(prob.objective, x, prob)
+        value, rd = prob.judge(res.x)
+        ok = res.success and _violation(rd) <= 1.0 and rd["support"] == 0
+        key = (not ok, value if ok else _violation(rd), si)
         if best is None or key < best[0]:
-            best = (key, si, value, u, rd)
-        if feas and value <= _EARLY_STOP:
+            best = (key, value, res.x, rd)
+        if ok and value <= _EARLY_STOP:
             break
-    key, si, value, u, rd = best
-    status = "max_iter" if key[0] else "converged"
-    return RateResult(value, prob.path_from(u), rd, status, best_start=si)
+    (failed, _, si), value, x, rd = best
+    return RateResult(value, prob.path_from(x), rd, "max_iter" if failed else "converged",
+                      best_start=si)
 
 
 def solve_rate(gamma, flux, field, opts=None):

@@ -398,7 +398,7 @@ def split_paths(monkeypatch, how):
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1 if how == "lockstep" else 5)
     monkeypatch.setattr(sim, "_BLOCK_DRAWS", 250)
     n_draws = sim._chunk_sizes(chemo_field().rate_upper, 30.0)[0]
-    lockstep, items = sim._blocks(range(1, 12), n_draws, 2)
+    lockstep, items = sim._blocks(range(1, 12), n_draws, 2, 1)
     assert lockstep == (how == "lockstep") and len(items) >= 4
 
 
@@ -498,7 +498,7 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     monkeypatch.setattr(sim, "_cpus", lambda: 2)
     # the benchmark's mc-decay: 10,000 paths to t = 40
     n_draws = sim._chunk_sizes(lam, 40.0)[0]
-    lockstep, blocks = sim._blocks(range(10000), n_draws, 2)
+    lockstep, blocks = sim._blocks(range(10000), n_draws, 2, 3)
     sizes = [len(b) for b in blocks]
     assert lockstep and max(sizes) - min(sizes) <= 1
     assert max(sizes) * n_draws <= sim._LOCKSTEP_DRAWS
@@ -506,7 +506,7 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     # the self-test's 2,000 paths to t = 10 fit in one block, yet use both CPUs
     n_draws = sim._chunk_sizes(lam, 10.0)[0]
     assert 2000 * n_draws <= sim._LOCKSTEP_DRAWS
-    lockstep, blocks = sim._blocks(range(2000), n_draws, 2)
+    lockstep, blocks = sim._blocks(range(2000), n_draws, 2, 3)
     assert lockstep and len(blocks) >= 2
     times = [2.5, 5.0, 10.0]
     occ = {w: with_workers(monkeypatch, w, lambda: lockstep_occupations(
@@ -515,20 +515,26 @@ def test_lockstep_blocks_are_even_and_fill_every_cpu(monkeypatch):
     assert_lockstep_matches_scalar(chemo_field(), 1, times, 2000, seed=7)
 
 
-@pytest.mark.parametrize("name", ["autochemotaxis", "congestion", "constant d = 24"])
-def test_a_full_lockstep_block_holds_at_most_twice_its_draws(family_fields, name):
+@pytest.mark.parametrize("name", ["autochemotaxis", "congestion", "constant d = 24",
+                                  "2,000 read-out times"])
+def test_a_full_lockstep_block_holds_at_most_twice_its_draws(family_fields, monkeypatch,
+                                                             name):
     # d = 2 draws take 16 bytes (time, threshold), larger d draws 17 (and a
-    # pick); at d = 24 and 64-draw paths the d * d jump counts outweigh the draws
+    # pick); at d = 24 and 64-draw paths the d * d jump counts outweigh the
+    # draws, and with 2,000 read-out times the occupations read out do
     if name == "constant d = 24":
         field, horizon = core.RateField.constant(np.ones((24, 24)) - 24.0 * np.eye(24)), 1.0
     else:
-        field = family_fields[name]
+        field = family_fields["autochemotaxis" if name == "2,000 read-out times" else name]
         horizon = 160.0 / ((field.d - 1) * field.rate_upper)
+    n_times = 2000 if name == "2,000 read-out times" else 2
+    times = horizon * np.arange(1, n_times + 1) / n_times
+    if n_times > 2:
+        monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)  # so these paths run in lockstep
     n_draws = sim._chunk_sizes((field.d - 1) * field.rate_upper, horizon)[0]
-    lockstep, (block, *_) = sim._blocks(range(1 << 20), n_draws, field.d)
+    lockstep, (block, *_) = sim._blocks(range(1 << 20), n_draws, field.d, n_times)
     assert lockstep and len(block) <= sim._LOCKSTEP_DRAWS // n_draws
     draw_size = 16 if field.d == 2 else 17
-    times = np.array([0.25 * horizon, horizon])
     tracemalloc.start()
     try:
         sim._lockstep_block(field, 1, times, 5, block, n_draws)

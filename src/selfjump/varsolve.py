@@ -33,11 +33,10 @@ charges an edge whose p is 0; a primal-dual interior-point Newton method
 rho, M and j strictly positive, where the cost and its exact Hessian are
 finite.  Each of at most two deterministic starts is one solve, judged by
 its flux cost and the largest gap of each constraint group; the winner
-becomes a control path (rho, H = j / rho).  States gamma leaves empty are
-pinned to zero, so faces of the simplex are the same problem.  On a
-constant field the minimizer is the constant path rho = gamma, j = varsigma
-at the level-2.5 rate, the primary cross-check (ldp holds that rate, the
-flux gate and SUPPORT_TOL).  scipy.sparse loads when a solve runs.
+becomes a control path (rho, H = j / rho).  Empty states are pinned to zero.
+On a constant field the minimizer is the constant path rho = gamma,
+j = varsigma at the level-2.5 rate (in ldp, with the flux gate and
+SUPPORT_TOL), the primary cross-check.  scipy.sparse loads when a solve runs.
 """
 
 from __future__ import annotations
@@ -145,8 +144,8 @@ class _FluxProblem:
     div j_c = 0 and the recursion of M; then M_0 = gamma and the weighted sums
     of j that meet a flux or current, which imply the tail's divergence rows
     (left out).  Pinned to zero, and not in x: rho and M of a state gamma
-    leaves empty, and j on an edge at such a state, whose rate vanishes on the
-    occupied states, or (current mode) one-way with no current on its pair."""
+    leaves empty, and j on every edge that no feasible flux charges (at such
+    a state, of vanishing rate, off all cycles, or with no target to carry)."""
 
     def __init__(self, field, opts, mode, gamma=None, flux=None, current=None):
         from scipy import sparse
@@ -164,12 +163,18 @@ class _FluxProblem:
         self.sums, self.target = np.zeros((0, n_e)), np.zeros(0)
         if mode == "rate":
             self.sums, self.target = np.eye(n_e), flux[xs, ys]
+            dead |= self.target <= SUPPORT_TOL
         elif mode == "current":
             pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(xs, ys)})
             self.sums = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
                                   for x, y in pairs]).reshape(len(pairs), n_e)
             self.target = np.array([current[x, y] for x, y in pairs])
             dead |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
+        reach = np.eye(d, dtype=bool)  # a divergence-free j lives on cycles only
+        reach[xs[~dead], ys[~dead]] = True
+        for _ in range(d):
+            reach = reach | reach @ reach
+        dead |= ~reach[ys, xs]
         self.free = ~np.concatenate([empty, empty, dead])
         self.nf = nf = int(self.free.sum())
 
@@ -178,10 +183,8 @@ class _FluxProblem:
         kron, diags, eye = sparse.kron, sparse.diags, sparse.identity(nb)
         e_rho, e_m, e_j = np.split(np.eye(nv), [d, 2 * d])
         split = nb - (mode != "occupation")  # blocks with divergence rows
-        live = []  # the states whose divergence rows on free edges are independent
-        for x in range(d):
-            if np.linalg.matrix_rank(self.div[live + [x]][:, ~dead]) > len(live):
-                live.append(x)
+        # each strongly connected set of states has one dependent divergence row
+        live = [x for x in np.unique(xs[~dead]) if (reach[x, :x] & reach[:x, x]).any()]
         states = [x for x in np.flatnonzero(~empty) if gamma is not None
                   and x != np.argmax(gamma)]
         groups = [(kron(eye, e_rho.sum(axis=0)), np.ones(nb), np.arange(nb)),
@@ -269,9 +272,8 @@ class _FluxProblem:
         grad = np.concatenate([(c * q) @ self.ox, (c * r) @ self.vxy.T, w * log_ratio], axis=1)
         if order == 1:
             return value, grad[:, self.free].ravel()
-        root = np.sqrt(j)
-        s = np.zeros((self.nb,) + self.vxy.T.shape[:1] + self.free.shape)
-        edges = np.arange(self.xs.size)
+        root, edges = np.sqrt(j), np.arange(self.xs.size)
+        s = np.zeros(j.shape + self.free.shape)  # per block and edge, s / sqrt(j)
         s[:, edges, self.xs] = -np.divide(root, r, out=np.zeros_like(r), where=on)
         s[:, :, d:2 * d] = -np.divide(root, q, out=np.zeros_like(q), where=on)[:, :, None] \
             * self.vxy.T
@@ -284,10 +286,9 @@ class _FluxProblem:
         return value, grad[:, self.free].ravel(), hess[:, self.free][:, :, self.free]
 
     def judge(self, x):
-        """Value and residuals of x, with M recomputed from rho: each group's
-        largest gap in natural units (0 for a group the mode lacks), and the
-        count of (block, edge) pairs where j > SUPPORT_TOL charges p <= 0,
-        which makes the value +infinity when not 0."""
+        """Value and residuals of x, M recomputed from rho: each group's largest
+        gap in natural units (0 if the mode lacks it), and the support count of
+        (block, edge) pairs where j > SUPPORT_TOL charges p <= 0 (value inf)."""
         rho, _, j = self._unpack(x)
         value, r, q, _, _ = self._terms(rho, self.occupation(rho), j)
         gaps = {"marginal": 0.0 if self.gamma is None else self.w @ rho - self.gamma,
@@ -316,46 +317,47 @@ def minimize(fun, x0, prob):
     delta I joins the Hessian while the factorization fails or the step is
     not finite or does not descend."""
     A, b, n = prob.A, prob.b, x0.size
-    abs_a, abs_at = abs(A), abs(A.T)
-    x, y, nu, delta, nfev = np.maximum(x0, 1e-4), np.zeros(b.size), 1.0, 0.0, 0
+    x, y, nu, nfev = np.maximum(x0, 1e-4), np.zeros(b.size), 1.0, 0
     for it in range(_MAX_ITER):
         f, g, hess = fun(x, 2)
         nfev += 1
         z = np.maximum(g, 1e-3) if it == 0 else z
         rp, aty = A @ x - b, A.T @ y
         rd, gap = g + aty - z, x @ z
-        if np.all(np.abs(rd) <= 1e-9 * (np.abs(g) + abs_at @ np.abs(y) + z) + 1e-15) \
-                and np.all(np.abs(rp) <= 1e-12 * (abs_a @ x + np.abs(b))) \
+        if np.all((np.abs(rd) <= 1e-9 * (np.abs(g) + abs(A.T) @ np.abs(y) + z) + 1e-15)
+                  | (np.abs(rd) * x <= 1e-15 * (1.0 + abs(f)))) \
+                and np.all(np.abs(rp) <= 1e-10 * (abs(A) @ x + np.abs(b))) \
                 and gap <= 1e-12 * (1.0 + abs(f)):
             return SimpleNamespace(x=x, nfev=nfev, nit=it, success=True)
-        mu, delta = gap / n, delta / 3.0 if delta > 1e-20 else 0.0
-        while True:
+        mu = gap / n
+        for delta in np.append(0.0, np.logspace(-8, 8, 17)):  # delta I joins the Hessian
             try:
                 solve = prob.newton_solver(hess, z / x + delta)
-                dx, _ = solve(-g - aty, -rp)  # predictor: the affine step to mu = 0
-                dz = -z - z * dx / x
-                mu_aff = (x + _to_boundary(x, dx, 1.0) * dx) \
-                    @ (z + _to_boundary(z, dz, 1.0) * dz) / n
-                target = mu * min(1.0, mu_aff / mu) ** 3 if mu > 0.0 else 0.0
-                corr = (dx * dz - target) / x
+            except RuntimeError:  # the factorization failed
+                continue
+            dx, _ = solve(-g - aty, -rp)  # predictor: the affine step to mu = 0
+            dz = -z - z * dx / x
+            mu_aff = (x + _to_boundary(x, dx, 1.0) * dx) @ (z + _to_boundary(z, dz, 1.0) * dz) / n
+            target = mu * min(1.0, mu_aff / mu) ** 3 if mu > 0.0 else 0.0
+            for corr in ((dx * dz - target) / x, -target / x):  # Mehrotra's, else plain
                 dx, dy = solve(-g - aty - corr, -rp)
                 dz = -z - corr - z * dx / x
                 nu = max(nu, 2.0 * np.abs(y + dy).max(initial=0.0))
                 slope = g @ dx - target * np.sum(dx / x) - nu * np.abs(rp).sum()
                 if np.isfinite(dz).all() and (slope <= 0.0 or np.all(np.abs(dx) <= 1e-12 * x)):
                     break
-            except RuntimeError:  # the factorization failed
-                pass
-            delta = 1e-8 if delta == 0.0 else 10.0 * delta
-            if delta > 1e8:
-                return SimpleNamespace(x=x, nfev=nfev, nit=it, success=False)
+            else:
+                continue
+            break
+        else:  # no step descends
+            return SimpleNamespace(x=x, nfev=nfev, nit=it, success=False)
         step, dual = _to_boundary(x, dx, 0.995), _to_boundary(z, dz, 0.995)
         merit = f - target * np.log(x).sum() + nu * np.abs(rp).sum()
         for _ in range(30):
             trial = x + step * dx
             nfev += 1
             if fun(trial, 0) - target * np.log(trial).sum() + (1.0 - step) * nu \
-                    * np.abs(rp).sum() <= merit + 1e-4 * step * slope:
+                    * np.abs(rp).sum() <= merit + 1e-4 * step * slope + 1e-14 * abs(merit):
                 break
             step *= 0.5
         x, y, z = trial, y + dual * dy, z + dual * dz
@@ -384,8 +386,7 @@ def _starts(prob, field, mode, gamma, flux):
 
 
 def _violation(rd):
-    """The largest residual in units of _TOL, or the support count if larger;
-    a residual that is not finite (NaN, which max would skip) is unbounded."""
+    """The largest residual in units of _TOL or the support count; NaN is unbounded."""
     gaps = [v for name, v in rd.items() if name != "support"]
     return max(max(gaps) / _TOL, rd["support"]) if np.isfinite(gaps).all() else float("inf")
 

@@ -329,6 +329,25 @@ def test_occupation_rate_on_a_face_of_the_simplex():
     assert np.all(res.path.rho[:, 2] == 0.0)
 
 
+def test_flux_that_no_feasible_path_carries_is_pinned():
+    # no edge enters state 3, so its one edge 3 -> 2 lies on no cycle and a
+    # divergence-free flux leaves it empty: the cost is the two-state rate on
+    # {1, 2} plus the killing term of 3 -> 2.  And a rate target with no flux
+    # on four of six edges: both have no strictly positive feasible point
+    q = np.array([[-0.5, 0.5, 0.0], [1.7, -1.7, 0.0], [0.0, 0.55, -0.55]])
+    g = np.array([0.2, 0.75, 0.05])
+    closed = (np.sqrt(g[0] * q[0, 1]) - np.sqrt(g[1] * q[1, 0])) ** 2 + g[2] * q[2, 1]
+    res = varsolve.occupation_rate(g, core.RateField.constant(q))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(closed, abs=1e-9)
+    flux = np.zeros((3, 3))
+    flux[0, 1] = flux[1, 0] = 0.2
+    res = varsolve.solve_rate([0.3, 0.5, 0.2], flux, core.RateField.constant(THREE_STATE_Q0))
+    assert res.status == "converged"
+    assert res.value == pytest.approx(ldp.dv_rate(THREE_STATE_Q0, [0.3, 0.5, 0.2], flux),
+                                      abs=1e-9)
+
+
 def test_occupation_rate_at_a_three_state_vertex():
     # at delta_3 every path stays in 3; the cost is the total exit rate
     res = varsolve.occupation_rate([0.0, 0.0, 1.0],
@@ -511,10 +530,12 @@ def test_current_rate_against_one_way_edges_infeasible():
 
 def test_current_rate_zero_current_with_one_way_edges_converges():
     # a one-way edge's flux is the whole of its pair's current, so zero
-    # current leaves it no flux in any block
-    res = varsolve.current_rate(np.zeros((3, 3)), one_way_field(), FAST)
-    assert res.status == "converged"
-    assert res.residuals["flux"] <= 1e-8
+    # current leaves it no flux in any block; at horizon 16 state 3 empties
+    # towards rho = 0, where the rows' terms fall below 1e-40
+    for opts in (FAST, SolveOptions(grid_horizon=16.0)):
+        res = varsolve.current_rate(np.zeros((3, 3)), one_way_field(), opts)
+        assert res.status == "converged"
+        assert res.residuals["flux"] <= 1e-8
 
 
 def test_field_without_edges_solves_in_every_mode():

@@ -527,12 +527,12 @@ def test_a_full_lockstep_block_holds_at_most_twice_its_draws(family_fields, monk
     else:
         field = family_fields["autochemotaxis" if name == "2,000 read-out times" else name]
         horizon = 160.0 / ((field.d - 1) * field.rate_upper)
-    n_times = 2000 if name == "2,000 read-out times" else 2
-    times = horizon * np.arange(1, n_times + 1) / n_times
-    if n_times > 2:
+    times = np.array([0.25 * horizon, horizon])
+    if name == "2,000 read-out times":
+        times = horizon * np.arange(1, 2001) / 2000
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)  # so these paths run in lockstep
     n_draws = sim._chunk_sizes((field.d - 1) * field.rate_upper, horizon)[0]
-    lockstep, (block, *_) = sim._blocks(range(1 << 20), n_draws, field.d, n_times)
+    lockstep, (block, *_) = sim._blocks(range(1 << 20), n_draws, field.d, len(times))
     assert lockstep and len(block) <= sim._LOCKSTEP_DRAWS // n_draws
     draw_size = 16 if field.d == 2 else 17
     tracemalloc.start()

@@ -326,7 +326,7 @@ def minimize(fun, x0, prob):
         rd, gap = g + aty - z, x @ z
         if np.all((np.abs(rd) <= 1e-9 * (np.abs(g) + abs(A.T) @ np.abs(y) + z) + 1e-15)
                   | (np.abs(rd) * x <= 1e-15 * (1.0 + abs(f)))) \
-                and np.all(np.abs(rp) <= 1e-10 * (abs(A) @ x + np.abs(b))) \
+                and np.all(np.abs(rp) <= 1e-10 * (abs(A) @ x + np.abs(b)) + 1e-15) \
                 and gap <= 1e-12 * (1.0 + abs(f)):
             return SimpleNamespace(x=x, nfev=nfev, nit=it, success=True)
         mu = gap / n
@@ -360,7 +360,7 @@ def minimize(fun, x0, prob):
                     * np.abs(rp).sum() <= merit + 1e-4 * step * slope + 1e-14 * abs(merit):
                 break
             step *= 0.5
-        x, y, z = trial, y + dual * dy, z + dual * dz
+        x, y, z = trial, y + step * dy, z + dual * dz
     return SimpleNamespace(x=x, nfev=nfev, nit=_MAX_ITER, success=False)
 
 

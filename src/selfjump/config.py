@@ -38,9 +38,21 @@ def _no_extras(section, allowed, loc):
         raise errors.ConfigError(f"unknown key {extra[0]!r}", loc)
 
 
+def _reads_as_float(value):
+    """Whether value is text that float() reads as a finite number.  PyYAML
+    follows YAML 1.1, whose floats need a dot and a signed exponent, so it
+    loads 1e-10 and 1.0e10 as such text."""
+    try:
+        return isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
 def _number(value, loc, d=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise errors.ConfigError(f"expected a number, got {value!r}", loc)
+        hint = ("; YAML reads this as text, so write a dot and a signed exponent,"
+                " as in 1.0e-10" if _reads_as_float(value) else "")
+        raise errors.ConfigError(f"expected a number, got {value!r}{hint}", loc)
     try:
         value = float(value)
     except OverflowError:

@@ -226,7 +226,7 @@ def fixed_point_multistart(field, n_starts=1, seed=0, tol=1e-10, max_iter=500):
     check_count; each run checks tol and max_iter.
     """
     n_starts = check_count("n_starts", n_starts)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=check_count("seed", seed, 0)))
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     starts = chain([uniform_simplex(field.d)],
                    (rng.dirichlet(np.ones(field.d)) for _ in range(n_starts - 1)))
     found, best = [], None

@@ -14,15 +14,14 @@ noise.
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 
 import math
 import numpy as np
 
 from . import errors
-from .core import as_simplex
-from .sim import lockstep_thinning
+from .core import as_simplex, check_count
+from .sim import sample_paths
 
 Z_95 = 1.959963984540054
 
@@ -104,9 +103,9 @@ def _decay_point(t, hits, n):
 
 def _count_hits(field, x0, times, target, seed, n_paths):
     hits = np.zeros(len(times), dtype=np.int64)
-    # closed on the way out, error or not, so no sampling worker outlives the call
-    with closing(lockstep_thinning(field, x0, times, n_paths, seed)) as blocks:
-        for occ in blocks:
+    paths = range(check_count("n_paths", n_paths))
+    with sample_paths(field, x0, times, seed, paths) as blocks:
+        for occ, _, _ in blocks:
             # one hit test on the block's rows at every time
             hit = target.hits(occ.reshape(-1, occ.shape[-1]))
             hits += hit.reshape(len(times), -1).sum(axis=1)
@@ -118,8 +117,8 @@ def decay_curve(field, x0, target, times, n_paths, seed=0):
 
     Returns a list of DecayPoint sorted by time.  Paths are independent
     thinning streams keyed by (seed, path index), so results grow
-    consistently with n_paths.  Blocks of paths advance in lockstep
-    (``sim.lockstep_thinning``) with the same values as path-by-path runs.
+    consistently with n_paths.  The paths run in ``sim.sample_paths``'s items
+    (short ones in lockstep blocks) with the same values as path-by-path runs.
     """
     times = sorted(float(t) for t in times)
     hits = _count_hits(field, x0, times, target, seed, n_paths)

@@ -35,23 +35,24 @@ last one.  It repeats the scalar sampler's float operations in the same
 order, so its values are bit-identical to ``simulate_thinning`` followed by
 ``occupation_at`` and ``flux_at``.
 
-One rule, ``_blocks``, splits every batch of paths into the work items that
-``_sampled`` runs for ``lockstep_thinning`` and ``batch_simulate``: short
-paths run in lockstep blocks, long ones one at a time, and the batch runs
-path 0 whole in the calling process, for its trajectory.  Per-path randomness comes from counter-based streams keyed by
-(seed, path_index), so batches are reproducible in any execution order: the
-items run on every CPU in this process's affinity mask (``taskset`` limits
-them), in worker processes forked for the call, and their results are
-placed by index, so the values do not depend on the worker count (only how
-the paths are split does).
+``sample_paths`` is the one way into both engines.  One rule, ``_blocks``,
+splits its paths into work items: short paths run in lockstep blocks, long
+ones one at a time (``batch_simulate`` runs path 0 whole in the calling
+process, for its trajectory).  Per-path randomness comes from
+counter-based streams keyed by (seed, path_index), so batches are
+reproducible in any execution order: the items run on every CPU in this
+process's affinity mask (``taskset`` limits them), in worker processes
+forked for the call, and their results are placed by index, so the values
+do not depend on the worker count (only how the paths are split does).
 Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
-``SeedSequence(entropy=seed, spawn_key=(i,))`` generates, which is how
-``path_stream`` builds it.  For a lockstep block, ``_stream_keys`` computes
-those keys for all its paths in one vectorised pass of SeedSequence's hash,
-which numpy's stream-compatibility policy keeps fixed: the seed's words are
-mixed once per seed, and only the index words per path.  The block then
-resets one Philox generator to each path's fresh stream instead of building
-a generator per path.
+seed sequence with entropy seed and spawn key (i,) generates, which
+``_stream_keys`` computes for a list of paths in one vectorised pass of its
+hash (numpy's stream-compatibility policy keeps that hash fixed): the
+seed's words are mixed once, and only the index words per path.
+``path_stream`` builds one path's generator under that key; a lockstep
+block resets one Philox generator to each path's fresh stream instead of
+building a generator per path.  Either way ``_draw_chunk`` draws the path's
+candidates.
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ import numpy as np
 from . import core, errors
 
 _MASK32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the multipliers of SeedSequence's mix
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the multipliers of the seed sequence's mix
 
 
 def _hash_consts(init, mult, n):
-    """The first n + 1 constants SeedSequence's hashmix steps through."""
+    """The first n + 1 constants the seed sequence's hashmix steps through."""
     consts = [init]
     for _ in range(n):
         consts.append(consts[-1] * mult & _MASK32)
@@ -88,34 +89,14 @@ _GENERATION = _hash_consts(0x8B51F9DD, 0x58F38DED, 4)
 
 
 def _hashmix(value, const, next_const):
-    """SeedSequence's hashmix on uint32 arrays, whose products wrap mod 2**32."""
-    value = (value ^ const) * next_const
+    """The seed sequence's hashmix on 32-bit words: Python ints or uint32 arrays."""
+    value = (value ^ const) * next_const & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y
+    r = _MIX_L * x - _MIX_R * y & _MASK32
     return r ^ r >> 16
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(seed):
-    """SeedSequence's four-word pool after the words of ``seed`` (in [0, 2**64)).
-
-    The seed's two 32-bit words, zero-padded to the pool size, come first
-    in every path's entropy, so this pool is shared by all paths of a seed.
-    Read-only, as the cache hands it to every caller.
-    """
-    m = _MIXING
-    pool = _hashmix(np.array([seed & _MASK32, seed >> 32, 0, 0], dtype=np.uint32),
-                    m[:4], m[1:5])
-    for src in range(4):
-        # hashmix calls 4 + 3 src .. 6 + 3 src mix pool[src] into the others
-        k = 4 + 3 * src
-        others = np.arange(4) != src
-        pool[others] = _mix(pool[others], _hashmix(pool[src], m[k:k + 3], m[k + 1:k + 4]))
-    pool.flags.writeable = False
-    return pool
 
 
 def check_seed(seed):
@@ -132,19 +113,32 @@ def check_seed(seed):
 def _stream_keys(seed, indices):
     """Philox keys of the streams of paths ``indices``, as an (n, 2) uint64 array.
 
-    Row k is ``SeedSequence(entropy=seed, spawn_key=(indices[k],))
-    .generate_state(2, np.uint64)``, for indices in [0, 2**64).  The index
-    words (the low one, and the high one from 2**32 on) are mixed into
-    every path's copy of the seed's pool at once.
+    Row k is the state numpy's seed sequence with entropy ``seed`` and spawn
+    key ``(indices[k],)`` generates as two uint64 words, for indices in
+    [0, 2**64).  The seed's two 32-bit words, zero-padded to the pool size,
+    come first in every path's entropy, so they are mixed into the pool
+    once; the index words (the low one, and the high one from 2**32 on) are
+    then mixed into every path's copy of the pool at once.
     """
     idx = np.asarray(indices).reshape(-1)
-    if idx.min(initial=0) < 0:
-        raise errors.InvalidInput("path indices must be nonnegative")
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= 1 << 64:
+        raise errors.InvalidInput("path indices must lie in [0, 2**64)")
     idx = idx.astype(np.uint64)
-    pool = _seed_pool(check_seed(seed))
+    seed = check_seed(seed)
+    # the seed's pool in Python ints, as numpy mixes it: hashmix calls 0-3
+    # take the seed words, 4-15 mix each pool word into the others
+    c = _MIXING.tolist()
+    pool = [_hashmix(w, c[k], c[k + 1]) for k, w in enumerate([seed & _MASK32, seed >> 32, 0, 0])]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k], c[k + 1]))
+                k += 1
+    pool = np.array(pool, dtype=np.uint32)
+    m = _MIXING
     # one row per path and one column per pool word; hashmix calls 16-19
     # mix in the low index word, 20-23 the high one
-    m = _MIXING
     low = idx.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
     pool = _mix(pool, _hashmix(low, m[16:20], m[17:21]))
     if idx.max(initial=0) > _MASK32:
@@ -158,8 +152,7 @@ def _stream_keys(seed, indices):
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
     path_index = core.check_count("path_index", path_index, 0)
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=(path_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(key=_stream_keys(seed, [path_index])[0]))
 
 
 @dataclass(frozen=True)
@@ -250,17 +243,16 @@ def _chunk_sizes(lam, horizon):
     return max(64, int(first)), max(256, int(min(_MAX_CHUNK, 0.125 * mean_n)))
 
 
-def _draw_chunk(rng, n, n_dest):
-    """Yield n exponential clocks, then n acceptance uniforms, then n picks.
-
-    One array at a time, so a caller can convert and drop each before the
-    next is drawn.  With one destination (d = 2) no picks are drawn: every
-    pick would be 0, and drawing them consumes no bits of the stream.
+def _draw_chunk(rng, cand, uc, pick, n_dest):
+    """Fill one path's draw rows from rng: exponential clocks into cand, then
+    acceptance uniforms into uc, then destination picks in [0, n_dest) into
+    pick.  With one destination (d = 2) pick is None and no picks are drawn:
+    every pick would be 0, and drawing them consumes no bits of the stream.
     """
-    yield rng.standard_exponential(n)
-    yield rng.random(n)
-    if n_dest > 1:
-        yield rng.integers(0, n_dest, size=n)
+    rng.standard_exponential(out=cand)
+    rng.random(out=uc)
+    if pick is not None:
+        pick[...] = rng.integers(0, n_dest, size=pick.size)
 
 
 def _candidates(rng, n_dest, lam, c, horizon):
@@ -275,14 +267,13 @@ def _candidates(rng, n_dest, lam, c, horizon):
     size, refill = _chunk_sizes(lam, horizon)
     t = 0.0
     while True:
-        draws = _draw_chunk(rng, size, n_dest)
-        cand = next(draws)
+        cand, uc = np.empty(size), np.empty(size)
+        pick = np.empty(size, dtype=np.int64) if n_dest > 1 else None
+        _draw_chunk(rng, cand, uc, pick, n_dest)
         cand /= lam
         cand[0] += t
         np.cumsum(cand, out=cand)
-        uc = next(draws)
         uc *= c
-        pick = next(draws, None)
         n = int(np.searchsorted(cand, horizon, side="right"))
         for lo in range(0, n, _SLICE):
             hi = min(lo + _SLICE, n)
@@ -505,13 +496,22 @@ def _blocks(paths, n_draws, d, n_times):
 
 
 @contextlib.contextmanager
-def _sampled(field, x0, times, seed, paths):
-    """The items of ``paths`` run to times[-1] on every CPU (``_mapped``), in order.
+def sample_paths(field, x0, times, seed, paths):
+    """Thinning paths ``paths`` (a range of path indices), run to times[-1].
 
-    An item is three arrays: its paths' occupations at each time, of shape
-    (len(times), item, d), their fluxes at times[-1], (item, d, d), and
-    their thinning-candidate counts, (item,).
+    Yields an iterator over the items of ``_blocks``, in order, run on every
+    CPU (``_mapped``).  An item is three arrays for its paths: their
+    occupations at each time, of shape (len(times), item, d), their fluxes at
+    times[-1], (item, d, d), and their thinning-candidate counts, (item,).
+    For the item's b-th path i, occupation entry [k, b] is bit-identical to
+    ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``,
+    flux entry b to that trajectory's ``flux_at(times[-1])`` and count b to
+    its ``candidates``.  x0, the seed and the times are checked before any
+    worker starts, and leaving the block stops the workers.
     """
+    x0 = check_x0(x0, field.d)
+    seed = check_seed(seed)
+    times = check_times(times)
     lam = (field.d - 1) * field.rate_upper
     n_draws = _chunk_sizes(lam, float(times[-1]))[0] if lam > 0.0 else 0
     lockstep, blocks = _blocks(paths, n_draws, field.d, len(times))
@@ -521,26 +521,8 @@ def _sampled(field, x0, times, seed, paths):
         yield results
 
 
-def lockstep_thinning(field, x0, times, n_paths, seed):
-    """Occupations of thinning paths 0..n_paths-1 at each time.
-
-    Paths run to times[-1] in the items of ``_sampled``; one occupation
-    array of shape (len(times), item, d) is yielded per item.  Entry [k, b]
-    is bit-identical to
-    ``simulate_thinning(field, x0, times[-1], seed, i).occupation_at(times[k])``
-    for the item's b-th path i.  Closing the generator stops the workers.
-    """
-    x0 = check_x0(x0, field.d)
-    seed = check_seed(seed)
-    times = check_times(times)
-    n_paths = core.check_count("n_paths", n_paths)
-    with _sampled(field, x0, times, seed, range(n_paths)) as blocks:
-        for occ, _, _ in blocks:
-            yield occ
-
-
 def _scalar_block(field, x0, times, seed, paths):
-    """``_sampled``'s item for ``paths``, run one at a time by the thinning sampler."""
+    """``sample_paths``'s item for ``paths``, run one at a time by the thinning sampler."""
     run, horizon = _SAMPLERS["thinning"], times[-1]
     trajs = [run(field, x0, horizon, seed, path_index=i) for i in paths]
     return (np.array([[traj.occupation_at(t) for traj in trajs] for t in times]),
@@ -552,13 +534,13 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     """Run ``paths`` in lockstep through their first draw chunks.
 
     One Philox generator is reset to each path's fresh stream in turn (keys
-    from ``_stream_keys``) to draw the chunks, each path's into one row, in
-    ``_draw_chunk``'s order.  No picks are drawn at d = 2, where the
-    destination is the other state; otherwise they are stored in the
-    narrowest unsigned type that holds d - 1.  Step k handles every path's
-    k-th candidate with the scalar loop's float operations, so values match
-    it bitwise.  A path whose first chunk ends before the horizon is re-run
-    whole by ``_scalar_block``.  Accepted jumps are counted per (path, edge),
+    from ``_stream_keys``), and ``_draw_chunk`` draws each path's chunk into
+    its rows.  No picks are drawn at d = 2, where the destination is the
+    other state; otherwise they are stored in the narrowest unsigned type
+    that holds d - 1.  Step k handles every path's k-th candidate with the
+    scalar loop's float operations, so values match it bitwise.  A path
+    whose first chunk ends before the horizon is re-run whole by
+    ``_scalar_block``.  Accepted jumps are counted per (path, edge),
     so the counts over times[-1] are ``Trajectory.flux_at``'s values.
 
     Read-outs are taken where holding intervals end: a jump at time t
@@ -585,10 +567,7 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     for b, key in enumerate(keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        rng.standard_exponential(out=cand[b])
-        rng.random(out=uc[b])
-        if pick is not None:
-            pick[b] = rng.integers(0, d - 1, size=n_draws)
+        _draw_chunk(rng, cand[b], uc[b], None if pick is None else pick[b], d - 1)
     np.divide(cand, lam, out=cand)
     np.cumsum(cand, axis=1, out=cand)  # the scalar loop's t += e / lam
     uc *= c
@@ -691,18 +670,16 @@ def batch_simulate(field, x0, horizon, n_paths, seed):
 
     Path i uses the stream keyed by (seed, i), so it is the sampler's path
     ``path_index=i`` whatever the batch size.  Paths 1..n_paths-1 run in the
-    items of ``_sampled`` (short paths in lockstep, long ones one at a time)
-    while this process runs path 0 whole, for ``first_trajectory``.
+    items of ``sample_paths`` (short paths in lockstep, long ones one at a
+    time) while this process runs path 0 whole, for ``first_trajectory``.
     """
-    x0 = check_x0(x0, field.d)
-    seed = check_seed(seed)
     horizon = check_horizon(horizon)
     n_paths = core.check_count("n_paths", n_paths)
     d = field.d
     occ = np.empty((n_paths, d))
     flux = np.empty((n_paths, d, d))
     candidates = np.empty(n_paths, dtype=np.int64)
-    with _sampled(field, x0, np.array([horizon]), seed, range(1, n_paths)) as blocks:
+    with sample_paths(field, x0, [horizon], seed, range(1, n_paths)) as blocks:
         first = _SAMPLERS["thinning"](field, x0, horizon, seed, path_index=0)
         occ[0], flux[0] = first.occupation_at(horizon), first.flux_at(horizon)
         candidates[0] = first.candidates

@@ -76,8 +76,8 @@ class SolveOptions:
         if not horizon >= 1.0:
             raise errors.InvalidInput(f"horizon {horizon} too small (need >= 1)")
         if np.exp(-horizon) < np.finfo(float).tiny:
-            # only a positive tail weight makes the flux rows imply the tail's
-            # divergence rows; a subnormal one has already lost precision
+            # at a zero tail weight the tail's cost and flux terms vanish, and
+            # a subnormal one has already lost precision
             raise errors.InvalidInput(f"horizon {horizon} too large: its tail weight "
                                       "e^-horizon underflows (need about <= 708.4)")
         object.__setattr__(self, "grid_cells", check_count("grid_cells", self.grid_cells, 2))
@@ -142,7 +142,7 @@ class _FluxProblem:
     The cost sum_c w_c sum_e [j log(j / p) - j + p], p = rho_c(x_e) Q_e(M_c),
     is the control cost of H = j / rho.  A x = b holds, per block, the simplex,
     div j_c = 0 and the recursion of M; then M_0 = gamma and the weighted sums
-    of j that meet a flux or current, which imply the tail's divergence rows
+    of j that meet a flux or current, which imply one block's divergence rows
     (left out).  Pinned to zero, and not in x: rho and M of a state gamma
     leaves empty, and j on every edge that no feasible flux charges (at such
     a state, of vanishing rate, off all cycles, or with no target to carry)."""
@@ -182,14 +182,19 @@ class _FluxProblem:
         # each belongs to (nb for the weighted sums)
         kron, diags, eye = sparse.kron, sparse.diags, sparse.identity(nb)
         e_rho, e_m, e_j = np.split(np.eye(nv), [d, 2 * d])
-        split = nb - (mode != "occupation")  # blocks with divergence rows
+        # blocks with divergence rows: with a flux or current the weighted sums
+        # imply one block's, left out at the last block of weight >= 1e-3 max w,
+        # whose implied rows are then held to about the solver's precision
+        rowed = np.arange(nb)
+        if mode != "occupation":
+            rowed = np.delete(rowed, np.flatnonzero(self.w >= 1e-3 * self.w.max())[-1])
         # each strongly connected set of states has one dependent divergence row
         live = [x for x in np.unique(xs[~dead]) if (reach[x, :x] & reach[:x, x]).any()]
         states = [x for x in np.flatnonzero(~empty) if gamma is not None
                   and x != np.argmax(gamma)]
         groups = [(kron(eye, e_rho.sum(axis=0)), np.ones(nb), np.arange(nb)),
-                  (kron(eye.tocsr()[:split], self.div[live] @ e_j), np.zeros(split * len(live)),
-                   np.repeat(np.arange(split), len(live))),
+                  (kron(eye.tocsr()[rowed], self.div[live] @ e_j),
+                   np.zeros(rowed.size * len(live)), np.repeat(rowed, len(live))),
                   (kron(eye - diags(self.decay, 1), e_m)
                    + kron(diags(np.append(self.decay, 0.0) - 1.0), e_rho),
                    np.zeros(nb * d), np.repeat(np.arange(nb), d)),
@@ -260,9 +265,10 @@ class _FluxProblem:
         return float(self.w @ (j * log_ratio - j + r * q).sum(axis=1)), r, q, ratio, log_ratio
 
     def objective(self, x, order=2):
-        """The cost at x; with order >= 1 its gradient, with 2 its block Hessians.
-        Per edge the Hessian of the perspective is (1 / j) s s^T with s = e_j -
-        (j / r) e_rho(x) - (j / q) v, and p = r q adds (1 - j / p) v at (rho(x), M)."""
+        """The cost at x (order 0), else the cost, its gradient and its block
+        Hessians.  Per edge the Hessian of the perspective is (1 / j) s s^T with
+        s = e_j - (j / r) e_rho(x) - (j / q) v, and p = r q adds (1 - j / p) v at
+        (rho(x), M)."""
         rho, m, j = self._unpack(x)
         value, r, q, ratio, log_ratio = self._terms(rho, m, j)
         if order == 0:
@@ -270,8 +276,6 @@ class _FluxProblem:
         d, w, on = self.d, self.w[:, None], j > 0.0
         c = w * (1.0 - ratio)
         grad = np.concatenate([(c * q) @ self.ox, (c * r) @ self.vxy.T, w * log_ratio], axis=1)
-        if order == 1:
-            return value, grad[:, self.free].ravel()
         root, edges = np.sqrt(j), np.arange(self.xs.size)
         s = np.zeros(j.shape + self.free.shape)  # per block and edge, s / sqrt(j)
         s[:, edges, self.xs] = -np.divide(root, r, out=np.zeros_like(r), where=on)
@@ -310,8 +314,8 @@ def minimize(fun, x0, prob):
     """Minimize fun over {x >= 0, prob.A x = prob.b} from x0 by a primal-dual
     interior-point Newton method; return x, nfev, nit and success.
 
-    fun(x, order) is the cost, with its gradient (order 1) and block Hessians
-    (2).  Each iteration factorizes one Newton matrix for a Mehrotra
+    fun(x, 0) is the cost, and fun(x, 2) the cost, its gradient and its block
+    Hessians.  Each iteration factorizes one Newton matrix for a Mehrotra
     predictor-corrector step, cut back to keep x and the bound multipliers z
     positive and to decrease the merit f - mu sum log x + nu |A x - b|_1.
     delta I joins the Hessian while the factorization fails or the step is
@@ -367,7 +371,9 @@ def minimize(fun, x0, prob):
 def _to_boundary(v, dv, tau):
     """The largest step in (0, 1] that keeps v + step * dv >= (1 - tau) v."""
     neg = dv < 0.0
-    return min(1.0, tau * float(np.min(-v[neg] / dv[neg], initial=np.inf)))
+    with np.errstate(over="ignore"):  # a ratio past the float range bounds nothing
+        ratio = -v[neg] / dv[neg]
+    return min(1.0, tau * float(np.min(ratio, initial=np.inf)))
 
 
 def _starts(prob, field, mode, gamma, flux):

@@ -802,6 +802,9 @@ OVERFLOWING_FIELDS = [
     ({"solver": {"grid_horizon": 800, "grid_cells": 8}}, "solver.grid_horizon"),
     ({"field": OVERFLOWING_FIELDS[0]}, "field"),
     ({"field": OVERFLOWING_FIELDS[1]}, "field"),
+    # PyYAML loads 1e-10 as text (YAML 1.1 floats need a dot and a signed exponent)
+    ({"fixed_point": {"tol": "1e-10"}},
+     "fixed_point.tol: expected a number, got '1e-10'; YAML reads this as text"),
 ])
 def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     full = {"field": CHEMO_FIELD, **doc}

@@ -255,18 +255,30 @@ def test_batch_csv_schema(tmp_path):
     assert text.splitlines()[0] == "path,seed_index,L_1,L_2,R_edge1,R_edge2"
 
 
+def sampled(field, x0, times, n_paths, seed):
+    """The items ``sim.sample_paths`` yields for paths 0..n_paths-1."""
+    with sim.sample_paths(field, x0, times, seed, range(n_paths)) as items:
+        return list(items)
+
+
 def lockstep_occupations(field, x0, times, n_paths, seed):
-    return np.concatenate(list(sim.lockstep_thinning(field, x0, times, n_paths, seed)),
+    return np.concatenate([occ for occ, _, _ in sampled(field, x0, times, n_paths, seed)],
                           axis=1)
 
 
 def assert_lockstep_matches_scalar(field, x0, times, n_paths, seed):
-    occ = lockstep_occupations(field, x0, times, n_paths, seed)
+    items = sampled(field, x0, times, n_paths, seed)
+    occ = np.concatenate([o for o, _, _ in items], axis=1)
+    flux = np.concatenate([f for _, f, _ in items])
+    cand = np.concatenate([c for _, _, c in items])
     assert occ.shape == (len(times), n_paths, field.d)
+    assert flux.shape == (n_paths, field.d, field.d) and cand.shape == (n_paths,)
     for i in range(n_paths):
         traj = sim.simulate_thinning(field, x0, times[-1], seed, path_index=i)
         for k, t in enumerate(times):
             assert np.array_equal(occ[k, i], traj.occupation_at(t)), (i, t)
+        assert np.array_equal(flux[i], traj.flux_at(times[-1])), i
+        assert cand[i] == traj.candidates, i
 
 
 @pytest.mark.parametrize("seed", [0, 5, 7])
@@ -339,12 +351,12 @@ def test_lockstep_zero_rate_field():
     assert np.all(occ == [0.0, 1.0, 0.0])
 
 
-def test_lockstep_input_gates():
+def test_sample_paths_input_gates():
     with pytest.raises(errors.InvalidInput, match="state label"):
-        next(sim.lockstep_thinning(unit_field(), 3, [1.0], 2, seed=0))
+        sampled(unit_field(), 3, [1.0], 2, seed=0)
     for times in ([], [0.0, 1.0], [2.0, 1.0]):
         with pytest.raises(ValueError):
-            next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+            sampled(unit_field(), 1, times, 2, seed=0)
 
 
 def test_samplers_reject_non_finite_horizons():
@@ -357,7 +369,7 @@ def test_samplers_reject_non_finite_horizons():
         sim.batch_simulate(unit_field(), 1, np.inf, 2, seed=0)
     for times in ([1.0, np.inf], [1.0, np.nan, 2.0]):
         with pytest.raises(ValueError):
-            next(sim.lockstep_thinning(unit_field(), 1, times, 2, seed=0))
+            sampled(unit_field(), 1, times, 2, seed=0)
 
 
 def with_workers(monkeypatch, n, fn):
@@ -486,10 +498,11 @@ def test_lockstep_is_the_same_on_any_worker_count(monkeypatch, case):
         monkeypatch.setattr(sim, "_chunk_sizes", lambda lam, horizon: (64, 256))
         monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
         monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
-    blocks = {w: with_workers(monkeypatch, w, lambda: list(
-        sim.lockstep_thinning(field, x0, times, n, seed=3))) for w in (1, 3)}
+    blocks = {w: with_workers(monkeypatch, w, lambda: sampled(field, x0, times, n, seed=3))
+              for w in (1, 3)}
     assert len(blocks[1]) >= 3
-    assert [b.tobytes() for b in blocks[1]] == [b.tobytes() for b in blocks[3]]
+    assert [a.tobytes() for b in blocks[1] for a in b] == \
+        [a.tobytes() for b in blocks[3] for a in b]
     assert_lockstep_matches_scalar(field, x0, times, n, seed=3)
 
 
@@ -554,7 +567,7 @@ def test_sampling_checks_x0_and_seed_before_any_worker_starts(monkeypatch):
         with pytest.raises(errors.InvalidInput, match=message):
             sim.batch_simulate(unit_field(), x0, 40000.0, 4, seed)
         with pytest.raises(errors.InvalidInput, match=message):
-            next(sim.lockstep_thinning(unit_field(), x0, [1.0], 100, seed))
+            sampled(unit_field(), x0, [1.0], 100, seed)
 
 
 def test_workers_run_a_bounded_number_of_items_ahead(monkeypatch):
@@ -596,14 +609,13 @@ def test_a_dead_worker_fails_the_call_instead_of_hanging(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_closing_the_lockstep_generator_stops_its_workers(monkeypatch):
+def test_leaving_sample_paths_stops_its_workers(monkeypatch):
     monkeypatch.setattr(sim, "_cpus", lambda: 3)
     monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
-    blocks = sim.lockstep_thinning(chemo_field(), 1, [4.0, 30.0], 40, seed=3)
-    next(blocks)
-    assert 1 <= len(multiprocessing.active_children()) <= 3
-    blocks.close()
+    with sim.sample_paths(chemo_field(), 1, [4.0, 30.0], 3, range(40)) as blocks:
+        next(blocks)
+        assert 1 <= len(multiprocessing.active_children()) <= 3
     assert multiprocessing.active_children() == []
 
 
@@ -632,8 +644,7 @@ def test_a_worker_error_reaches_the_caller_whole(monkeypatch):
     monkeypatch.setattr(sim, "_LOCKSTEP_DRAWS", 700)  # blocks of 3 paths
     monkeypatch.setattr(sim, "_MIN_BLOCK_PATHS", 1)
     with pytest.raises(ValueError, match="^block at 3$"):
-        with_workers(monkeypatch, 3, lambda: list(
-            sim.lockstep_thinning(chemo_field(), 1, [4.0, 30.0], 30, seed=3)))
+        with_workers(monkeypatch, 3, lambda: sampled(chemo_field(), 1, [4.0, 30.0], 30, seed=3))
 
 
 KEY_SEEDS = (0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
@@ -660,8 +671,9 @@ def test_path_stream_draws_match_seed_sequence_stream():
             for draw in (lambda g: g.standard_exponential(300), lambda g: g.random(300),
                          lambda g: g.integers(0, 2, size=300)):
                 assert np.array_equal(draw(new), draw(old)), (seed, i)
-    with pytest.raises(ValueError):
-        sim.path_stream(0, -1)
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            sim.path_stream(0, bad)
     with pytest.raises(ValueError):
         sim._stream_keys(0, [3, -1])
 
@@ -675,7 +687,7 @@ def test_seeds_outside_64_bits_raise(seed):
         sim.simulate_thinning(unit_field(), 1, 1.0, seed)
     # 100 short paths run as one lockstep block
     with pytest.raises(ValueError):
-        next(sim.lockstep_thinning(unit_field(), 1, [1.0], 100, seed))
+        sampled(unit_field(), 1, [1.0], 100, seed)
 
 
 # sha256 of times, sources and targets of simulate_thinning(field, x0, t,

@@ -275,6 +275,9 @@ def load_config(path):
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise errors.ConfigError(str(exc), str(path)) from exc
-    except yaml.YAMLError as exc:
-        raise errors.ConfigError(f"not valid YAML: {exc}", str(path)) from exc
+    except yaml.YAMLError as exc:  # in one line; PyYAML counts marks from 0
+        mark = getattr(exc, "problem_mark", None)
+        why = (f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+               if mark and exc.problem else " ".join(str(exc).split()))
+        raise errors.ConfigError(f"not valid YAML: {why}", str(path)) from exc
     return parse_config(raw)

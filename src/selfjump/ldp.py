@@ -10,8 +10,10 @@ whenever varsigma is flux balanced (per-state inflow equals outflow), and
 +infinity otherwise.  scaled_ell is the per-edge Poisson cost q * ell(h / q)
 with ell(r) = r log r - r + 1.
 
-flux_infeasibility, the one feasibility gate of a target flux, lives here
-with its tolerances BALANCE_TOL and SUPPORT_TOL; varsolve imports them.
+flux_infeasibility, the one feasibility gate of a target flux (balance,
+support, occupation), lives here with its tolerances BALANCE_TOL and
+SUPPORT_TOL, and reachability, the graph closure of is_irreducible and of
+the solver's cycle test; varsolve's front door imports them.
 
 Also here: stationary distributions of rate matrices, the self-consistent
 equilibrium of an occupation-dependent field (pi with pi Q(pi) = 0), its
@@ -57,13 +59,6 @@ def scaled_ell(q, h):
     return out
 
 
-def flux_balanced(flux):
-    """True when per-state outflow matches inflow within BALANCE_TOL."""
-    flux = as_flux(flux)
-    gap = flux.sum(axis=1) - flux.sum(axis=0)
-    return bool(np.max(np.abs(gap)) <= BALANCE_TOL)
-
-
 def as_flux(flux):
     """Validate a per-edge flux matrix: square, nonnegative off the diagonal.
 
@@ -79,19 +74,19 @@ def as_flux(flux):
     return off
 
 
+def reachability(edges):
+    """Reflexive-transitive closure of a boolean (d, d) edge mask: entry
+    (x, y) is True when a path of edges, possibly empty, leads from x to y."""
+    reach = np.asarray(edges, dtype=bool) | np.eye(len(edges), dtype=bool)
+    for _ in range(len(edges).bit_length()):  # squarings double the lengths covered
+        reach = reach @ reach
+    return reach
+
+
 def is_irreducible(matrix):
     """Structural irreducibility of a rate matrix: its positive off-diagonal
     entries form a strongly connected graph."""
-    reach = np.asarray(matrix, dtype=float) > 0
-    np.fill_diagonal(reach, False)
-    d = reach.shape[0]
-    closure = reach | np.eye(d, dtype=bool)
-    for _ in range(d):  # boolean closure; d squarings are more than enough
-        nxt = closure @ closure
-        if np.array_equal(nxt, closure):
-            break
-        closure = nxt
-    return bool(closure.all())
+    return bool(reachability(np.asarray(matrix, dtype=float) > 0).all())
 
 
 def _irreducible(q):
@@ -111,7 +106,7 @@ def flux_infeasibility(support, flux, gamma):
     SUPPORT_TOL on an edge those rules close counts as zero.
     """
     flux = as_flux(flux)
-    if not flux_balanced(flux):
+    if not np.max(np.abs(flux.sum(axis=1) - flux.sum(axis=0))) <= BALANCE_TOL:
         return "flux balance violated"
     if np.any(flux[~np.asarray(support)] > SUPPORT_TOL):
         return "flux charges edges off the support"

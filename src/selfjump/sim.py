@@ -595,8 +595,6 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
         lo = np.searchsorted(times, s[sel])
         n_k = np.searchsorted(times, end) - lo
         b = np.repeat(sel, n_k)
-        if not b.size:
-            return
         k = np.arange(b.size) + np.repeat(lo + n_k - np.cumsum(n_k), n_k)
         occ = held[b]
         occ[np.arange(b.size), x[b]] += times[k] - s[b]

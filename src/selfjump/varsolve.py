@@ -27,16 +27,17 @@ M_{k+1} with M_K = rho_K.
 The solver works in (rho, M, j) with the flux j = rho * H per edge, where
 the block cost is the level-2.5 perspective form j log(j / p) - j + p with
 p = rho(x) Q_xy(M) (Bertini, Faggionato and Gabrielli, AIHP 2015) and every
-constraint is a linear row.  The cost is not convex, and +infinity where j
-charges an edge whose p is 0; a primal-dual interior-point Newton method
-(in the line of IPOPT, Waechter and Biegler, Math. Program. 106, 2006) keeps
-rho, M and j strictly positive, where the cost and its exact Hessian are
-finite.  Each of at most two deterministic starts is one solve, judged by
-its flux cost and the largest gap of each constraint group; the winner
-becomes a control path (rho, H = j / rho).  Empty states are pinned to zero.
-On a constant field the minimizer is the constant path rho = gamma,
-j = varsigma at the level-2.5 rate (in ldp, with the flux gate and
-SUPPORT_TOL), the primary cross-check.  scipy.sparse loads when a solve runs.
+constraint is a linear row, set by the targets each solve passes to
+_minimize.  The cost is not convex, and +infinity where j charges an edge
+whose p is 0; a primal-dual interior-point Newton method (in the line of
+IPOPT, Waechter and Biegler, Math. Program. 106, 2006) keeps rho, M and j
+strictly positive, where the cost and its exact Hessian are finite.  Each
+of at most two deterministic starts is one solve, judged by its flux cost
+and the largest gap of each constraint group; the winner becomes a control
+path (rho, H = j / rho).  Empty states are pinned to zero.  On a constant
+field the minimizer is the constant path rho = gamma, j = varsigma at the
+level-2.5 rate (in ldp, with the flux gate and SUPPORT_TOL), the primary
+cross-check.  scipy.sparse loads when a solve runs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from . import errors
 from .core import as_simplex, check_count, uniform_simplex
 from .ldp import (BALANCE_TOL, SUPPORT_TOL, as_flux, fixed_point_pi_star,
-                  flux_infeasibility)
+                  flux_infeasibility, reachability)
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,14 @@ class _FluxProblem:
 
     The cost sum_c w_c sum_e [j log(j / p) - j + p], p = rho_c(x_e) Q_e(M_c),
     is the control cost of H = j / rho.  A x = b holds, per block, the simplex,
-    div j_c = 0 and the recursion of M; then M_0 = gamma and the weighted sums
-    of j that meet a flux or current, which imply one block's divergence rows
-    (left out).  Pinned to zero, and not in x: rho and M of a state gamma
-    leaves empty, and j on every edge that no feasible flux charges (at such
-    a state, of vanishing rate, off all cycles, or with no target to carry)."""
+    div j_c = 0 and the recursion of M; then the targets given decide the
+    rest: M_0 = gamma, and the weighted sums of j that meet a flux or a
+    current, which imply one block's divergence rows (left out).  Pinned to
+    zero, and not in x: rho and M of a state gamma leaves empty, and j on
+    every edge that no feasible flux charges (at such a state, of vanishing
+    rate, off all cycles, or with no target to carry)."""
 
-    def __init__(self, field, opts, mode, gamma=None, flux=None, current=None):
+    def __init__(self, field, opts, gamma=None, flux=None, current=None):
         from scipy import sparse
 
         d, (xs, ys), nb = field.d, np.nonzero(field.support), opts.grid_cells + 1
@@ -161,19 +163,18 @@ class _FluxProblem:
         dead = empty[xs] | empty[ys] | ~np.any(self.vxy[~empty] > 0.0, axis=0)
         # the weighted sums of j that meet a target: flux, net current or none
         self.sums, self.target = np.zeros((0, n_e)), np.zeros(0)
-        if mode == "rate":
+        if flux is not None:
             self.sums, self.target = np.eye(n_e), flux[xs, ys]
             dead |= self.target <= SUPPORT_TOL
-        elif mode == "current":
+        elif current is not None:
             pairs = sorted({(min(x, y), max(x, y)) for x, y in zip(xs, ys)})
             self.sums = np.array([((xs == x) & (ys == y)) * 1.0 - ((xs == y) & (ys == x))
                                   for x, y in pairs]).reshape(len(pairs), n_e)
             self.target = np.array([current[x, y] for x, y in pairs])
             dead |= ~field.support[ys, xs] & (current[xs, ys] <= SUPPORT_TOL)
-        reach = np.eye(d, dtype=bool)  # a divergence-free j lives on cycles only
+        reach = np.zeros((d, d), dtype=bool)  # a divergence-free j lives on cycles only
         reach[xs[~dead], ys[~dead]] = True
-        for _ in range(d):
-            reach = reach | reach @ reach
+        reach = reachability(reach)
         dead |= ~reach[ys, xs]
         self.free = ~np.concatenate([empty, empty, dead])
         self.nf = nf = int(self.free.sum())
@@ -186,7 +187,7 @@ class _FluxProblem:
         # imply one block's, left out at the last block of weight >= 1e-3 max w,
         # whose implied rows are then held to about the solver's precision
         rowed = np.arange(nb)
-        if mode != "occupation":
+        if self.target.size:
             rowed = np.delete(rowed, np.flatnonzero(self.w >= 1e-3 * self.w.max())[-1])
         # each strongly connected set of states has one dependent divergence row
         live = [x for x in np.unique(xs[~dead]) if (reach[x, :x] & reach[:x, x]).any()]
@@ -291,7 +292,7 @@ class _FluxProblem:
 
     def judge(self, x):
         """Value and residuals of x, M recomputed from rho: each group's largest
-        gap in natural units (0 if the mode lacks it), and the support count of
+        gap in natural units (0 if the problem lacks it), and the support count of
         (block, edge) pairs where j > SUPPORT_TOL charges p <= 0 (value inf)."""
         rho, _, j = self._unpack(x)
         value, r, q, _, _ = self._terms(rho, self.occupation(rho), j)
@@ -319,7 +320,8 @@ def minimize(fun, x0, prob):
     predictor-corrector step, cut back to keep x and the bound multipliers z
     positive and to decrease the merit f - mu sum log x + nu |A x - b|_1.
     delta I joins the Hessian while the factorization fails or the step is
-    not finite or does not descend."""
+    not finite or does not descend.  It stops when the rows hold and the dual
+    residual and the gap, both weighted by x, sum to at most 1e-10 (1 + |f|)."""
     A, b, n = prob.A, prob.b, x0.size
     x, y, nu, nfev = np.maximum(x0, 1e-4), np.zeros(b.size), 1.0, 0
     for it in range(_MAX_ITER):
@@ -328,10 +330,8 @@ def minimize(fun, x0, prob):
         z = np.maximum(g, 1e-3) if it == 0 else z
         rp, aty = A @ x - b, A.T @ y
         rd, gap = g + aty - z, x @ z
-        if np.all((np.abs(rd) <= 1e-9 * (np.abs(g) + abs(A.T) @ np.abs(y) + z) + 1e-15)
-                  | (np.abs(rd) * x <= 1e-15 * (1.0 + abs(f)))) \
-                and np.all(np.abs(rp) <= 1e-10 * (abs(A) @ x + np.abs(b)) + 1e-15) \
-                and gap <= 1e-12 * (1.0 + abs(f)):
+        if np.all(np.abs(rp) <= 1e-10 * (abs(A) @ x + np.abs(b)) + 1e-15) \
+                and np.abs(rd) @ x + gap <= 1e-10 * (1.0 + abs(f)):
             return SimpleNamespace(x=x, nfev=nfev, nit=it, success=True)
         mu = gap / n
         for delta in np.append(0.0, np.logspace(-8, 8, 17)):  # delta I joins the Hessian
@@ -376,14 +376,14 @@ def _to_boundary(v, dv, tau):
     return min(1.0, tau * float(np.min(ratio, initial=np.inf)))
 
 
-def _starts(prob, field, mode, gamma, flux):
+def _starts(prob, field, gamma, flux):
     """Deterministic starts, built on demand: the informed constant path at
     rho = gamma, then the self-consistent equilibrium.  The informed flux is
-    the target flux in rate mode, else sqrt(gamma_x Q_xy(gamma) gamma_y
+    the target flux when one is given, else sqrt(gamma_x Q_xy(gamma) gamma_y
     Q_yx(gamma)), which is symmetric, so the start is exactly feasible."""
     if gamma is not None:
         p = gamma[:, None] * field.evaluate(gamma)
-        yield prob.pack(gamma, flux if mode == "rate" else np.sqrt(np.clip(p * p.T, 0.0, None)))
+        yield prob.pack(gamma, np.sqrt(np.clip(p * p.T, 0.0, None)) if flux is None else flux)
     try:
         pi = fixed_point_pi_star(field, tol=1e-11, max_iter=400).pi
     except errors.Reducible:
@@ -397,12 +397,25 @@ def _violation(rd):
     return max(max(gaps) / _TOL, rd["support"]) if np.isfinite(gaps).all() else float("inf")
 
 
-def _minimize(field, mode, gamma, flux, current, opts):
-    """Best of the starts, each one solve: converged ones (optimal, violation
+def _minimize(field, opts, gamma=None, flux=None, current=None):
+    """Every solve's front door, on the validated targets given: their size
+    check, the flux or current gates (infeasible, value +infinity), then the
+    best of the starts, each one solve: converged ones (optimal, violation
     <= 1, support count 0) by value, the others by violation."""
-    prob = _FluxProblem(field, opts, mode, gamma=gamma, flux=flux, current=current)
+    opts = opts or SolveOptions()
+    if any(v is not None and v.shape != (field.d,) * n
+           for v, n in ((gamma, 1), (flux, 2), (current, 2))):
+        raise errors.InvalidInput("dimension mismatch with the field")
+    reason = None if flux is None else flux_infeasibility(field.support, flux, gamma)
+    if current is not None and np.max(np.abs(current.sum(axis=1))) > BALANCE_TOL:
+        reason = "current is not divergence-free"
+    elif current is not None and np.any((current > SUPPORT_TOL) & ~field.support):
+        reason = "current charges edges off the support"
+    if reason is not None:
+        return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
+    prob = _FluxProblem(field, opts, gamma=gamma, flux=flux, current=current)
     best = None
-    starts = islice(_starts(prob, field, mode, gamma, flux), min(opts.n_starts, 2))
+    starts = islice(_starts(prob, field, gamma, flux), min(opts.n_starts, 2))
     for si, x in enumerate(starts):
         res = minimize(prob.objective, x, prob)
         value, rd = prob.judge(res.x)
@@ -425,24 +438,12 @@ def solve_rate(gamma, flux, field, opts=None):
     not occupy is infeasible with value +infinity.  A gamma on a face of the
     simplex is solved exactly, with its empty states pinned (see _minimize).
     """
-    opts = opts or SolveOptions()
-    gamma = as_simplex(gamma)
-    flux = as_flux(flux)
-    if gamma.shape != (field.d,) or flux.shape != (field.d, field.d):
-        raise errors.InvalidInput("dimension mismatch with the field")
-    reason = flux_infeasibility(field.support, flux, gamma)
-    if reason is not None:
-        return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
-    return _minimize(field, "rate", gamma, flux, None, opts)
+    return _minimize(field, opts, gamma=as_simplex(gamma), flux=as_flux(flux))
 
 
 def occupation_rate(gamma, field, opts=None):
     """Minimize the control cost at fixed occupation gamma, flux free."""
-    opts = opts or SolveOptions()
-    gamma = as_simplex(gamma)
-    if gamma.shape != (field.d,):
-        raise errors.InvalidInput("dimension mismatch with the field")
-    return _minimize(field, "occupation", gamma, None, None, opts)
+    return _minimize(field, opts, gamma=as_simplex(gamma))
 
 
 def as_current(current):
@@ -463,15 +464,5 @@ def current_rate(current, field, opts=None):
     positive current on x -> y needs flux on x -> y).  For two states this
     forces the zero current.
     """
-    opts = opts or SolveOptions()
-    current = as_current(current)
-    if current.shape != (field.d, field.d):
-        raise errors.InvalidInput("dimension mismatch with the field")
-    if np.max(np.abs(current.sum(axis=1))) > BALANCE_TOL:
-        return RateResult(float("inf"), None, {}, "infeasible",
-                          detail="current is not divergence-free")
-    if np.any((current > SUPPORT_TOL) & ~field.support):
-        return RateResult(float("inf"), None, {}, "infeasible",
-                          detail="current charges edges off the support")
-    return _minimize(field, "current", None, None, current, opts)
+    return _minimize(field, opts, current=as_current(current))
 

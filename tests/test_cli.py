@@ -97,6 +97,31 @@ def test_missing_target_key_or_section_exits_2_in_one_line(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+def test_run_file_without_field_section_exits_2_in_one_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"seed": 1})
+    assert run(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "config error: config: missing 'field' section\n"
+
+
+@pytest.mark.parametrize("text, detail", [
+    # PyYAML's message spans four lines, with marks counted from 0 in the
+    # object and from 1 in its text
+    ("field: {family: constant\n", "expected ',' or '}', but got '<stream end>' at line 2, "
+     "column 1"),
+    # a reader error has no problem mark; its two lines are joined
+    ("field: \x07\n", "unacceptable character #x0007: special characters are not allowed "
+     "in "),
+], ids=["parser", "reader"])
+def test_invalid_yaml_exits_2_in_one_line(tmp_path, capsys, text, detail):
+    path = tmp_path / "y.yaml"
+    path.write_text(text)
+    assert run(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"config error: {path}: not valid YAML: {detail}")
+    assert "Traceback" not in err
+
+
 def test_dv_rate_anchor_value(tmp_path, capsys):
     doc = {"field": UNIT_FIELD,
            "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 1.0], [1.0, 0.0]]}}
@@ -769,6 +794,7 @@ def test_rate_rerun_is_byte_identical(tmp_path, capsys):
 CHEMO_FIELD = {"family": "autochemotaxis", "q0": [[-2.0, 2.0], [1.0, -1.0]],
                "strength": 1.0}
 NAN = float("nan")
+RING_Q0 = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]
 # rates that overflow: a vertex entry of strength + 1 times 2, and a d = 3
 # field with finite vertices whose candidate rate (d - 1) * rate_upper is inf
 OVERFLOWING_FIELDS = [
@@ -805,6 +831,17 @@ OVERFLOWING_FIELDS = [
     # PyYAML loads 1e-10 as text (YAML 1.1 floats need a dot and a signed exponent)
     ({"fixed_point": {"tol": "1e-10"}},
      "fixed_point.tol: expected a number, got '1e-10'; YAML reads this as text"),
+    ({"target": {"flux": np.ones((3, 3)).tolist()}}, "target.flux: flux is 3x3, field has 2"),
+    ({"target": {"current": np.zeros((3, 3)).tolist()}},
+     "target.current: current is 3x3, field has 2"),
+    ({"field": {"family": "catalytic", "generators": 3}}, "field.generators"),
+    ({"field": {"family": "catalytic", "generators": [CHEMO_FIELD["q0"], RING_Q0]}},
+     "field.generators"),
+    ({"field": {"family": "congestion", "q0": CHEMO_FIELD["q0"], "alpha": [0.1],
+                "beta": [0.1, 0.1]}}, "field"),
+    ({"field": {"family": "congestion", "q0": CHEMO_FIELD["q0"], "alpha": [-0.1, 0.1],
+                "beta": [0.1, 0.1]}}, "field"),
+    ({"field": {"family": "affine", "vertices": [CHEMO_FIELD["q0"]]}}, "field"),
 ])
 def test_invalid_run_file_exits_2_at_location(tmp_path, capsys, doc, location):
     full = {"field": CHEMO_FIELD, **doc}

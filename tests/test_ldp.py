@@ -61,8 +61,9 @@ def test_ell_and_scaled_ell_are_the_xlogy_formula_bitwise():
 def test_flux_validation_and_balance():
     f = ldp.as_flux([[5.0, 0.3], [0.3, 0.0]])
     assert f[0, 0] == 0.0  # diagonal carries no flux
-    assert ldp.flux_balanced(f)
-    assert not ldp.flux_balanced([[0.0, 0.5], [0.1, 0.0]])
+    assert ldp.flux_infeasibility(np.ones((2, 2), dtype=bool), f, [0.5, 0.5]) is None
+    assert ldp.flux_infeasibility(np.ones((2, 2), dtype=bool), [[0.0, 0.5], [0.1, 0.0]],
+                                  [0.5, 0.5]) == "flux balance violated"
     with pytest.raises(errors.InvalidInput, match="nonnegative"):
         ldp.as_flux([[0.0, -0.1], [0.1, 0.0]])
 

@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 
 from control_paths import (constant_path, jtilde, m_evolution_defect, m_from_rho,
                            path_flux, random_feasible_path, residuals, reweighting_cost)
-from selfjump import core, ldp, varsolve
+from selfjump import core, errors, ldp, varsolve
 from selfjump.varsolve import ControlPath, SolveOptions
 
 TWO_LOG_TWO_MINUS_ONE = 2.0 * np.log(2.0) - 1.0
@@ -179,7 +179,7 @@ def test_flux_cost_gradient_finite_difference():
     rng = np.random.default_rng(7)
     eps = 1e-6
     for mode, kw in cases:
-        prob = varsolve._FluxProblem(f, g, mode, **kw)
+        prob = varsolve._FluxProblem(f, g, **kw)
         n = prob.A.shape[1]
         x = rng.uniform(0.1, 1.0, n)
         _, grad, blocks = prob.objective(x)
@@ -206,7 +206,7 @@ def test_flux_cost_equals_jtilde():
     # judged (M recomputed from rho) and as the solver's cost at that M
     f = core.RateField.autochemotaxis(ring_field().vertices[0], strength=1.0)
     g = SolveOptions(4.0, 8)
-    prob = varsolve._FluxProblem(f, g, "occupation", gamma=np.full(3, 1 / 3))
+    prob = varsolve._FluxProblem(f, g, gamma=np.full(3, 1 / 3))
     x = np.random.default_rng(3).uniform(0.1, 1.0, prob.A.shape[1])
     cost = jtilde(prob.path_from(x), f)
     assert prob.judge(x)[0] == pytest.approx(cost, rel=1e-12)
@@ -463,9 +463,8 @@ def test_occupation_rate_converges_on_strong_interactions(q0, strength, gamma):
 ])
 def test_occupation_start_is_exactly_feasible(field, gamma):
     gamma = np.array(gamma)
-    prob = varsolve._FluxProblem(field, SolveOptions(8.0, 16), "occupation",
-                                 gamma=gamma)
-    start = next(varsolve._starts(prob, field, "occupation", gamma, None))
+    prob = varsolve._FluxProblem(field, SolveOptions(8.0, 16), gamma=gamma)
+    start = next(varsolve._starts(prob, field, gamma, None))
     rd = residuals(prob.path_from(start), field, gamma=gamma)
     assert rd["marginal"] <= 1e-12
     assert rd["stationarity"] <= 1e-12
@@ -587,6 +586,17 @@ def test_field_without_edges_solves_in_every_mode():
         assert res.residuals["flux"] == 0.0
 
 
+def test_every_solve_rejects_a_target_of_another_size():
+    # as_simplex takes a stack of simplex rows too, so a (2, 2) gamma needs the check
+    gamma, flux = np.full(3, 1 / 3), np.ones((3, 3))
+    for solve in (lambda: varsolve.occupation_rate(gamma, unit_field()),
+                  lambda: varsolve.occupation_rate(np.full((2, 2), 0.5), unit_field()),
+                  lambda: varsolve.solve_rate(gamma, flux, unit_field()),
+                  lambda: varsolve.current_rate(np.zeros((3, 3)), unit_field())):
+        with pytest.raises(errors.InvalidInput, match="dimension mismatch with the field"):
+            solve()
+
+
 def test_current_rate_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         varsolve.current_rate(np.array([[0.0, 1.0], [0.0, 0.0]]), unit_field(),
@@ -676,9 +686,11 @@ def test_occupation_rate_at_the_largest_grid_horizon_warns_nothing():
     assert res.status == "converged"
 
 
-@pytest.mark.xfail(strict=True, reason="every residual is at rounding level, yet the "
-                   "interior-point stopping test does not fire")
-@pytest.mark.parametrize("horizon", [64.0, 100.0])
+@pytest.mark.parametrize("horizon", [
+    pytest.param(64.0, marks=pytest.mark.xfail(
+        strict=True, reason="the iterate stalls: |rd| x stays near 7e-10 and x z near "
+        "3e-11, above the stopping test's 1e-10 (1 + |f|)")),
+    100.0])
 def test_zero_current_converges_at_long_grid_horizons(horizon):
     q0 = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
     field = core.RateField.autochemotaxis(q0, strength=2.0)

@@ -223,9 +223,9 @@ def _cmd_dv_rate(cfg, seed, field):
     gamma = cfg.need("target.gamma")
     flux = cfg.need("target.flux")
     value = ldp.dv_rate(field.vertices[0], gamma, flux)
-    # dv_rate is inf whenever the gate gives a reason, so the gate runs only then
-    if value == float("inf") and (reason := ldp.flux_infeasibility(field.support, flux, gamma)):
-        raise _Infeasible(reason)
+    # dv_rate is inf exactly when the gate gives a reason, so the gate runs only then
+    if value == float("inf"):
+        raise _Infeasible(ldp.flux_infeasibility(field.support, flux, gamma))
     results = {"value": value, "gamma": gamma, "flux": flux}
     return results, {"value.csv": "value\n" + _fmt(value) + "\n"}, "value.csv", [_fmt(value)]
 

@@ -119,7 +119,8 @@ def dv_rate(q0, gamma, flux):
     """Level-2.5 rate of (gamma, flux) for the constant rate matrix q0.
 
     +infinity exactly when flux_infeasibility gives a reason; otherwise the
-    cost over the edges where gamma_x q0_xy > 0.  q0 must be irreducible.
+    cost over the edges where gamma_x q0_xy > 0, and InvalidInput when that
+    cost overflows a float.  q0 must be irreducible.
     """
     q0 = _irreducible(q0)
     gamma = as_simplex(gamma)
@@ -132,7 +133,11 @@ def dv_rate(q0, gamma, flux):
     if flux_infeasibility(off > 0, flux, gamma) is not None:
         return float("inf")
     ref = gamma[:, None] * off
-    return float(scaled_ell(ref, np.where(ref > 0, flux, 0.0)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(scaled_ell(ref, np.where(ref > 0, flux, 0.0)).sum())
+    if not np.isfinite(value):  # inf, or inf - inf where both log terms overflow
+        raise errors.InvalidInput("the rate of this flux overflows a float")
+    return value
 
 
 def stationary_distribution(q):

@@ -16,7 +16,8 @@ probability Q_xj(L_t-) / rate_upper; rate_upper bounds every off-diagonal
 rate at every occupation measure.
 
 The thinning loop reads its candidates from numpy arrays, one draw chunk at
-a time: candidate times are the cumulative sum of the exponential clocks
+a time.  One routine, ``_clock``, turns drawn rows into candidates for both
+engines: candidate times are the cumulative sum of the exponential clocks
 over lam, continued from the previous chunk's last time, and acceptance
 thresholds are the uniforms times rate_upper.  numpy's cumsum adds in
 sequence and every elementwise product or quotient is one IEEE operation,
@@ -47,12 +48,12 @@ do not depend on the worker count (only how the paths are split does).
 Seeds lie in [0, 2**64).  Path i's stream is Philox under the key numpy's
 seed sequence with entropy seed and spawn key (i,) generates, which
 ``_stream_keys`` computes for a list of paths in one vectorised pass of its
-hash (numpy's stream-compatibility policy keeps that hash fixed): the
-seed's words are mixed once, and only the index words per path.
-``path_stream`` builds one path's generator under that key; a lockstep
-block resets one Philox generator to each path's fresh stream instead of
-building a generator per path.  Either way ``_draw_chunk`` draws the path's
-candidates.
+hash (numpy's stream-compatibility policy keeps that hash fixed): numpy's
+``SeedSequence(seed)`` supplies the seed's mixed pool, and only the index
+words are mixed in by hand, for all the paths at once.  ``_streams`` is
+the one start of path streams: it resets one Philox generator to each
+path's key in turn, for a lockstep block's paths and for ``path_stream``'s
+one path alike.  Either way ``_draw_chunk`` draws the path's candidates.
 """
 
 from __future__ import annotations
@@ -70,16 +71,10 @@ import numpy as np
 
 from . import core, errors
 
-_MASK32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # the multipliers of the seed sequence's mix
-
 
 def _hash_consts(init, mult, n):
     """The first n + 1 constants the seed sequence's hashmix steps through."""
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+    return np.cumprod(np.array([init] + [mult] * n, dtype=np.uint32), dtype=np.uint32)
 
 
 # hashmix constants of entropy mixing (4 seed words, 12 cross-mixes of the
@@ -88,14 +83,16 @@ _MIXING = _hash_consts(0x43B0D7E5, 0x931E8875, 24)
 _GENERATION = _hash_consts(0x8B51F9DD, 0x58F38DED, 4)
 
 
-def _hashmix(value, const, next_const):
-    """The seed sequence's hashmix on 32-bit words: Python ints or uint32 arrays."""
-    value = (value ^ const) * next_const & _MASK32
+def _hashmix(value, consts):
+    """The seed sequence's hashmix of a uint32 array, whose products wrap mod
+    2**32, stepping through the hash constants ``consts``."""
+    value = (value ^ consts[:-1]) * consts[1:]
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    r = _MIX_L * x - _MIX_R * y & _MASK32
+    """The seed sequence's mix of two uint32 arrays."""
+    r = 0xCA01F9DD * x - 0x4973F715 * y
     return r ^ r >> 16
 
 
@@ -115,44 +112,48 @@ def _stream_keys(seed, indices):
 
     Row k is the state numpy's seed sequence with entropy ``seed`` and spawn
     key ``(indices[k],)`` generates as two uint64 words, for indices in
-    [0, 2**64).  The seed's two 32-bit words, zero-padded to the pool size,
-    come first in every path's entropy, so they are mixed into the pool
-    once; the index words (the low one, and the high one from 2**32 on) are
-    then mixed into every path's copy of the pool at once.
+    [0, 2**64).  numpy mixes the seed's words, zero-padded to the pool size,
+    before the spawn key's, so every path's pool starts as the pool of
+    ``SeedSequence(seed)``; the index words (the low one, and the high one
+    from 2**32 on) are then mixed into every path's copy of it at once.
     """
     idx = np.asarray(indices).reshape(-1)
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= 1 << 64:
         raise errors.InvalidInput("path indices must lie in [0, 2**64)")
     idx = idx.astype(np.uint64)
-    seed = check_seed(seed)
-    # the seed's pool in Python ints, as numpy mixes it: hashmix calls 0-3
-    # take the seed words, 4-15 mix each pool word into the others
-    c = _MIXING.tolist()
-    pool = [_hashmix(w, c[k], c[k + 1]) for k, w in enumerate([seed & _MASK32, seed >> 32, 0, 0])]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k], c[k + 1]))
-                k += 1
-    pool = np.array(pool, dtype=np.uint32)
-    m = _MIXING
+    pool = np.random.SeedSequence(check_seed(seed)).pool
     # one row per path and one column per pool word; hashmix calls 16-19
     # mix in the low index word, 20-23 the high one
     low = idx.astype(np.uint32)[:, None]  # the cast keeps the low 32 bits
-    pool = _mix(pool, _hashmix(low, m[16:20], m[17:21]))
-    if idx.max(initial=0) > _MASK32:
+    pool = _mix(pool, _hashmix(low, _MIXING[16:21]))
+    if idx.max(initial=0) > 0xFFFFFFFF:
         high = (idx >> 32).astype(np.uint32)[:, None]
-        pool = np.where(high != 0, _mix(pool, _hashmix(high, m[20:24], m[21:25])), pool)
-    g = _GENERATION
+        pool = np.where(high != 0, _mix(pool, _hashmix(high, _MIXING[20:25])), pool)
     # numpy's own little-endian pairing of the four state words
-    return _hashmix(pool, g[:4], g[1:]).astype("<u4").view("<u8").astype(np.uint64)
+    return _hashmix(pool, _GENERATION).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(seed, paths):
+    """Yield each path's generator at the start of its stream, in turn.
+
+    One Philox bit generator, built under the first path's key, is reset to
+    each later path's key with its counter at 0 and its buffer empty.  The
+    paths share it: a path's draws are taken before the next path's are.
+    """
+    keys = _stream_keys(seed, paths)
+    bitgen = np.random.Philox(key=keys[0])
+    fresh = bitgen.state  # the start of a stream
+    rng = np.random.Generator(bitgen)
+    for b, key in enumerate(keys):
+        if b:
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+        yield rng
 
 
 def path_stream(seed, path_index):
     """Independent generator for one path, a pure function of (seed, path_index)."""
-    path_index = core.check_count("path_index", path_index, 0)
-    return np.random.Generator(np.random.Philox(key=_stream_keys(seed, [path_index])[0]))
+    return next(_streams(seed, [core.check_count("path_index", path_index, 0)]))
 
 
 @dataclass(frozen=True)
@@ -255,14 +256,23 @@ def _draw_chunk(rng, cand, uc, pick, n_dest):
         pick[...] = rng.integers(0, n_dest, size=pick.size)
 
 
+def _clock(cand, uc, lam, c, t=0.0):
+    """Turn drawn rows into candidates in place: each row of clocks e in cand
+    becomes the times t + cumsum(e / lam), the sums t += e / lam would give,
+    and the uniforms u in uc the acceptance thresholds u * c."""
+    cand /= lam
+    cand[..., :1] += t
+    np.cumsum(cand, axis=-1, out=cand)
+    uc *= c
+
+
 def _candidates(rng, n_dest, lam, c, horizon):
     """Yield a thinning path's candidates up to the horizon in list slices.
 
     Each slice is (times, thresholds u * c, destination picks) for at most
     _SLICE consecutive candidates; the picks are all 0 when _draw_chunk
-    draws none.  A chunk's times are the cumulative sum of e / lam started
-    from the previous chunk's last time: numpy's cumsum adds in sequence, so
-    they are the sums t += e / lam would give.
+    draws none.  Each chunk's clock continues from the previous chunk's
+    last time.
     """
     size, refill = _chunk_sizes(lam, horizon)
     t = 0.0
@@ -270,10 +280,7 @@ def _candidates(rng, n_dest, lam, c, horizon):
         cand, uc = np.empty(size), np.empty(size)
         pick = np.empty(size, dtype=np.int64) if n_dest > 1 else None
         _draw_chunk(rng, cand, uc, pick, n_dest)
-        cand /= lam
-        cand[0] += t
-        np.cumsum(cand, out=cand)
-        uc *= c
+        _clock(cand, uc, lam, c, t)
         n = int(np.searchsorted(cand, horizon, side="right"))
         for lo in range(0, n, _SLICE):
             hi = min(lo + _SLICE, n)
@@ -533,12 +540,12 @@ def _scalar_block(field, x0, times, seed, paths):
 def _lockstep_block(field, x0, times, seed, paths, n_draws):
     """Run ``paths`` in lockstep through their first draw chunks.
 
-    One Philox generator is reset to each path's fresh stream in turn (keys
-    from ``_stream_keys``), and ``_draw_chunk`` draws each path's chunk into
-    its rows.  No picks are drawn at d = 2, where the destination is the
-    other state; otherwise they are stored in the narrowest unsigned type
-    that holds d - 1.  Step k handles every path's k-th candidate with the
-    scalar loop's float operations, so values match it bitwise.  A path
+    Each path's stream starts in turn (``_streams``), ``_draw_chunk`` draws
+    its chunk into its rows, and ``_clock`` turns all the rows into
+    candidates at once.  No picks are drawn at d = 2, where the destination
+    is the other state; otherwise they are stored in the narrowest unsigned
+    type that holds d - 1.  Step k handles every path's k-th candidate with
+    the scalar loop's float operations, so values match it bitwise.  A path
     whose first chunk ends before the horizon is re-run whole by
     ``_scalar_block``.  Accepted jumps are counted per (path, edge),
     so the counts over times[-1] are ``Trajectory.flux_at``'s values.
@@ -560,17 +567,9 @@ def _lockstep_block(field, x0, times, seed, paths, n_draws):
     cand = np.empty((n, n_draws))  # candidate times
     uc = np.empty((n, n_draws))  # acceptance thresholds u * c
     pick = None if d == 2 else np.empty((n, n_draws), dtype=np.min_scalar_type(d - 1))
-    keys = _stream_keys(seed, paths)
-    bitgen = np.random.Philox(key=keys[0])
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty buffer: the start of a stream
-    for b, key in enumerate(keys):
-        fresh["state"]["key"] = key
-        bitgen.state = fresh
+    for b, rng in enumerate(_streams(seed, paths)):
         _draw_chunk(rng, cand[b], uc[b], None if pick is None else pick[b], d - 1)
-    np.divide(cand, lam, out=cand)
-    np.cumsum(cand, axis=1, out=cand)  # the scalar loop's t += e / lam
-    uc *= c
+    _clock(cand, uc, lam, c)
     exhausted = cand[:, -1] <= horizon if n_draws else np.zeros(n, dtype=bool)
     cand[exhausted] = np.inf
     uc[cand > horizon] = np.inf  # candidates past the horizon are never accepted

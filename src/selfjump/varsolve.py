@@ -62,9 +62,9 @@ class SolveOptions:
     tail.  Block weights are the discounted lengths e^-s_k - e^-s_{k+1}, and
     the tail block carries the rest of the discount, e^-grid_horizon;
     together they sum to one.  grid_horizon lies in [1, about 708.4], where
-    e^-grid_horizon is a normal float.  n_starts (at most two deterministic
-    starts exist) bounds how many starts are tried.  The fields are checked
-    on construction.
+    e^-grid_horizon is a normal float.  n_starts, 1 or 2 (two deterministic
+    starts exist), is how many starts are tried.  The fields are checked on
+    construction.
     """
 
     grid_horizon: float = 8.0
@@ -83,6 +83,8 @@ class SolveOptions:
                                       "e^-horizon underflows (need about <= 708.4)")
         object.__setattr__(self, "grid_cells", check_count("grid_cells", self.grid_cells, 2))
         object.__setattr__(self, "n_starts", check_count("n_starts", self.n_starts))
+        if self.n_starts > 2:
+            raise errors.InvalidInput(f"n_starts must be 1 or 2, got {self.n_starts}")
 
     @property
     def nodes(self):
@@ -415,7 +417,7 @@ def _minimize(field, opts, gamma=None, flux=None, current=None):
         return RateResult(float("inf"), None, {}, "infeasible", detail=reason)
     prob = _FluxProblem(field, opts, gamma=gamma, flux=flux, current=current)
     best = None
-    starts = islice(_starts(prob, field, gamma, flux), min(opts.n_starts, 2))
+    starts = islice(_starts(prob, field, gamma, flux), opts.n_starts)
     for si, x in enumerate(starts):
         res = minimize(prob.objective, x, prob)
         value, rd = prob.judge(res.x)

@@ -154,6 +154,15 @@ def test_dv_rate_flux_out_of_unoccupied_state_is_infeasible(tmp_path, capsys):
     assert "infeasible: flux leaves a state with zero occupation" in err
 
 
+def test_dv_rate_overflow_exits_1_in_one_line(tmp_path, capsys):
+    doc = {"field": UNIT_FIELD,
+           "target": {"gamma": [0.5, 0.5], "flux": [[0.0, 1e307], [1e307, 0.0]]}}
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["dv-rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", "error: the rate of this flux overflows a float\n")
+    assert not (tmp_path / "out").exists()
+
+
 ONE_WAY_Q0 = [[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]]
 NEAR_ZERO_Q0 = [[-1.0, 1.0, -1e-13], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]]
 INTERIOR = [0.3, 0.3, 0.4]
@@ -708,7 +717,7 @@ heavy = %r
 loaded = lambda: [m for m in heavy if m in sys.modules]
 from selfjump import cli
 report = {"import": loaded(), "multiprocessing": "multiprocessing" in sys.modules,
-          "scipy": "scipy" in sys.modules}
+          "scipy": "scipy" in sys.modules, "numpy.random": "numpy.random" in sys.modules}
 with contextlib.redirect_stdout(sys.stderr):
     codes = [cli.main([c, "--config", cfg, "--out", out])
              for c in ("validate", "simulate", "fixed-point", "mc-ldp")]
@@ -739,6 +748,8 @@ def test_sampling_commands_do_not_load_the_solver_modules(tmp_path, capsys):
     assert report["codes"] == [0] * 5
     assert report["import"] == [] and report["sampling"] == []
     assert report["multiprocessing"] is False and report["scipy"] is False
+    # numpy.random loads when the first path stream starts, not at import
+    assert report["numpy.random"] is False
     # the interior-point solver factorizes with scipy.sparse alone
     assert report["solve"] == ["scipy.sparse"]
     # the lazily imported solver gives the in-process value bit for bit
@@ -941,6 +952,8 @@ SYMMETRIC_CURRENT = [[0.0, 1.0], [1.0, 0.0]]
                  {"solver": {"grid_cells": 1}}, "solver.grid_cells", id="grid_cells"),
     pytest.param(lambda f: varsolve.SolveOptions(n_starts=0),
                  {"solver": {"n_starts": 0}}, "solver.n_starts", id="n_starts"),
+    pytest.param(lambda f: varsolve.SolveOptions(n_starts=3),
+                 {"solver": {"n_starts": 3}}, "solver.n_starts", id="n_starts-above-two"),
     pytest.param(lambda f: ldp.fixed_point_pi_star(f, tol=-1.0),
                  {"fixed_point": {"tol": -1.0}}, "fixed_point.tol", id="fixed_point-tol"),
     pytest.param(lambda f: ldp.fixed_point_pi_star(f, max_iter=0),

@@ -89,6 +89,18 @@ def test_dv_rate_gates():
     assert ldp.dv_rate(q_gap, np.array([0.4, 0.3, 0.3]), flux) == math.inf
 
 
+@pytest.mark.parametrize("rate, size", [(1.0, 1e307), (1.0, 1.5e305), (1e300, 1e307)])
+def test_dv_rate_raises_where_its_cost_overflows(rate, size):
+    # feasible fluxes whose cost overflows: at 1e307 on each edge, at 1.5e305
+    # only in the sum over the two, and at rates of 1e300 in both log terms
+    # (inf - inf); inf would say the flux is infeasible
+    q0 = np.array([[-rate, rate], [rate, -rate]])
+    flux = [[0.0, size], [size, 0.0]]
+    assert ldp.flux_infeasibility(q0 > 0, flux, [0.5, 0.5]) is None
+    with pytest.raises(errors.InvalidInput, match="^the rate of this flux overflows a float$"):
+        ldp.dv_rate(q0, [0.5, 0.5], flux)
+
+
 def test_dv_rate_zero_at_equilibrium():
     q0 = np.array([[-1.0, 1.0], [2.0, -2.0]])
     pi = ldp.stationary_distribution(q0)

@@ -661,6 +661,14 @@ def test_stream_keys_match_seed_sequence():
         keys = sim._stream_keys(seed, KEY_INDICES)
         assert keys.dtype == np.uint64
         assert np.array_equal(keys, ref), seed
+    # random seeds of every bit length, one and two 32-bit words alike
+    rng = np.random.default_rng(32)
+    bits = rng.integers(0, 64, 256, dtype=np.uint64)
+    seeds = rng.integers(0, 2 ** 64, 256, dtype=np.uint64) >> bits
+    indices = KEY_INDICES[:3] + KEY_INDICES[-4:]
+    for seed in map(int, seeds):
+        ref = [seed_sequence(seed, i).generate_state(2, np.uint64) for i in indices]
+        assert np.array_equal(sim._stream_keys(seed, indices), ref), seed
 
 
 def test_path_stream_draws_match_seed_sequence_stream():

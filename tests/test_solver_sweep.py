@@ -11,6 +11,9 @@ feasible minimum, and ``SLACK`` adds what the miss is worth.  At strength 1,
 gamma_1 = 0.9 its path missed the simplex rows by 4.5e-8 and the marginal
 by 2.0e-8, and read 8.2e-8 below 0.92190969801, the value the interior-point
 solve reaches from both starts and, in two iterations, from that path.
+
+``CONTINUOUS`` holds the continuous-limit value at gamma_1 = 0.6, which the
+default grid horizon's values, extrapolated in the cell count, must meet.
 """
 
 import numpy as np
@@ -45,3 +48,27 @@ def test_occupation_sweep_converges_and_is_not_above_the_recorded_values(strengt
         if recorded is not None:
             bound = recorded + 1e-8 + SLACK.get((strength, g), 0.0)
             assert res.value <= bound, (strength, g, res.value, recorded)
+
+
+# The occupation rate at gamma = (0.6, 0.4) on the benchmark field in the
+# continuous limit, per strength, as (value, uncertainty).  Two discretisations
+# of the control problem at H = 8 agree on it to about 2e-6: the Richardson
+# extrapolation 2 V_1024 - V_512 of the left-node rule gives 0.2086079 at
+# strength 1 and 0.1210105 at strength 6, and a second-order cell rule (Q read
+# at each cell's discount-averaged M, not in the package) gives
+# (4 V_1024 - V_512) / 3 = 0.2086071 and 0.1210124.  Going from H = 8 to
+# H = 16 or 24 lowers the value by about 1.5e-6, and H = 16 and 24 agree to
+# 1e-12.  Here V_K is the value on K cells.
+CONTINUOUS = {1.0: (0.208606, 3e-6), 6.0: (0.121011, 4e-6)}
+
+
+@pytest.mark.parametrize("strength", sorted(CONTINUOUS))
+def test_extrapolated_occupation_rate_matches_the_continuous_limit(strength):
+    # the left-node rule's error is first order in the cell width, so
+    # 2 V_512 - V_256 cancels its leading term
+    field = core.RateField.autochemotaxis(Q0, strength=strength)
+    v256, v512 = (varsolve.occupation_rate([0.6, 0.4], field, varsolve.SolveOptions(grid_cells=k))
+                  for k in (256, 512))
+    assert v256.status == v512.status == "converged"
+    value, _ = CONTINUOUS[strength]
+    assert abs(2.0 * v512.value - v256.value - value) <= 2e-5, (v256.value, v512.value)
